@@ -126,18 +126,15 @@ def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
             n_samples=cfg.n_samples,
             jobs=cfg.jobs,
         )
-        best_rec = min(
-            (r for r in records if r.value == r.value), key=lambda r: (r.value, r.trial)
-        )
         with open(_tuned_path(out, kind), "w") as f:
             json.dump(
                 {
                     "kind": kind,
                     "objective": cfg.objective,
-                    "best_value": best_rec.value,
-                    "best_trial": best_rec.trial,
+                    "best_value": best.value,
+                    "best_trial": best.trial,
                     "n_trials": len(records),
-                    "config": defense_config_to_dict(best),
+                    "config": defense_config_to_dict(best.config),
                 },
                 f,
                 indent=2,
@@ -159,8 +156,8 @@ def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
                     )
                     + "\n"
                 )
-        print(f"tuned {kind}: best {cfg.objective}={best_rec.value:.6g} "
-              f"(trial {best_rec.trial}/{len(records)}) -> {_tuned_path(out, kind)}")
+        print(f"tuned {kind}: best {cfg.objective}={best.value:.6g} "
+              f"(trial {best.trial}/{len(records)}) -> {_tuned_path(out, kind)}")
     if not tuned_any:
         print("nothing to tune: no defense entry has tune=true")
     return 0
@@ -195,14 +192,11 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
             )
             for attack in cfg.attacks:
                 cells.extend(
-                    evaluate_cell(
-                        ds, defense, attack, cfg.n_seeds, train_cfg,
-                        neighbors=neighbors, models=models, defense_label=label,
-                    )
+                    evaluate_cell(ds, defense, attack, models, defense_label=label)
                 )
                 if attack.kind == "pgd":
                     for i, net in models:
-                        records, _ = perturbation_profile(net, ds, attack)
+                        records = perturbation_profile(net, ds, attack)
                         profiles.append((label, attack.kind, i, records))
             print(f"evaluated {label}: {len(cfg.attacks)} attack(s) x {cfg.n_seeds} seed(s)")
     except RegrobustError:

@@ -71,13 +71,20 @@ class _Required:
 _REQUIRED = _Required()
 
 
+def _floats(values, path: str) -> tuple:
+    try:
+        return tuple(float(v) for v in values)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{path}: expected numbers, got {values!r}") from e
+
+
 def _parse_pair(doc, key, path, default):
     v = doc.get(key)
     if v is None:
         return default
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise ConfigError(f"{path}.{key}: expected [lo, hi], got {v!r}")
-    return (float(v[0]), float(v[1]))
+    return _floats(v, f"{path}.{key}")
 
 
 def _parse_dataset(doc, path="dataset") -> DatasetSpec:
@@ -199,6 +206,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     fractions = doc.get("fractions", [0.6, 0.2, 0.2])
     if not (isinstance(fractions, (list, tuple)) and len(fractions) == 3):
         raise ConfigError(f"config.fractions: expected 3 numbers, got {fractions!r}")
+    fractions = _floats(fractions, "config.fractions")
     n_samples = _typed(doc, "n_samples", int, "config", 100)
     search, objective = _parse_search(doc.get("search", {}))
 
@@ -237,7 +245,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     return ExperimentConfig(
         dataset=dataset,
         out_dir=_typed(doc, "out_dir", str, "config", "out"),
-        fractions=tuple(float(f) for f in fractions),
+        fractions=fractions,
         seed=_typed(doc, "seed", int, "config", 0),
         train=_parse_train(doc.get("train", {})),
         search=search,

@@ -11,24 +11,23 @@ are not penalized. The indicator is treated as constant when differentiating
 (straight-through), so the gradient is exact for the gated squared term with
 the gate frozen at its sampled value.
 
-Batched entry points draw all perturbations for a batch with a single RNG
-call; numpy's Generator fills that block exactly as the per-point calls would
-consume it, so per-point and batched results agree to rounding error given the
-same starting stream.
+Each stability-penalty evaluation draws its perturbations for the whole batch
+with one ``rng.uniform(-1, 1, size=(B, S, D))`` call (B rows, S samples per
+row, D features), row-major, so sample s of row i is block [i, s] of that
+draw. Training makes one such draw per minibatch step.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NonFiniteError
-from .losses import pseudo_huber  # noqa: F401  (public API of this module)
 from .nn import (
     RegressionNet,
     _as_batch,
+    _param_grad,
     batch_backward,
     forward_parts,
     grad_penalty_batch,
-    grad_penalty_param_grad,  # noqa: F401  (re-exported for defense users)
 )
 
 DEFENSE_KINDS = ("none", "pseudo_huber", "grad_reg", "ansr", "combined")
@@ -81,10 +80,7 @@ class DefenseConfig:
 
     @property
     def needs_neighbors(self) -> bool:
-        return self.kind in ("ansr", "combined")
-
-    @property
-    def needs_rng(self) -> bool:
+        """Whether the stability penalty is active: it needs neighbors and an rng."""
         return self.kind in ("ansr", "combined")
 
 
@@ -103,18 +99,21 @@ class NeighborInfo:
             raise ConfigError(f"label_gap must be finite and >= 0, got {self.label_gap}")
 
 
-def _ansr_batch(net: RegressionNet, X, radii, gaps, n_samples: int, rng):
+def ansr_batch(net: RegressionNet, X, radii, gaps, n_samples: int, rng):
     """Stability penalty values and the summed unscaled theta-gradient.
 
     Returns (omega (B,), grad_sum (n_params,)) where omega[i] is the
-    Monte-Carlo penalty for row i and grad_sum is sum_i d omega[i] / d theta
-    with the sampled perturbations and gates held fixed.
+    Monte-Carlo penalty for row i (ball radius radii[i], label gap gaps[i])
+    and grad_sum is sum_i d omega[i] / d theta with the sampled perturbations
+    and gates held fixed.
 
     A radius of zero makes every perturbed copy equal to the clean point, so
     the true penalty is exactly zero; the gate enforces that explicitly
     because equal inputs routed through different matmul shapes can round one
     ulp apart. The row's samples are still drawn to keep the stream aligned.
     """
+    if rng is None:
+        raise ConfigError("the stability penalty draws random perturbations and needs an rng")
     X, _ = _as_batch(net, X)
     B, D = X.shape
     S = int(n_samples)
@@ -130,67 +129,21 @@ def _ansr_batch(net: RegressionNet, X, radii, gaps, n_samples: int, rng):
         raise ConfigError("radii and label gaps must be >= 0")
 
     U = rng.uniform(-1.0, 1.0, size=(B, S, D))
-    XP = X[:, None, :] + U * radii[:, None, None]
+    XP = (X[:, None, :] + U * radii[:, None, None]).reshape(B * S, D)
 
     z0, a0, _, y0, act1_0, _ = forward_parts(net, X)
-    zp, ap, _, yp, act1_p, _ = forward_parts(net, XP.reshape(B * S, D))
-    yp = yp.reshape(B, S)
-    dy = y0[:, None] - yp  # (B, S)
+    zp, ap, _, yp, act1_p, _ = forward_parts(net, XP)
+    dy = y0[:, None] - yp.reshape(B, S)
     gate = (np.abs(dy) > gaps[:, None]) & (radii[:, None] > 0.0)
     gated = np.where(gate, dy, 0.0)
     omega = (gated * gated).mean(axis=1)  # (B,)
 
     # d omega_i / d theta = (2/S) sum_s gated * (d f(x_i)/d theta - d f(x_i+dx)/d theta)
     coef = (2.0 / S) * gated  # (B, S)
-    csum = coef.sum(axis=1)  # (B,)
-
-    w2 = net.w2
-    m0 = (z0 > 0.0) * w2  # (B, H)
-    mp = ((zp > 0.0) * w2).reshape(B, S, -1)  # (B, S, H)
-    ap = ap.reshape(B, S, -1)
-    act1_p = act1_p.reshape(B, S)
-
-    c0 = csum * act1_0  # (B,)  weight on the clean-point jacobian
-    cp = coef * act1_p  # (B, S) weight on each perturbed-point jacobian
-
-    d_b2 = c0.sum() - cp.sum()
-    d_w2 = c0 @ a0 - np.einsum("bs,bsh->h", cp, ap)
-    dz0 = m0 * c0[:, None]  # (B, H)
-    dzp = mp * cp[:, :, None]  # (B, S, H)
-    d_b1 = dz0.sum(axis=0) - dzp.sum(axis=(0, 1))
-    d_w1 = dz0.T @ X - np.einsum("bsh,bsd->hd", dzp, XP)
-    grad_sum = np.concatenate([d_w1.ravel(), d_b1, d_w2, [d_b2]])
+    c0 = coef.sum(axis=1) * act1_0  # (B,) weight on the clean-point jacobian
+    cp = coef.ravel() * act1_p  # (B*S,) weight on each perturbed-point jacobian
+    grad_sum = _param_grad(net, X, z0, a0, c0) - _param_grad(net, XP, zp, ap, cp)
     return omega, grad_sum
-
-
-def _require_rng(rng):
-    if rng is None:
-        raise ConfigError("this defense draws random perturbations and needs an rng")
-    return rng
-
-
-def ansr_penalty(net: RegressionNet, x, neighbor: NeighborInfo, cfg: DefenseConfig, rng) -> float:
-    """Monte-Carlo stability penalty for one training point (unweighted by lambda)."""
-    _require_rng(rng)
-    X, single = _as_batch(net, x)
-    if not single:
-        raise DimensionError("ansr_penalty expects a single input point")
-    radius = cfg.beta * neighbor.nn_distance
-    omega, _ = _ansr_batch(net, X, [radius], [neighbor.label_gap], cfg.n_samples, rng)
-    return float(omega[0])
-
-
-def ansr_param_grad(
-    net: RegressionNet, x, neighbor: NeighborInfo, cfg: DefenseConfig, rng
-) -> np.ndarray:
-    """Theta-gradient of lambda * penalty with samples and gates held fixed."""
-    _require_rng(rng)
-    X, single = _as_batch(net, x)
-    if not single:
-        raise DimensionError("ansr_param_grad expects a single input point")
-    radius = cfg.beta * neighbor.nn_distance
-    _, grad_sum = _ansr_batch(net, X, [radius], [neighbor.label_gap], cfg.n_samples, rng)
-    return cfg.lam * grad_sum
 
 
 def batch_loss_grad(
@@ -222,40 +175,11 @@ def batch_loss_grad(
         grad_sum = grad_sum + pgrad
 
     if cfg.kind in ("ansr", "combined"):
-        _require_rng(rng)
         if nn_distances is None or label_gaps is None:
             raise ConfigError("stability penalty needs nn_distances and label_gaps")
         radii = cfg.beta * np.asarray(nn_distances, dtype=np.float64)
-        omega, ograd = _ansr_batch(net, X, radii, label_gaps, cfg.n_samples, rng)
+        omega, ograd = ansr_batch(net, X, radii, label_gaps, cfg.n_samples, rng)
         total += cfg.lam * omega.sum()
         grad_sum = grad_sum + cfg.lam * ograd
 
     return total / B, grad_sum / B
-
-
-def total_loss_grad(
-    net: RegressionNet,
-    x,
-    y,
-    neighbor,
-    cfg: DefenseConfig,
-    rng=None,
-):
-    """Per-point training objective and exact theta-gradient.
-
-    neighbor may be None for kinds that do not use it.
-    """
-    X, single = _as_batch(net, x)
-    if not single:
-        raise DimensionError("total_loss_grad expects a single input point")
-    if cfg.needs_neighbors:
-        if neighbor is None:
-            raise ConfigError(f"defense {cfg.kind!r} needs neighbor info")
-        nn_d = [neighbor.nn_distance]
-        gaps = [neighbor.label_gap]
-    else:
-        nn_d = gaps = None
-    loss, grad = batch_loss_grad(
-        net, X, [float(y)], cfg, rng=rng, nn_distances=nn_d, label_gaps=gaps
-    )
-    return float(loss), grad

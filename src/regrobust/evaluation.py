@@ -65,12 +65,6 @@ class PointRecord:
     nn_train_distance: float
 
 
-@dataclass(frozen=True)
-class Histogram:
-    edges: tuple  # 31 edges for 30 equal-width bins over [0, max]
-    counts: tuple
-
-
 def _train_seed_worker(payload):
     dataset, defense, train_cfg, neighbors, label, seed_index = payload
     try:
@@ -109,23 +103,11 @@ def evaluate_cell(
     dataset,
     defense: DefenseConfig,
     attack: AttackConfig,
-    n_seeds: int,
-    train_cfg: TrainConfig,
-    neighbors: dict | None = None,
-    models: list | None = None,
+    models: list,
     defense_label: str | None = None,
-    jobs: int = 1,
 ) -> list:
-    """Test MSE for each of n_seeds retrained models under one attack.
-
-    Pass models (from train_models) to reuse the same trained networks across
-    several attacks; they are retrained here otherwise.
-    """
+    """Test MSE of each trained model (from train_models) under one attack."""
     label = defense_label or defense.kind
-    if models is None:
-        models = train_models(
-            dataset, defense, train_cfg, n_seeds, neighbors=neighbors, label=label, jobs=jobs
-        )
     rows = dataset.rows(data_mod.TEST)
     Xt = dataset.features[rows]
     Yt = dataset.targets[rows]
@@ -167,12 +149,10 @@ def aggregate(cells) -> list:
 
 
 def perturbation_profile(net: RegressionNet, dataset, attack: AttackConfig):
-    """Per test point adversarial errors for one model, with a histogram.
+    """Per test point adversarial errors for one model.
 
-    Returns (records, histogram): records carry y, clean and attacked
-    predictions, |f(x_adv) - y|, |f(x_adv) - f(x)|, and the point's L-inf
-    distance to the nearest train row; the histogram covers |f(x_adv) - y|
-    with 30 equal-width bins on [0, max].
+    Each record carries y, clean and attacked predictions, |f(x_adv) - y|,
+    |f(x_adv) - f(x)|, and the point's L-inf distance to the nearest train row.
     """
     rows = dataset.rows(data_mod.TEST)
     Xt = dataset.features[rows]
@@ -182,7 +162,7 @@ def perturbation_profile(net: RegressionNet, dataset, attack: AttackConfig):
     pred_adv = np.atleast_1d(forward(net, adv))
     nn_dist = data_mod.nearest_train_distance(dataset, Xt)
     abs_err = np.abs(pred_adv - Yt)
-    records = [
+    return [
         PointRecord(
             index=int(rows[k]),
             y=float(Yt[k]),
@@ -194,9 +174,6 @@ def perturbation_profile(net: RegressionNet, dataset, attack: AttackConfig):
         )
         for k in range(len(rows))
     ]
-    top = float(abs_err.max()) if len(abs_err) and abs_err.max() > 0 else 1.0
-    counts, edges = np.histogram(abs_err, bins=30, range=(0.0, top))
-    return records, Histogram(edges=tuple(edges.tolist()), counts=tuple(int(c) for c in counts))
 
 
 CELL_COLUMNS = ("dataset", "defense", "attack", "seed", "test_mse")

@@ -1,13 +1,14 @@
 """Single hidden layer ReLU regression network with exact reverse-mode math.
 
 Dense float64 numpy throughout. The flat parameter vector used by the
-optimizer and all *_param_grad functions is laid out as
+optimizer is laid out as
 
     [w1 row-major, b1, w2, b2]
 
-and every gradient function returns that layout. ReLU' (0) is taken to be 0,
-and all analytic gradients are exact for the piecewise-linear network, which
-is what the finite-difference test suites check against.
+and every parameter gradient is returned in that layout, built by one
+contraction (_param_grad) over the cached forward intermediates. ReLU'(0) is
+taken to be 0, and all analytic gradients are exact for the piecewise-linear
+network, which is what the finite-difference test suites check against.
 """
 import json
 from dataclasses import dataclass
@@ -156,40 +157,34 @@ def forward(net: RegressionNet, x):
     return float(yhat[0]) if single else yhat
 
 
-@dataclass
-class GradientBundle:
-    """Loss value with gradients for one (x, y) pair."""
-
-    value: float
-    d_theta: np.ndarray  # (n_params,)
-    d_x: np.ndarray  # (input_dim,)
-
-
-def _pack_grads(net, d_w1, d_b1, d_w2, d_b2) -> np.ndarray:
-    return np.concatenate([d_w1.ravel(), d_b1, d_w2, [d_b2]])
+def _check_targets(X: np.ndarray, Y) -> np.ndarray:
+    Y = np.atleast_1d(np.asarray(Y, dtype=np.float64))
+    if Y.shape != (X.shape[0],):
+        raise DimensionError(f"targets must have shape ({X.shape[0]},), got {Y.shape}")
+    if not np.all(np.isfinite(Y)):
+        raise NonFiniteError("targets contain NaN or infinity")
+    return Y
 
 
-def backward(net: RegressionNet, x, y, loss: str = "squared_error", delta: float = 1.0):
-    """Value and exact gradients of loss(y - f(x)) for a single point."""
-    X, single = _as_batch(net, x)
-    if not single:
-        raise DimensionError("backward expects a single input point")
-    y = float(y)
-    if not np.isfinite(y):
-        raise NonFiniteError("target is not finite")
-    z, a, u, yhat, act1, _ = forward_parts(net, X)
-    resid = y - yhat[0]
-    value = float(loss_value(loss, resid, delta))
-    # dl/dyhat = -l'(resid); chain through the output activation.
-    g_u = -float(loss_d1(loss, resid, delta)) * act1[0]
-    mask = (z[0] > 0.0).astype(np.float64)
-    delta_z = g_u * net.w2 * mask
-    d_w1 = np.outer(delta_z, X[0])
-    d_b1 = delta_z
-    d_w2 = g_u * a[0]
-    d_b2 = g_u
-    d_x = net.w1.T @ delta_z
-    return GradientBundle(value=value, d_theta=_pack_grads(net, d_w1, d_b1, d_w2, d_b2), d_x=d_x)
+def _param_grad(net: RegressionNet, X, z, a, g_u) -> np.ndarray:
+    """sum_i g_u[i] * d u(x_i) / d theta from cached intermediates, packed.
+
+    X is (N, D), z and a the pre- and post-ReLU hidden values from
+    forward_parts, and g_u (N,) the weight on each row's pre-output.
+    """
+    dz = ((z > 0.0) * net.w2) * g_u[:, None]  # (N, H)
+    d_w1 = dz.T @ X
+    d_w2 = (a * g_u[:, None]).sum(axis=0)
+    return np.concatenate([d_w1.ravel(), dz.sum(axis=0), d_w2, [g_u.sum()]])
+
+
+def _input_grad(net: RegressionNet, z, g_u):
+    """Per-row g_u * d u/d x, with the hidden-layer factor it contracts.
+
+    Returns (dz (N, H), d_x (N, D)) where d_x = dz @ w1.
+    """
+    dz = ((z > 0.0) * net.w2) * g_u[:, None]
+    return dz, dz @ net.w1
 
 
 def batch_backward(net: RegressionNet, X, Y, loss: str = "squared_error", delta: float = 1.0):
@@ -198,39 +193,25 @@ def batch_backward(net: RegressionNet, X, Y, loss: str = "squared_error", delta:
     Returns (values (N,), grad_sum (n_params,)).
     """
     X, _ = _as_batch(net, X)
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.shape != (X.shape[0],):
-        raise DimensionError(f"targets must have shape ({X.shape[0]},), got {Y.shape}")
-    if not np.all(np.isfinite(Y)):
-        raise NonFiniteError("targets contain NaN or infinity")
+    Y = _check_targets(X, Y)
     z, a, u, yhat, act1, _ = forward_parts(net, X)
     resid = Y - yhat
     values = loss_value(loss, resid, delta)
     g_u = -loss_d1(loss, resid, delta) * act1  # (N,)
-    mvec = (z > 0.0) * net.w2  # (N, H)
-    dz = mvec * g_u[:, None]
-    d_w1 = dz.T @ X
-    d_b1 = dz.sum(axis=0)
-    d_w2 = (a * g_u[:, None]).sum(axis=0)
-    d_b2 = g_u.sum()
-    return np.asarray(values, dtype=np.float64), _pack_grads(net, d_w1, d_b1, d_w2, d_b2)
+    return np.asarray(values, dtype=np.float64), _param_grad(net, X, z, a, g_u)
 
 
-def input_gradient(net: RegressionNet, X, Y) -> np.ndarray:
-    """Gradient of the squared error (y - f(x))^2 with respect to x, per row.
+def input_gradient(net: RegressionNet, X, Y, loss: str = "squared_error", delta: float = 1.0):
+    """Gradient of loss(y - f(x)) with respect to x, per row.
 
-    This is the attack objective's gradient regardless of which loss the
-    network was trained with.
+    The default squared error is the attack objective's gradient regardless
+    of which loss the network was trained with.
     """
     X2, single = _as_batch(net, X)
-    Y = np.atleast_1d(np.asarray(Y, dtype=np.float64))
-    if Y.shape != (X2.shape[0],):
-        raise DimensionError(f"targets must have shape ({X2.shape[0]},), got {Y.shape}")
-    if not np.all(np.isfinite(Y)):
-        raise NonFiniteError("targets contain NaN or infinity")
+    Y = _check_targets(X2, Y)
     z, _, _, yhat, act1, _ = forward_parts(net, X2)
-    g_u = -2.0 * (Y - yhat) * act1  # (N,)
-    grads = (((z > 0.0) * net.w2) * g_u[:, None]) @ net.w1  # (N, D)
+    g_u = -loss_d1(loss, Y - yhat, delta) * act1  # (N,)
+    grads = _input_grad(net, z, g_u)[1]  # (N, D)
     return grads[0] if single else grads
 
 
@@ -249,9 +230,7 @@ def grad_penalty_batch(
     piecewise-linear network. Returns (penalties (N,), grad_sum (n_params,)).
     """
     X, _ = _as_batch(net, X)
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.shape != (X.shape[0],):
-        raise DimensionError(f"targets must have shape ({X.shape[0]},), got {Y.shape}")
+    Y = _check_targets(X, Y)
     z, a, u, yhat, act1, act2 = forward_parts(net, X)
     resid = Y - yhat
     l1 = loss_d1(loss, resid, delta)
@@ -259,35 +238,18 @@ def grad_penalty_batch(
     g_u = -l1 * act1  # (N,)
     # d g_u / d u with the loss evaluated at resid = y - act(u).
     k = l2 * act1 * act1 - l1 * act2  # (N,)
-    mask = z > 0.0
-    mvec = mask * net.w2  # (N, H)
-    d_x = (mvec * g_u[:, None]) @ net.w1  # (N, D)
+    dz, d_x = _input_grad(net, z, g_u)
     s = np.sign(d_x)  # (N, D)
     penalties = sigma * np.abs(d_x).sum(axis=1)
+    mask = z > 0.0
     v = s @ net.w1.T  # (N, H)
-    c = (v * mvec).sum(axis=1)  # (N,)
-    kc = k * c
-    d_w1 = (mvec * kc[:, None]).T @ X + (mvec * g_u[:, None]).T @ s
-    d_b1 = (mvec * kc[:, None]).sum(axis=0)
-    d_w2 = (a * kc[:, None] + (v * mask) * g_u[:, None]).sum(axis=0)
-    d_b2 = kc.sum()
-    return penalties, sigma * _pack_grads(net, d_w1, d_b1, d_w2, d_b2)
-
-
-def grad_penalty_param_grad(
-    net: RegressionNet,
-    x,
-    y,
-    sigma: float,
-    loss: str = "squared_error",
-    delta: float = 1.0,
-) -> np.ndarray:
-    """Theta-gradient of sigma * ||d loss(y - f(x)) / d x||_1 for one point."""
-    X, single = _as_batch(net, x)
-    if not single:
-        raise DimensionError("grad_penalty_param_grad expects a single input point")
-    _, grad = grad_penalty_batch(net, X, np.asarray([float(y)]), sigma, loss, delta)
-    return grad
+    c = (v * (mask * net.w2)).sum(axis=1)  # (N,)
+    grad = _param_grad(net, X, z, a, k * c)
+    # Terms where theta enters d_x directly rather than through g_u.
+    n_w1 = net.w1.size
+    grad[:n_w1] += (dz.T @ s).ravel()
+    grad[n_w1 + net.hidden_dim : -1] += ((v * mask) * g_u[:, None]).sum(axis=0)
+    return penalties, sigma * grad
 
 
 def net_to_dict(net: RegressionNet) -> dict:

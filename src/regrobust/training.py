@@ -115,7 +115,7 @@ def train(
                 X[idx],
                 Y[idx],
                 defense,
-                rng=rng_penalty if defense.needs_rng else None,
+                rng=rng_penalty if defense.needs_neighbors else None,
                 nn_distances=None if nn_d is None else nn_d[idx],
                 label_gaps=None if gaps is None else gaps[idx],
             )
@@ -214,8 +214,8 @@ def random_search(
     """Uniform random search over the defense's hyperparameters.
 
     Trains one model per trial (independently seeded from the master seed),
-    scores it on the validation split, and returns (best_config, records)
-    where records logs every trial. Ties go to the earliest trial. Explicit
+    scores it on the validation split, and returns (best, records) where
+    records logs every trial and best is the record of the winning trial. Ties go to the earliest trial. Explicit
     candidate configs, if given, are evaluated before the sampled ones.
     Raises SearchFailed (carrying the log) if every trial diverged.
     """
@@ -248,4 +248,4 @@ def random_search(
     if not finite:
         raise SearchFailed(f"all {len(records)} search trials diverged for kind {kind!r}", records)
     best = min(finite, key=lambda r: (r.value, r.trial))
-    return best.config, records
+    return best, records

@@ -17,15 +17,16 @@ import pytest
 from conftest import fd_gradient, safe_case
 from regrobust.attacks import AttackConfig, fgsm, pgd
 from regrobust.cli import main as cli_main
-from regrobust.defenses import DefenseConfig, NeighborInfo, ansr_param_grad, ansr_penalty
+from regrobust.defenses import DefenseConfig, NeighborInfo, ansr_batch
 from regrobust.evaluation import read_cells_csv
 from regrobust.losses import loss_value
 from regrobust.nn import (
     RegressionNet,
-    backward,
+    batch_backward,
     forward,
-    grad_penalty_param_grad,
+    grad_penalty_batch,
     initialize,
+    input_gradient,
     params_to_vector,
     vector_to_net,
 )
@@ -84,7 +85,8 @@ def test_gradient_suite_matches_finite_differences():
         delta = float(rng.uniform(0.3, 3.0))
         act = "identity" if i % 4 < 2 else "sigmoid"
         net, x, y = safe_case(rng, margin=1e-3, output_activation=act, loss_margin=False)
-        g = backward(net, x, y, loss=loss, delta=delta)
+        _, d_theta = batch_backward(net, x[None, :], [y], loss=loss, delta=delta)
+        d_x = input_gradient(net, x, y, loss=loss, delta=delta)
         theta0 = params_to_vector(net)
 
         def f_theta(th):
@@ -95,8 +97,8 @@ def test_gradient_suite_matches_finite_differences():
 
         worst_first = max(
             worst_first,
-            nre(g.d_theta, fd_gradient(f_theta, theta0, h=1e-5)),
-            nre(g.d_x, fd_gradient(f_x, x, h=1e-5)),
+            nre(d_theta, fd_gradient(f_theta, theta0, h=1e-5)),
+            nre(d_x, fd_gradient(f_x, x, h=1e-5)),
         )
         cases += 1
 
@@ -106,24 +108,31 @@ def test_gradient_suite_matches_finite_differences():
         sigma = float(rng.uniform(0.2, 2.0))
         act = "identity" if i % 4 < 2 else "sigmoid"
         net, x, y = safe_case(rng, margin=1e-2, output_activation=act)
-        grad = grad_penalty_param_grad(net, x, y, sigma, loss=loss, delta=delta)
+        _, grad = grad_penalty_batch(net, x[None, :], [y], sigma, loss=loss, delta=delta)
         theta0 = params_to_vector(net)
 
         def f_pen(th):
-            b = backward(vector_to_net(net, th), x, y, loss=loss, delta=delta)
-            return sigma * float(np.abs(b.d_x).sum())
+            d_x = input_gradient(vector_to_net(net, th), x, y, loss=loss, delta=delta)
+            return sigma * float(np.abs(d_x).sum())
 
         worst_second = max(worst_second, nre(grad, fd_gradient(f_pen, theta0, h=1e-6)))
         cases += 1
 
     for _ in range(250):  # stability penalty (frozen samples and gates)
         net, x, nbr, cfg, seed = _ansr_fd_case(rng)
-        grad = ansr_param_grad(net, x, nbr, cfg, np.random.default_rng(seed))
+        radius = [cfg.beta * nbr.nn_distance]
+        _, grad = ansr_batch(
+            net, x[None, :], radius, [nbr.label_gap], cfg.n_samples, np.random.default_rng(seed)
+        )
+        grad = cfg.lam * grad
         theta0 = params_to_vector(net)
 
         def f_omega(th):
             n2 = vector_to_net(net, th)
-            return cfg.lam * ansr_penalty(n2, x, nbr, cfg, np.random.default_rng(seed))
+            omega, _ = ansr_batch(
+                n2, x[None, :], radius, [nbr.label_gap], cfg.n_samples, np.random.default_rng(seed)
+            )
+            return cfg.lam * omega[0]
 
         worst_second = max(worst_second, nre(grad, fd_gradient(f_omega, theta0, h=1e-6)))
         cases += 1
@@ -204,17 +213,30 @@ def test_stability_penalty_zero_cases():
         flat = replace(flat, w2=np.zeros_like(flat.w2))  # output = b2 everywhere
         dead = initialize(d, rng)
         dead = replace(dead, w1=0.1 * dead.w1, b1=dead.b1 - 6.0)  # relu never fires
+        X = x[None, :]
+        radius = [cfg.beta * nbr.nn_distance]
         for net in (flat, dead):
-            assert ansr_penalty(net, x, nbr, cfg, np.random.default_rng(1)) == 0.0
-            assert not np.any(ansr_param_grad(net, x, nbr, cfg, np.random.default_rng(1)))
+            omega, grad = ansr_batch(
+                net, X, radius, [nbr.label_gap], cfg.n_samples, np.random.default_rng(1)
+            )
+            assert omega[0] == 0.0
+            assert not np.any(cfg.lam * grad)
             checked += 2
 
         live = initialize(d, rng)
         gated = NeighborInfo(nn_index=0, nn_distance=1.0, label_gap=1e9)
-        assert ansr_penalty(live, x, gated, cfg, np.random.default_rng(2)) == 0.0
-        assert not np.any(ansr_param_grad(live, x, gated, cfg, np.random.default_rng(2)))
+        omega, grad = ansr_batch(
+            live, X, [cfg.beta * gated.nn_distance], [gated.label_gap], cfg.n_samples,
+            np.random.default_rng(2),
+        )
+        assert omega[0] == 0.0
+        assert not np.any(cfg.lam * grad)
         zero_r = NeighborInfo(nn_index=0, nn_distance=0.0, label_gap=0.0)
-        assert ansr_penalty(live, x, zero_r, cfg, np.random.default_rng(3)) == 0.0
+        omega, _ = ansr_batch(
+            live, X, [cfg.beta * zero_r.nn_distance], [zero_r.label_gap], cfg.n_samples,
+            np.random.default_rng(3),
+        )
+        assert omega[0] == 0.0
         checked += 3
 
     line = _verdict(
@@ -245,7 +267,11 @@ def test_penalty_monte_carlo_consistency():
     covered = 0
     for r in range(100):
         seed = 5000 + r
-        est = ansr_penalty(net, x, nbr, cfg, np.random.default_rng(seed))
+        omega, _ = ansr_batch(
+            net, x[None, :], [cfg.beta * nbr.nn_distance], [nbr.label_gap], cfg.n_samples,
+            np.random.default_rng(seed),
+        )
+        est = omega[0]
         u = np.random.default_rng(seed).uniform(-1.0, 1.0, (1, 100, 1))[0, :, 0]
         vals = (0.8 * u) ** 2 * (np.abs(0.8 * u) > 0.4)
         assert abs(float(vals.mean()) - est) < 1e-12  # same stream, same estimate

@@ -85,15 +85,26 @@ class TestPrepare:
         assert err["error"] == "DataError"
         assert "nope.csv" in err["message"]
 
-    def test_invalid_config_names_field(self, workspace, capsys):
+    @pytest.mark.parametrize(
+        "edit,field",
+        [
+            (lambda d: d["defenses"][0].update(kind="voodoo"), "defenses[0]"),
+            (lambda d: d.update(fractions=[0.6, "x", 0.2]), "config.fractions"),
+            (lambda d: d.update(fractions=[0.6, None, 0.2]), "config.fractions"),
+            (lambda d: d["search"].update(beta=["x", 1]), "search.beta"),
+            (lambda d: d["search"].update(beta=[None, 1]), "search.beta"),
+        ],
+        ids=["defense-kind", "fractions-str", "fractions-null", "search-str", "search-null"],
+    )
+    def test_invalid_config_names_field(self, workspace, capsys, edit, field):
         tmp, cfg = workspace
         doc = json.loads(cfg.read_text())
-        doc["defenses"][0]["kind"] = "voodoo"
+        edit(doc)
         cfg.write_text(json.dumps(doc))
         assert main(["prepare", "--config", str(cfg)]) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
-        assert "defenses[0]" in err["message"]
+        assert field in err["message"]
 
 
 class TestTuneEvaluateReport:

@@ -3,17 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regrobust.defenses import (
-    DefenseConfig,
-    NeighborInfo,
-    ansr_param_grad,
-    ansr_penalty,
-    batch_loss_grad,
-    pseudo_huber,
-    total_loss_grad,
-)
+from regrobust.defenses import DefenseConfig, ansr_batch, batch_loss_grad
 from regrobust.errors import ConfigError, DimensionError
-from regrobust.nn import RegressionNet, backward, forward, params_to_vector, vector_to_net
+from regrobust.losses import pseudo_huber
+from regrobust.nn import RegressionNet, batch_backward, forward, params_to_vector, vector_to_net
 
 from conftest import fd_gradient, max_rel_err, random_net, safe_case
 
@@ -22,6 +15,13 @@ def identity_net():
     """f(x) = x for x > -10; handy because prediction deltas equal input deltas."""
     return RegressionNet(
         w1=np.array([[1.0]]), b1=np.array([10.0]), w2=np.array([1.0]), b2=-10.0
+    )
+
+
+def point_loss_grad(net, x, y, cfg, rng=None, nn_distance=0.5, label_gap=0.0):
+    """batch_loss_grad on the single row (x, y)."""
+    return batch_loss_grad(
+        net, x[None, :], [y], cfg, rng=rng, nn_distances=[nn_distance], label_gaps=[label_gap]
     )
 
 
@@ -81,134 +81,130 @@ class TestDefenseConfig:
 class TestAnsrPenalty:
     def test_constant_net_zero(self):
         net = RegressionNet(w1=np.zeros((2, 2)), b1=np.zeros(2), w2=np.zeros(2), b2=3.0)
-        nb = NeighborInfo(nn_index=1, nn_distance=0.5, label_gap=0.0)
-        cfg = DefenseConfig(kind="ansr", beta=2.0)
-        assert ansr_penalty(net, np.zeros(2), nb, cfg, np.random.default_rng(0)) == 0.0
+        omega, _ = ansr_batch(net, np.zeros((1, 2)), [1.0], [0.0], 100, np.random.default_rng(0))
+        assert omega[0] == 0.0
 
     def test_zero_nn_distance_zero(self, rng):
         net = random_net(rng)
-        nb = NeighborInfo(nn_index=1, nn_distance=0.0, label_gap=0.3)
-        cfg = DefenseConfig(kind="ansr")
-        assert ansr_penalty(net, rng.normal(size=3), nb, cfg, np.random.default_rng(0)) == 0.0
+        X = rng.normal(size=(1, 3))
+        omega, _ = ansr_batch(net, X, [0.0], [0.3], 100, np.random.default_rng(0))
+        assert omega[0] == 0.0
 
     def test_huge_gap_gates_everything_off(self, rng):
         net = random_net(rng)
-        nb = NeighborInfo(nn_index=1, nn_distance=0.5, label_gap=1e9)
-        cfg = DefenseConfig(kind="ansr")
-        assert ansr_penalty(net, rng.normal(size=3), nb, cfg, np.random.default_rng(0)) == 0.0
-        g = ansr_param_grad(net, rng.normal(size=3), nb, cfg, np.random.default_rng(0))
+        omega, _ = ansr_batch(net, rng.normal(size=(1, 3)), [0.5], [1e9], 100,
+                              np.random.default_rng(0))
+        assert omega[0] == 0.0
+        _, g = ansr_batch(net, rng.normal(size=(1, 3)), [0.5], [1e9], 100,
+                          np.random.default_rng(0))
         assert np.all(g == 0.0)
 
     def test_nonnegative(self, rng):
-        cfg = DefenseConfig(kind="ansr", beta=3.0)
         for _ in range(20):
             net = random_net(rng)
-            nb = NeighborInfo(nn_index=0, nn_distance=float(rng.uniform(0, 2)),
-                              label_gap=float(rng.uniform(0, 0.5)))
-            p = ansr_penalty(net, rng.normal(size=3), nb, cfg, rng)
-            assert p >= 0.0
+            radius = 3.0 * float(rng.uniform(0, 2))
+            gap = float(rng.uniform(0, 0.5))
+            omega, _ = ansr_batch(net, rng.normal(size=(1, 3)), [radius], [gap], 100, rng)
+            assert omega[0] >= 0.0
 
     def test_identity_net_matches_brute_force(self):
         # f(x) = x, gap 0, radius 1: penalty = E[u^2] = 1/3 over u ~ U(-1, 1).
         net = identity_net()
-        nb = NeighborInfo(nn_index=1, nn_distance=1.0, label_gap=0.0)
-        cfg = DefenseConfig(kind="ansr", beta=1.0, n_samples=100)
-        est = ansr_penalty(net, np.array([0.0]), nb, cfg, np.random.default_rng(8))
+        n_samples = 100
+        omega, _ = ansr_batch(net, np.zeros((1, 1)), [1.0], [0.0], n_samples,
+                              np.random.default_rng(8))
         u = np.random.default_rng(123).uniform(-1.0, 1.0, size=1_000_000)
         oracle = float(np.mean(u * u))
-        se = float(np.std(u * u, ddof=1)) / np.sqrt(cfg.n_samples)
-        assert abs(est - oracle) < 3.0 * se
+        se = float(np.std(u * u, ddof=1)) / np.sqrt(n_samples)
+        assert abs(omega[0] - oracle) < 3.0 * se
 
     def test_gate_thresholds_strictly(self):
         # Gap just above the largest |delta| gates everything; just below lets it through.
         net = identity_net()
-        cfg = DefenseConfig(kind="ansr", beta=1.0, n_samples=64)
-        x = np.array([0.0])
+        X = np.zeros((1, 1))
         draws = np.random.default_rng(55).uniform(-1.0, 1.0, size=(1, 64, 1))
         top = float(np.abs(draws).max())
-        nb_hi = NeighborInfo(nn_index=1, nn_distance=1.0, label_gap=top + 1e-12)
-        nb_lo = NeighborInfo(nn_index=1, nn_distance=1.0, label_gap=top - 1e-12)
-        assert ansr_penalty(net, x, nb_hi, cfg, np.random.default_rng(55)) == 0.0
-        assert ansr_penalty(net, x, nb_lo, cfg, np.random.default_rng(55)) > 0.0
+        hi, _ = ansr_batch(net, X, [1.0], [top + 1e-12], 64, np.random.default_rng(55))
+        lo, _ = ansr_batch(net, X, [1.0], [top - 1e-12], 64, np.random.default_rng(55))
+        assert hi[0] == 0.0
+        assert lo[0] > 0.0
 
     def test_deterministic_given_stream(self, rng):
         net = random_net(rng)
-        x = rng.normal(size=3)
-        nb = NeighborInfo(nn_index=0, nn_distance=0.7, label_gap=0.1)
-        cfg = DefenseConfig(kind="ansr", beta=1.5)
-        a = ansr_penalty(net, x, nb, cfg, np.random.default_rng(99))
-        b = ansr_penalty(net, x, nb, cfg, np.random.default_rng(99))
-        assert a == b
+        X = rng.normal(size=(1, 3))
+        a, _ = ansr_batch(net, X, [1.05], [0.1], 100, np.random.default_rng(99))
+        b, _ = ansr_batch(net, X, [1.05], [0.1], 100, np.random.default_rng(99))
+        assert a[0] == b[0]
 
     def test_requires_rng(self, rng):
         net = random_net(rng)
-        nb = NeighborInfo(nn_index=0, nn_distance=0.5, label_gap=0.0)
         with pytest.raises(ConfigError):
-            ansr_penalty(net, np.zeros(3), nb, DefenseConfig(kind="ansr"), None)
+            ansr_batch(net, np.zeros((1, 3)), [0.5], [0.0], 100, None)
 
 
 class TestAnsrParamGrad:
     def test_zero_lambda_gives_zeros(self, rng):
         net = random_net(rng)
-        nb = NeighborInfo(nn_index=0, nn_distance=0.5, label_gap=0.0)
+        x = rng.normal(size=3)
         cfg = DefenseConfig(kind="ansr", lam=0.0)
-        g = ansr_param_grad(net, rng.normal(size=3), nb, cfg, np.random.default_rng(3))
-        assert np.all(g == 0.0)
+        _, g_ansr = point_loss_grad(net, x, 0.0, cfg, np.random.default_rng(3))
+        _, g_plain = batch_backward(net, x[None, :], [0.0])
+        assert np.all(g_ansr == g_plain)
 
     def test_matches_finite_differences_frozen_samples(self):
         rng = np.random.default_rng(414)
-        cfg = DefenseConfig(kind="ansr", beta=1.2, lam=2.5, n_samples=16)
+        lam, n_samples = 2.5, 16
+        radius = 1.2 * 0.4
         for _ in range(4):
             net, x, _ = safe_case(rng, margin=5e-3, loss_margin=False)
-            nb = NeighborInfo(nn_index=0, nn_distance=0.4, label_gap=0.01)
-            g = ansr_param_grad(net, x, nb, cfg, np.random.default_rng(7))
+            X = x[None, :]
+            _, g = ansr_batch(net, X, [radius], [0.01], n_samples, np.random.default_rng(7))
             theta0 = params_to_vector(net)
 
             def f(t):
-                return cfg.lam * ansr_penalty(
-                    vector_to_net(net, t), x, nb, cfg, np.random.default_rng(7)
-                )
+                omega, _ = ansr_batch(vector_to_net(net, t), X, [radius], [0.01], n_samples,
+                                      np.random.default_rng(7))
+                return lam * omega[0]
 
-            assert max_rel_err(fd_gradient(f, theta0), g) < 1e-3
+            assert max_rel_err(fd_gradient(f, theta0), lam * g) < 1e-3
 
 
 class TestTotalLossGrad:
     def test_none_equals_plain_backward(self, rng):
         net, x, y = safe_case(rng)
-        b = backward(net, x, y)
-        loss, grad = total_loss_grad(net, x, y, None, DefenseConfig(kind="none"))
-        assert loss == pytest.approx(b.value, rel=1e-12)
-        assert np.allclose(grad, b.d_theta, rtol=1e-12, atol=1e-15)
+        values, d_theta = batch_backward(net, x[None, :], [y])
+        loss, grad = batch_loss_grad(net, x[None, :], [y], DefenseConfig(kind="none"))
+        assert loss == pytest.approx(values[0], rel=1e-12)
+        assert np.allclose(grad, d_theta, rtol=1e-12, atol=1e-15)
 
     def test_combined_with_zero_weights_equals_pseudo_huber(self, rng):
         net, x, y = safe_case(rng)
-        nb = NeighborInfo(nn_index=0, nn_distance=0.5, label_gap=0.0)
         cfg_c = DefenseConfig(kind="combined", delta=1.4, sigma=0.0, lam=0.0)
         cfg_p = DefenseConfig(kind="pseudo_huber", delta=1.4)
-        lc, gc = total_loss_grad(net, x, y, nb, cfg_c, np.random.default_rng(1))
-        lp, gp = total_loss_grad(net, x, y, None, cfg_p)
+        lc, gc = point_loss_grad(net, x, y, cfg_c, np.random.default_rng(1))
+        lp, gp = batch_loss_grad(net, x[None, :], [y], cfg_p)
         assert lc == pytest.approx(lp, rel=1e-12)
         assert np.allclose(gc, gp, rtol=1e-12, atol=1e-15)
 
     def test_ansr_additive_decomposition(self, rng):
         net, x, y = safe_case(rng)
-        nb = NeighborInfo(nn_index=0, nn_distance=0.6, label_gap=0.05)
         cfg = DefenseConfig(kind="ansr", beta=2.0, lam=3.0)
-        loss, _ = total_loss_grad(net, x, y, nb, cfg, np.random.default_rng(21))
-        pen = ansr_penalty(net, x, nb, cfg, np.random.default_rng(21))
+        loss, _ = point_loss_grad(net, x, y, cfg, np.random.default_rng(21), 0.6, 0.05)
+        omega, _ = ansr_batch(net, x[None, :], [2.0 * 0.6], [0.05], cfg.n_samples,
+                              np.random.default_rng(21))
         base = (y - forward(net, x)) ** 2
-        assert loss == pytest.approx(base + cfg.lam * pen, abs=1e-12)
+        assert loss == pytest.approx(base + cfg.lam * omega[0], abs=1e-12)
 
     def test_missing_neighbor_rejected(self, rng):
         net, x, y = safe_case(rng)
         with pytest.raises(ConfigError):
-            total_loss_grad(net, x, y, None, DefenseConfig(kind="ansr"), np.random.default_rng(0))
+            batch_loss_grad(net, x[None, :], [y], DefenseConfig(kind="ansr"),
+                            rng=np.random.default_rng(0))
 
     def test_missing_rng_rejected(self, rng):
         net, x, y = safe_case(rng)
-        nb = NeighborInfo(nn_index=0, nn_distance=0.5, label_gap=0.0)
         with pytest.raises(ConfigError):
-            total_loss_grad(net, x, y, nb, DefenseConfig(kind="ansr"), None)
+            point_loss_grad(net, x, y, DefenseConfig(kind="ansr"), None)
 
     @pytest.mark.parametrize(
         "cfg",
@@ -223,15 +219,14 @@ class TestTotalLossGrad:
     )
     def test_every_kind_matches_finite_differences(self, cfg):
         rng = np.random.default_rng(2024)
-        nb = NeighborInfo(nn_index=0, nn_distance=0.35, label_gap=0.01)
         for _ in range(3):
             net, x, y = safe_case(rng, margin=5e-3)
-            _, grad = total_loss_grad(net, x, y, nb, cfg, np.random.default_rng(31))
+            _, grad = point_loss_grad(net, x, y, cfg, np.random.default_rng(31), 0.35, 0.01)
             theta0 = params_to_vector(net)
 
             def f(t):
-                loss, _ = total_loss_grad(
-                    vector_to_net(net, t), x, y, nb, cfg, np.random.default_rng(31)
+                loss, _ = point_loss_grad(
+                    vector_to_net(net, t), x, y, cfg, np.random.default_rng(31), 0.35, 0.01
                 )
                 return loss
 
@@ -239,17 +234,16 @@ class TestTotalLossGrad:
 
     def test_deterministic_given_stream(self, rng):
         net, x, y = safe_case(rng)
-        nb = NeighborInfo(nn_index=0, nn_distance=0.5, label_gap=0.02)
         cfg = DefenseConfig(kind="combined", delta=1.0, sigma=0.2, beta=1.0, lam=1.0)
-        l1, g1 = total_loss_grad(net, x, y, nb, cfg, np.random.default_rng(4))
-        l2, g2 = total_loss_grad(net, x, y, nb, cfg, np.random.default_rng(4))
+        l1, g1 = point_loss_grad(net, x, y, cfg, np.random.default_rng(4), 0.5, 0.02)
+        l2, g2 = point_loss_grad(net, x, y, cfg, np.random.default_rng(4), 0.5, 0.02)
         assert l1 == l2 and np.array_equal(g1, g2)
 
 
 class TestBatchLossGrad:
     def test_matches_pointwise_mean_with_shared_stream(self, rng):
-        # One batched draw consumes the uniform stream exactly like the
-        # sequence of per-point draws, so the two paths agree to rounding.
+        # One (B, S, D) draw consumes the uniform stream exactly like B
+        # successive (1, S, D) draws, so the two paths agree to rounding.
         net = random_net(rng, input_dim=3)
         X = rng.normal(size=(4, 3))
         Y = rng.normal(size=4)
@@ -262,8 +256,7 @@ class TestBatchLossGrad:
         stream = np.random.default_rng(6)
         ls, gs = 0.0, np.zeros(net.n_params)
         for i in range(4):
-            nb = NeighborInfo(nn_index=0, nn_distance=nn_d[i], label_gap=gaps[i])
-            li, gi = total_loss_grad(net, X[i], Y[i], nb, cfg, stream)
+            li, gi = point_loss_grad(net, X[i], Y[i], cfg, stream, nn_d[i], gaps[i])
             ls += li
             gs += gi
         assert lb == pytest.approx(ls / 4, rel=1e-12)

@@ -74,9 +74,9 @@ class TestEvaluateCell:
         # width 1 (the 1-d default) is a single relu hinge and leaves some
         # seeds stuck near the 1e-2 bar, so give the fit a few units
         cfg = TrainConfig(learning_rate=0.01, epochs=300, seed=0, hidden_dim=8)
-        cells = evaluate_cell(
-            lin_ds, DefenseConfig(kind="none"), AttackConfig(kind="none"), 2, cfg
-        )
+        defense = DefenseConfig(kind="none")
+        models = train_models(lin_ds, defense, cfg, 2)
+        cells = evaluate_cell(lin_ds, defense, AttackConfig(kind="none"), models)
         assert len(cells) == 2
         assert {c.seed for c in cells} == {0, 1}
         assert all(c.test_mse < 1e-2 for c in cells)
@@ -84,26 +84,29 @@ class TestEvaluateCell:
 
     def test_seeds_differ_but_run_is_reproducible(self, lin_ds):
         cfg = TrainConfig(learning_rate=0.01, epochs=60, seed=0)
-        a = evaluate_cell(lin_ds, DefenseConfig(kind="none"), DEFAULT_PGD, 2, cfg)
-        b = evaluate_cell(lin_ds, DefenseConfig(kind="none"), DEFAULT_PGD, 2, cfg)
+        defense = DefenseConfig(kind="none")
+        a = evaluate_cell(lin_ds, defense, DEFAULT_PGD, train_models(lin_ds, defense, cfg, 2))
+        b = evaluate_cell(lin_ds, defense, DEFAULT_PGD, train_models(lin_ds, defense, cfg, 2))
         assert [c.test_mse for c in a] == [c.test_mse for c in b]
         assert a[0].test_mse != a[1].test_mse
 
     def test_shared_models_reused_across_attacks(self, lin_ds):
         cfg = TrainConfig(learning_rate=0.01, epochs=60, seed=0)
-        models = train_models(lin_ds, DefenseConfig(kind="none"), cfg, 2)
-        clean = evaluate_cell(
-            lin_ds, DefenseConfig(kind="none"), AttackConfig(kind="none"), 2, cfg, models=models
-        )
-        again = evaluate_cell(
-            lin_ds, DefenseConfig(kind="none"), AttackConfig(kind="none"), 2, cfg
+        defense = DefenseConfig(kind="none")
+        models = train_models(lin_ds, defense, cfg, 2)
+        clean = evaluate_cell(lin_ds, defense, AttackConfig(kind="none"), models)
+        evaluate_cell(lin_ds, defense, DEFAULT_PGD, models)
+        again = evaluate_cell(lin_ds, defense, AttackConfig(kind="none"), models)
+        retrained = evaluate_cell(
+            lin_ds, defense, AttackConfig(kind="none"), train_models(lin_ds, defense, cfg, 2)
         )
         assert [c.test_mse for c in clean] == [c.test_mse for c in again]
+        assert [c.test_mse for c in clean] == [c.test_mse for c in retrained]
 
     def test_divergence_identifies_seed(self, lin_ds):
         cfg = TrainConfig(learning_rate=1e160, epochs=2, seed=0)
         with pytest.raises(TrainingDiverged, match=r"seed index 0"):
-            evaluate_cell(lin_ds, DefenseConfig(kind="none"), DEFAULT_PGD, 1, cfg)
+            train_models(lin_ds, DefenseConfig(kind="none"), cfg, 1)
 
     def test_jobs_do_not_change_models(self, lin_ds):
         cfg = TrainConfig(learning_rate=0.01, epochs=40, seed=3)
@@ -117,24 +120,20 @@ class TestEvaluateCell:
 class TestPerturbationProfile:
     def test_constant_net_has_zero_shift(self, lin_ds):
         net = RegressionNet(w1=np.zeros((1, 1)), b1=np.zeros(1), w2=np.zeros(1), b2=2.0)
-        records, hist = perturbation_profile(net, lin_ds, DEFAULT_PGD)
+        records = perturbation_profile(net, lin_ds, DEFAULT_PGD)
         rows = lin_ds.rows(TEST)
         assert len(records) == len(rows)
         assert all(r.pred_shift == 0.0 for r in records)
         assert all(r.pred_clean == 2.0 and r.pred_adv == 2.0 for r in records)
-        assert sum(hist.counts) == len(rows)
 
     def test_fields_consistent(self, lin_ds):
         cfg = TrainConfig(learning_rate=0.01, epochs=200, seed=0)
         net, _ = train(lin_ds, DefenseConfig(kind="none"), cfg)
-        records, hist = perturbation_profile(net, lin_ds, DEFAULT_PGD)
+        records = perturbation_profile(net, lin_ds, DEFAULT_PGD)
         for r in records:
             assert r.abs_err_adv == pytest.approx(abs(r.pred_adv - r.y), abs=1e-15)
             assert r.pred_shift == pytest.approx(abs(r.pred_adv - r.pred_clean), abs=1e-15)
             assert r.nn_train_distance >= 0.0
-        assert len(hist.edges) == 31
-        assert hist.edges[0] == 0.0
-        assert sum(hist.counts) == len(records)
         # the attack should hurt a plain overfit on average
         assert np.mean([r.abs_err_adv for r in records]) > np.mean(
             [abs(r.pred_clean - r.y) for r in records]
@@ -172,7 +171,7 @@ class TestArtifacts:
 
     def test_points_csv_layout(self, tmp_path, lin_ds):
         net = RegressionNet(w1=np.zeros((1, 1)), b1=np.zeros(1), w2=np.zeros(1), b2=1.0)
-        records, _ = perturbation_profile(net, lin_ds, DEFAULT_PGD)
+        records = perturbation_profile(net, lin_ds, DEFAULT_PGD)
         p = tmp_path / "points.csv"
         write_points_csv(p, [("none", "pgd", 0, records)])
         with open(p, newline="") as f:

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from regrobust.errors import ConfigError, DimensionError, NonFiniteError
 from regrobust.nn import (
     RegressionNet,
-    backward,
+    batch_backward,
     forward,
-    grad_penalty_param_grad,
+    grad_penalty_batch,
     initialize,
+    input_gradient,
     load_net,
     net_from_dict,
     net_to_dict,
@@ -109,9 +110,9 @@ class TestBackward:
     def test_zero_gradient_at_exact_fit(self, rng):
         net, x, _ = safe_case(rng)
         y = forward(net, x)
-        g = backward(net, x, y)
-        assert g.value == 0.0
-        assert np.all(g.d_theta == 0.0) and np.all(g.d_x == 0.0)
+        values, d_theta = batch_backward(net, x[None, :], [y])
+        assert values[0] == 0.0
+        assert np.all(d_theta == 0.0) and np.all(input_gradient(net, x, y) == 0.0)
 
     def test_all_active_linear_regime_closed_form(self):
         # Positive weights and inputs keep every relu active: f = w2 @ (w1 x + b1) + b2.
@@ -122,11 +123,11 @@ class TestBackward:
         x = np.array([1.0, 2.0])
         y = 0.0
         r = y - forward(net, x)
-        g = backward(net, x, y)
-        assert np.allclose(g.d_x, -2.0 * r * (w2 @ w1), atol=1e-12)
+        _, d_theta = batch_backward(net, x[None, :], [y])
+        assert np.allclose(input_gradient(net, x, y), -2.0 * r * (w2 @ w1), atol=1e-12)
         a = w1 @ x + b1
-        assert np.allclose(g.d_theta[-3:-1], -2.0 * r * a, atol=1e-12)  # w2 block
-        assert g.d_theta[-1] == pytest.approx(-2.0 * r, abs=1e-12)  # b2
+        assert np.allclose(d_theta[-3:-1], -2.0 * r * a, atol=1e-12)  # w2 block
+        assert d_theta[-1] == pytest.approx(-2.0 * r, abs=1e-12)  # b2
 
     @pytest.mark.parametrize("loss,delta", [("squared_error", 1.0), ("pseudo_huber", 0.7)])
     @pytest.mark.parametrize("act", ["identity", "sigmoid"])
@@ -136,43 +137,41 @@ class TestBackward:
             net, x, y = safe_case(rng, output_activation=act)
             if act == "sigmoid":
                 y = float(rng.uniform())
-            g = backward(net, x, y, loss=loss, delta=delta)
+            _, d_theta = batch_backward(net, x[None, :], [y], loss=loss, delta=delta)
+            d_x = input_gradient(net, x, y, loss=loss, delta=delta)
             theta0 = params_to_vector(net)
 
             def f_theta(t):
-                return backward(vector_to_net(net, t), x, y, loss=loss, delta=delta).value
+                return batch_backward(vector_to_net(net, t), x[None, :], [y], loss, delta)[0][0]
 
             def f_x(xx):
-                return backward(net, xx, y, loss=loss, delta=delta).value
+                return batch_backward(net, xx[None, :], [y], loss=loss, delta=delta)[0][0]
 
-            assert max_rel_err(fd_gradient(f_theta, theta0), g.d_theta) < 1e-4
-            assert max_rel_err(fd_gradient(f_x, x), g.d_x) < 1e-4
-
-    def test_rejects_batch_input(self, rng):
-        net = random_net(rng)
-        with pytest.raises(DimensionError):
-            backward(net, np.ones((2, 3)), 0.0)
+            assert max_rel_err(fd_gradient(f_theta, theta0), d_theta) < 1e-4
+            assert max_rel_err(fd_gradient(f_x, x), d_x) < 1e-4
 
     def test_rejects_nonfinite_target(self, rng):
         net = random_net(rng)
         with pytest.raises(NonFiniteError):
-            backward(net, np.zeros(3), np.inf)
+            batch_backward(net, np.zeros((1, 3)), [np.inf])
+        with pytest.raises(NonFiniteError):
+            input_gradient(net, np.zeros(3), np.inf)
 
 
 class TestGradPenalty:
     def test_zero_sigma_gives_zero(self, rng):
         net, x, y = safe_case(rng)
-        assert np.all(grad_penalty_param_grad(net, x, y, 0.0) == 0.0)
+        assert np.all(grad_penalty_batch(net, x[None, :], [y], 0.0)[1] == 0.0)
 
     def test_constant_net_gives_zero(self):
         net = RegressionNet(w1=np.zeros((2, 2)), b1=np.zeros(2), w2=np.zeros(2), b2=1.0)
-        g = grad_penalty_param_grad(net, np.array([0.3, -0.4]), 2.0, sigma=1.5)
+        _, g = grad_penalty_batch(net, np.array([[0.3, -0.4]]), [2.0], sigma=1.5)
         assert np.all(g == 0.0)
 
     def test_homogeneous_in_sigma(self, rng):
         net, x, y = safe_case(rng)
-        g1 = grad_penalty_param_grad(net, x, y, 1.0)
-        g2 = grad_penalty_param_grad(net, x, y, 2.0)
+        _, g1 = grad_penalty_batch(net, x[None, :], [y], 1.0)
+        _, g2 = grad_penalty_batch(net, x[None, :], [y], 2.0)
         assert np.allclose(g2, 2.0 * g1, rtol=1e-14)
 
     @pytest.mark.parametrize("loss,delta", [("squared_error", 1.0), ("pseudo_huber", 1.3)])
@@ -183,12 +182,12 @@ class TestGradPenalty:
         sigma = 0.8
         for _ in range(5):
             net, x, y = safe_case(rng, margin=1e-2)
-            g = grad_penalty_param_grad(net, x, y, sigma, loss=loss, delta=delta)
+            _, g = grad_penalty_batch(net, x[None, :], [y], sigma, loss=loss, delta=delta)
             theta0 = params_to_vector(net)
 
             def f(t):
-                b = backward(vector_to_net(net, t), x, y, loss=loss, delta=delta)
-                return sigma * np.abs(b.d_x).sum()
+                d_x = input_gradient(vector_to_net(net, t), x, y, loss=loss, delta=delta)
+                return sigma * np.abs(d_x).sum()
 
             assert max_rel_err(fd_gradient(f, theta0), g) < 1e-3
 

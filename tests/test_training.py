@@ -205,7 +205,7 @@ class TestRandomSearch:
             lin_ds, "pseudo_huber", space, "val_mse_clean", seed=3, train_cfg=cfg
         )
         assert len(records) == 1
-        assert records[0].config == best
+        assert records[0] is best
         assert np.isfinite(records[0].value)
         assert records[0].source == "sampled"
 
@@ -223,7 +223,7 @@ class TestRandomSearch:
         cfg = TrainConfig(learning_rate=0.01, epochs=40, seed=0)
         best, records = random_search(lin_ds, "pseudo_huber", space, "val_mse_clean", 11, cfg)
         vals = [r.value for r in records]
-        assert best == records[int(np.argmin(vals))].config
+        assert best is records[int(np.argmin(vals))]
 
     def test_injected_candidates_run_first(self, lin_ds):
         space = SearchSpace(n_trials=1)
@@ -265,7 +265,7 @@ class TestRandomSearch:
                 candidates=(weak, strong),
                 n_samples=16,
             )
-            picks[objective] = best.lam
+            picks[objective] = best.config.lam
         assert picks["val_mse_pgd"] == strong.lam
         assert picks["val_mse_clean"] == weak.lam
 

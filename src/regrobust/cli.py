@@ -5,10 +5,13 @@ artifacts are deterministic functions of (config, master seed), including
 under --jobs parallelism.
 """
 import argparse
+import ctypes
 import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from . import data as data_mod
 from .config import (
@@ -62,9 +65,12 @@ def cmd_prepare(cfg: ExperimentConfig, out: Path) -> int:
     ds, norm, neighbors = _build_dataset(cfg)
     data_mod.save_dataset_cache(out / "dataset_cache.json", ds, norm, neighbors)
     sizes = {name: int((ds.split == i).sum()) for i, name in enumerate(data_mod.SPLIT_NAMES)}
+    nn_d, gaps = data_mod.neighbor_arrays(neighbors, neighbors)
     print(
         f"prepared {ds.name}: {ds.n_rows} rows, {ds.n_features} features, "
-        f"splits {sizes}, cache {out / 'dataset_cache.json'}"
+        f"splits {sizes}, cache {out / 'dataset_cache.json'}; "
+        f"nearest neighbor: median distance {np.median(nn_d):.4g}, "
+        f"median label gap {np.median(gaps):.4g}, {int((nn_d == 0).sum())} rows at distance 0"
     )
     return 0
 
@@ -179,6 +185,7 @@ def _resolve_defense(entry, out: Path, n_samples: int):
 
 def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     ds, _, neighbors = _load_or_prepare(cfg, out)
+    test_nn = data_mod.nearest_train_distance(ds, ds.features[ds.rows(data_mod.TEST)])
     cells = []
     profiles = []
     try:
@@ -196,7 +203,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
                 )
                 if attack.kind == "pgd":
                     for i, net in models:
-                        records = perturbation_profile(net, ds, attack)
+                        records = perturbation_profile(net, ds, attack, test_nn)
                         profiles.append((label, attack.kind, i, records))
             print(f"evaluated {label}: {len(cfg.attacks)} attack(s) x {cfg.n_seeds} seed(s)")
     except RegrobustError:
@@ -282,8 +289,33 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return cfg
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameter numbers
+_MMAP_THRESHOLD = 32 << 20  # glibc's cap for its own dynamic threshold on 64-bit
+
+
+def _reuse_freed_arrays() -> None:
+    """Let glibc reuse the large temporaries that every training step frees.
+
+    By default glibc maps each one afresh or trims the heap after it, and
+    raises those thresholds only once some large block happens to be freed,
+    so a stage's speed depended on what ran before it. This sets them as
+    glibc's own rule would (trim = 2 x mmap). Linux only.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _reuse_freed_arrays()
     try:
         cfg = load_experiment_config(args.config)
         cfg = _apply_overrides(cfg, args)

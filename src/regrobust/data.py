@@ -3,8 +3,10 @@
 Conventions: rows are examples, one named column is the regression target,
 everything else is a feature. Splits are encoded per row as 0/1/2 for
 train/val/test. All distances here are L-infinity in normalized feature
-space; neighbor search is exact brute force, which is fine at the dataset
-sizes this package targets.
+space. Neighbor search is exact: distances are built in cache-sized
+(rows, n) tiles one feature at a time, the train-to-train search sweeps only
+the upper triangle (the distance is symmetric bit for bit), ties go to the
+lowest index, and memory is bounded by two tile buffers.
 """
 import csv
 import json
@@ -224,48 +226,72 @@ def normalize_dataset(dataset: Dataset, norm: Normalizer) -> Dataset:
     return replace(dataset, features=apply_normalizer(norm, dataset.features))
 
 
-def _chunked_linf_min(A: np.ndarray, B: np.ndarray, exclude_self: bool = False):
-    """For each row of A, the L-inf distance to the nearest row of B.
+_TILE_ELEMENTS = 1 << 16  # float64 cells per distance tile: 0.5 MB, cache-resident
 
-    Returns (distances, argmin indices into B). With exclude_self=True, A and
-    B must be identical and row i skips B[i]. Ties go to the lowest index.
+
+def _linf_tiles(A: np.ndarray, B: np.ndarray, upper: bool = False):
+    """Yield (s, tile) for each row block [s, s + len(tile)) of A.
+
+    tile[i, j] = max_k |A[s + i, k] - B[c + j, k]| with c = s when upper (the
+    block meets only columns j >= s) and c = 0 otherwise. Each tile is built
+    one feature at a time in two preallocated buffers sized from len(B), and
+    is overwritten by the next one.
     """
-    nA = A.shape[0]
-    dist = np.empty(nA)
-    idx = np.empty(nA, dtype=np.int64)
-    chunk = max(1, int(2**22 // max(1, B.size)))  # keep the (chunk, nB, D) block small
-    for start in range(0, nA, chunk):
-        stop = min(nA, start + chunk)
-        d = np.abs(A[start:stop, None, :] - B[None, :, :]).max(axis=2)
-        if exclude_self:
-            for i in range(start, stop):
-                d[i - start, i] = np.inf
-        idx[start:stop] = d.argmin(axis=1)
-        dist[start:stop] = d[np.arange(stop - start), idx[start:stop]]
-    return dist, idx
+    BT = np.ascontiguousarray(B.T)
+    step = max(1, min(len(A), _TILE_ELEMENTS // len(B)))
+    bufs = np.empty((2, step * len(B)))
+    for s in range(0, len(A), step):
+        rows, cols = A[s : s + step], BT[:, s:] if upper else BT
+        tile, tmp = (buf[: len(rows) * cols.shape[1]].reshape(len(rows), -1) for buf in bufs)
+        np.subtract(rows[:, :1], cols[0], out=tile)
+        np.abs(tile, out=tile)
+        for k in range(1, A.shape[1]):
+            np.subtract(rows[:, k : k + 1], cols[k], out=tmp)
+            np.abs(tmp, out=tmp)
+            np.maximum(tile, tmp, out=tile)
+        yield s, tile
+
+
+def _keep_nearer(dist, idx, d, cand) -> None:
+    """In place: take a candidate only where it is strictly nearer."""
+    better = d < dist
+    dist[better] = d[better]
+    idx[better] = cand[better]
 
 
 def compute_neighbors(dataset: Dataset) -> dict[int, NeighborInfo]:
     """Nearest neighbor among the other train rows, for every train row.
 
     Keyed by dataset row index. Expects features to be normalized already;
-    distances are L-inf. Exact brute force with lowest-index tie-breaking.
+    distances are L-inf. The search is exact and symmetric: since d(i, j)
+    equals d(j, i) bit for bit, row block [s, e) is compared only with columns
+    j >= s, and a running column minimum carries each tile's result to the
+    later rows. Ties go to the lowest index. Memory is two (rows, n) tiles.
     """
     rows = dataset.rows(TRAIN)
-    if len(rows) < 2:
+    n = len(rows)
+    if n < 2:
         raise DataError("nearest-neighbor computation needs at least 2 train rows")
     X = dataset.features[rows]
     y = dataset.targets[rows]
-    dist, local_idx = _chunked_linf_min(X, X, exclude_self=True)
-    out = {}
-    for k, row in enumerate(rows):
-        j = int(local_idx[k])
-        out[int(row)] = NeighborInfo(
+    dist = np.full(n, np.inf)
+    idx = np.zeros(n, dtype=np.int64)
+    for s, tile in _linf_tiles(X, X, upper=True):
+        r = len(tile)
+        e = s + r
+        tile[np.arange(r), np.arange(r)] = np.inf
+        # Later rows' candidates from this block, then this block's own rows.
+        # Earlier blocks hold lower indices, so a tie keeps what is held.
+        _keep_nearer(dist[e:], idx[e:], tile[:, r:].min(0), s + tile[:, r:].argmin(0))
+        _keep_nearer(dist[s:e], idx[s:e], tile.min(1), s + tile.argmin(1))
+    return {
+        int(row): NeighborInfo(
             nn_index=int(rows[j]),
             nn_distance=float(dist[k]),
             label_gap=float(abs(y[k] - y[j])),
         )
-    return out
+        for k, (row, j) in enumerate(zip(rows, idx))
+    }
 
 
 def neighbor_arrays(neighbors: dict, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -280,12 +306,20 @@ def neighbor_arrays(neighbors: dict, rows) -> tuple[np.ndarray, np.ndarray]:
 
 
 def nearest_train_distance(dataset: Dataset, X) -> np.ndarray:
-    """L-inf distance from each row of X to the closest train row."""
+    """Exact L-inf distance from each row of X to the closest train row.
+
+    Built from the same tiles as compute_neighbors, row block by row block,
+    so memory stays at two (rows, n_train) buffers.
+    """
     rows = dataset.rows(TRAIN)
     if len(rows) < 1:
         raise DataError("no train rows")
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    dist, _ = _chunked_linf_min(X, dataset.features[rows])
+    if X.shape[1] != dataset.n_features:
+        raise DimensionError(f"X has {X.shape[1]} features, dataset has {dataset.n_features}")
+    dist = np.empty(len(X))
+    for s, tile in _linf_tiles(X, dataset.features[rows]):
+        dist[s : s + len(tile)] = tile.min(1)
     return dist
 
 

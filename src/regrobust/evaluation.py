@@ -148,11 +148,13 @@ def aggregate(cells) -> list:
     return out
 
 
-def perturbation_profile(net: RegressionNet, dataset, attack: AttackConfig):
+def perturbation_profile(net: RegressionNet, dataset, attack: AttackConfig, nn_dist):
     """Per test point adversarial errors for one model.
 
     Each record carries y, clean and attacked predictions, |f(x_adv) - y|,
-    |f(x_adv) - f(x)|, and the point's L-inf distance to the nearest train row.
+    |f(x_adv) - f(x)|, and the point's L-inf distance to the nearest train
+    row, taken from nn_dist (nearest_train_distance of the test rows, which
+    does not depend on the model, so callers compute it once).
     """
     rows = dataset.rows(data_mod.TEST)
     Xt = dataset.features[rows]
@@ -160,7 +162,6 @@ def perturbation_profile(net: RegressionNet, dataset, attack: AttackConfig):
     adv = apply_attack(net, Xt, Yt, attack)
     pred_clean = np.atleast_1d(forward(net, Xt))
     pred_adv = np.atleast_1d(forward(net, adv))
-    nn_dist = data_mod.nearest_train_distance(dataset, Xt)
     abs_err = np.abs(pred_adv - Yt)
     return [
         PointRecord(

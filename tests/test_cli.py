@@ -65,6 +65,22 @@ class TestPrepare:
         assert cache.read_bytes() == first
         assert "prepared syn" in capsys.readouterr().out
 
+    def test_summary_reports_neighbor_stats(self, tmp_path, capsys):
+        csv_path = tmp_path / "syn.csv"
+        write_synthetic_csv(csv_path)
+        lines = csv_path.read_text().splitlines()
+        csv_path.write_text("\n".join(lines + lines[1:21]) + "\n")  # 20 duplicated rows
+        cfg = write_config(tmp_path / "exp.json", csv_path, tmp_path / "out")
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        doc = json.loads((tmp_path / "out" / "dataset_cache.json").read_text())
+        d = [e["nn_distance"] for e in doc["neighbors"]]
+        g = [e["label_gap"] for e in doc["neighbors"]]
+        out = capsys.readouterr().out
+        assert f"median distance {np.median(d):.4g}," in out
+        assert f"median label gap {np.median(g):.4g}," in out
+        assert d.count(0.0) > 0
+        assert f" {d.count(0.0)} rows at distance 0" in out
+
     def test_boston_prepare_counts(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "b.json", BOSTON_CSV, tmp_path / "out",

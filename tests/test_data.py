@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -260,8 +262,8 @@ class TestNeighbors:
         assert set(nb) == set(oracle)
         for i, (j, d, gap) in oracle.items():
             assert nb[i].nn_index == j
-            assert nb[i].nn_distance == pytest.approx(d, rel=1e-15)
-            assert nb[i].label_gap == pytest.approx(gap, rel=1e-15)
+            assert nb[i].nn_distance == d
+            assert nb[i].label_gap == gap
 
     def test_distance_is_a_true_minimum(self):
         rng = np.random.default_rng(22)
@@ -302,6 +304,77 @@ class TestNeighbors:
         )
         d = nearest_train_distance(ds, np.array([[1.0], [3.5]]))
         assert np.array_equal(d, [1.0, 0.5])
+
+
+def linf_matrix(A, B):
+    """Full (len(A), len(B)) L-inf distance matrix in one broadcast: the oracle."""
+    return np.abs(A[:, None, :] - B[None, :, :]).max(axis=2)
+
+
+def assert_neighbors_exact(X, y):
+    ds = Dataset(features=X, targets=y, split=np.full(len(X), TRAIN))
+    nb = compute_neighbors(ds)
+    d = linf_matrix(X, X)
+    np.fill_diagonal(d, np.inf)
+    j = d.argmin(axis=1)  # lowest index among ties
+    assert [nb[i].nn_index for i in range(len(X))] == j.tolist()
+    assert np.array_equal([nb[i].nn_distance for i in range(len(X))], d[np.arange(len(X)), j])
+    assert np.array_equal([nb[i].label_gap for i in range(len(X))], np.abs(y - y[j]))
+
+
+class TestTiledSearchExact:
+    """compute_neighbors and nearest_train_distance against the full matrix, with ==."""
+
+    def test_many_tiles_continuous(self):
+        rng = np.random.default_rng(41)
+        assert_neighbors_exact(rng.normal(size=(700, 3)), rng.normal(size=700))
+
+    def test_many_tiles_integer_ties_and_duplicates(self):
+        rng = np.random.default_rng(42)
+        X = rng.integers(0, 3, size=(650, 2)).astype(np.float64)
+        assert len(np.unique(X, axis=0)) < 10  # nearly every row has duplicates
+        assert_neighbors_exact(X, rng.integers(0, 5, size=650).astype(np.float64))
+
+    def test_one_feature(self):
+        rng = np.random.default_rng(43)
+        assert_neighbors_exact(rng.integers(0, 50, size=(640, 1)).astype(np.float64),
+                               rng.normal(size=640))
+
+    def test_two_rows(self):
+        assert_neighbors_exact(np.array([[0.5, -1.0], [2.0, 3.0]]), np.array([1.0, -2.0]))
+        assert_neighbors_exact(np.array([[1.0], [1.0]]), np.array([0.0, 0.0]))
+
+    @pytest.mark.parametrize("integer", [False, True], ids=["normal", "integer"])
+    def test_nearest_train_distance_many_tiles(self, integer):
+        rng = np.random.default_rng(44)
+
+        def draw(n):
+            return rng.integers(-2, 3, size=(n, 4)).astype(np.float64) if integer \
+                else rng.normal(size=(n, 4))
+
+        ds = Dataset(features=draw(900), targets=np.zeros(900), split=None)
+        ds = split_dataset(ds, fractions=(0.7, 0.1, 0.2), seed=5)
+        Q = draw(750)
+        d = nearest_train_distance(ds, Q)
+        assert np.array_equal(d, linf_matrix(Q, ds.features[ds.rows(TRAIN)]).min(axis=1))
+
+    def test_nearest_train_distance_rejects_wrong_width(self):
+        ds = Dataset(features=np.zeros((3, 2)), targets=np.zeros(3), split=np.full(3, TRAIN))
+        with pytest.raises(DimensionError):
+            nearest_train_distance(ds, np.zeros((1, 3)))
+
+    def test_memory_stays_at_two_tiles(self):
+        # A (rows, n, D) broadcast in ~4M-element chunks holds about 33 MB here.
+        rng = np.random.default_rng(45)
+        ds = Dataset(features=rng.normal(size=(1500, 32)), targets=rng.normal(size=1500),
+                     split=np.full(1500, TRAIN))
+        tracemalloc.start()
+        try:
+            compute_neighbors(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestCache:

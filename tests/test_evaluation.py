@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from regrobust.attacks import DEFAULT_PGD, AttackConfig
-from regrobust.data import TEST
+from regrobust.data import TEST, nearest_train_distance
 from regrobust.defenses import DefenseConfig
 from regrobust.errors import DataError, TrainingDiverged
 from regrobust.evaluation import (
@@ -28,6 +28,10 @@ from regrobust.nn import RegressionNet, forward
 from regrobust.training import TrainConfig, train
 
 from conftest import random_net
+
+
+def nn_to_train(ds):
+    return nearest_train_distance(ds, ds.features[ds.rows(TEST)])
 
 
 class TestSci3:
@@ -120,7 +124,7 @@ class TestEvaluateCell:
 class TestPerturbationProfile:
     def test_constant_net_has_zero_shift(self, lin_ds):
         net = RegressionNet(w1=np.zeros((1, 1)), b1=np.zeros(1), w2=np.zeros(1), b2=2.0)
-        records = perturbation_profile(net, lin_ds, DEFAULT_PGD)
+        records = perturbation_profile(net, lin_ds, DEFAULT_PGD, nn_to_train(lin_ds))
         rows = lin_ds.rows(TEST)
         assert len(records) == len(rows)
         assert all(r.pred_shift == 0.0 for r in records)
@@ -129,7 +133,7 @@ class TestPerturbationProfile:
     def test_fields_consistent(self, lin_ds):
         cfg = TrainConfig(learning_rate=0.01, epochs=200, seed=0)
         net, _ = train(lin_ds, DefenseConfig(kind="none"), cfg)
-        records = perturbation_profile(net, lin_ds, DEFAULT_PGD)
+        records = perturbation_profile(net, lin_ds, DEFAULT_PGD, nn_to_train(lin_ds))
         for r in records:
             assert r.abs_err_adv == pytest.approx(abs(r.pred_adv - r.y), abs=1e-15)
             assert r.pred_shift == pytest.approx(abs(r.pred_adv - r.pred_clean), abs=1e-15)
@@ -171,7 +175,7 @@ class TestArtifacts:
 
     def test_points_csv_layout(self, tmp_path, lin_ds):
         net = RegressionNet(w1=np.zeros((1, 1)), b1=np.zeros(1), w2=np.zeros(1), b2=1.0)
-        records = perturbation_profile(net, lin_ds, DEFAULT_PGD)
+        records = perturbation_profile(net, lin_ds, DEFAULT_PGD, nn_to_train(lin_ds))
         p = tmp_path / "points.csv"
         write_points_csv(p, [("none", "pgd", 0, records)])
         with open(p, newline="") as f:

@@ -6,9 +6,10 @@ under --jobs parallelism.
 """
 import argparse
 import ctypes
+import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from .config import (
     parse_defense_config,
 )
 from .defenses import DefenseConfig
-from .errors import ConfigError, RegrobustError
+from .errors import ConfigError, DataError, RegrobustError
 from .evaluation import (
     aggregate,
     evaluate_cell,
@@ -52,18 +53,35 @@ def _build_dataset(cfg: ExperimentConfig):
     return ds, norm, neighbors
 
 
+def _provenance(cfg: ExperimentConfig) -> dict:
+    """What a prepared dataset is a function of, as stamped into its cache.
+
+    The CSV enters by the sha256 of its bytes rather than by its path, so the
+    cache does not depend on where the inputs live.
+    """
+    dataset = asdict(cfg.dataset)
+    path = dataset.pop("path")
+    try:
+        csv_sha256 = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e}") from e
+    return {"seed": cfg.seed, "fractions": list(cfg.fractions), "csv_sha256": csv_sha256,
+            **{f"dataset.{k}": v for k, v in dataset.items()}}
+
+
 def _load_or_prepare(cfg: ExperimentConfig, out: Path):
     cache = out / "dataset_cache.json"
+    provenance = _provenance(cfg)
     if cache.exists():
-        return data_mod.load_dataset_cache(cache)
+        return data_mod.load_dataset_cache(cache, provenance)
     ds, norm, neighbors = _build_dataset(cfg)
-    data_mod.save_dataset_cache(cache, ds, norm, neighbors)
+    data_mod.save_dataset_cache(cache, ds, norm, neighbors, provenance)
     return ds, norm, neighbors
 
 
 def cmd_prepare(cfg: ExperimentConfig, out: Path) -> int:
     ds, norm, neighbors = _build_dataset(cfg)
-    data_mod.save_dataset_cache(out / "dataset_cache.json", ds, norm, neighbors)
+    data_mod.save_dataset_cache(out / "dataset_cache.json", ds, norm, neighbors, _provenance(cfg))
     sizes = {name: int((ds.split == i).sum()) for i, name in enumerate(data_mod.SPLIT_NAMES)}
     nn_d, gaps = data_mod.neighbor_arrays(neighbors, neighbors)
     print(

@@ -323,8 +323,13 @@ def nearest_train_distance(dataset: Dataset, X) -> np.ndarray:
     return dist
 
 
-def save_dataset_cache(path, dataset: Dataset, norm: Normalizer, neighbors: dict) -> None:
-    """Write the prepared dataset (already normalized) plus neighbor info as JSON."""
+def save_dataset_cache(path, dataset: Dataset, norm: Normalizer, neighbors: dict,
+                       provenance: dict | None = None) -> None:
+    """Write the prepared dataset (already normalized) plus neighbor info as JSON.
+
+    provenance, if given, is stored as is: a flat JSON object of the fields
+    the cache was built from, which load_dataset_cache can later check.
+    """
     if dataset.split is None:
         raise DataError("cannot cache a dataset without split assignment")
     doc = {
@@ -345,13 +350,19 @@ def save_dataset_cache(path, dataset: Dataset, norm: Normalizer, neighbors: dict
             for i, info in sorted(neighbors.items())
         ],
     }
+    if provenance is not None:
+        doc["provenance"] = provenance
     with open(path, "w") as f:
         json.dump(doc, f, sort_keys=True)
         f.write("\n")
 
 
-def load_dataset_cache(path):
-    """Inverse of save_dataset_cache. Returns (dataset, normalizer, neighbors)."""
+def load_dataset_cache(path, provenance: dict | None = None):
+    """Inverse of save_dataset_cache. Returns (dataset, normalizer, neighbors).
+
+    If provenance is given, every field of it must equal the cache's stamp;
+    otherwise a ConfigError names the first field that differs.
+    """
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -380,4 +391,11 @@ def load_dataset_cache(path):
         raise DataError(f"malformed dataset cache {path}: {e}") from e
     except OSError as e:
         raise DataError(f"cannot read dataset cache {path}: {e}") from e
+    stamped = doc.get("provenance") or {}
+    for field, want in (provenance or {}).items():
+        if stamped.get(field) != want:
+            raise ConfigError(
+                f"dataset cache {path} was prepared with {field}={stamped.get(field)!r} but "
+                f"this run has {field}={want!r}; run prepare again"
+            )
     return dataset, norm, neighbors

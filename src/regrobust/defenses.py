@@ -15,6 +15,12 @@ Each stability-penalty evaluation draws its perturbations for the whole batch
 with one ``rng.uniform(-1, 1, size=(B, S, D))`` call (B rows, S samples per
 row, D features), row-major, so sample s of row i is block [i, s] of that
 draw. Training makes one such draw per minibatch step.
+
+The perturbed points are never built as a batch. Their pre-activations are
+split as z(x + r*u) = z(x) + r*(u @ w1^T), one (B*S, H) buffer that becomes
+the post-ReLU values in place. Only the samples whose gate fired carry a
+non-zero weight in the gradient, so only those G points x + r*u are formed
+and contracted against the parameter Jacobian.
 """
 from dataclasses import dataclass
 
@@ -24,6 +30,7 @@ from .errors import ConfigError, DimensionError, NonFiniteError
 from .nn import (
     RegressionNet,
     _as_batch,
+    _output_head,
     _param_grad,
     batch_backward,
     forward_parts,
@@ -107,10 +114,18 @@ def ansr_batch(net: RegressionNet, X, radii, gaps, n_samples: int, rng):
     and grad_sum is sum_i d omega[i] / d theta with the sampled perturbations
     and gates held fixed.
 
+    The perturbed pre-activations are z0 + r*(U @ w1^T) rather than a
+    forward pass over the (B*S, D) perturbed inputs, and the gradient is
+    contracted over the gated samples only: the other samples' weights are
+    exactly zero. Both reorder the same sums, so results move only by
+    rounding. The stream is unchanged: one (B, S, D) uniform draw per call,
+    whatever the radii and gaps.
+
     A radius of zero makes every perturbed copy equal to the clean point, so
     the true penalty is exactly zero; the gate enforces that explicitly
-    because equal inputs routed through different matmul shapes can round one
-    ulp apart. The row's samples are still drawn to keep the stream aligned.
+    because equal values routed through different matmul shapes can round
+    one ulp apart. The row's samples are still drawn to keep the stream
+    aligned.
     """
     if rng is None:
         raise ConfigError("the stability penalty draws random perturbations and needs an rng")
@@ -128,21 +143,31 @@ def ansr_batch(net: RegressionNet, X, radii, gaps, n_samples: int, rng):
     if np.any(radii < 0) or np.any(gaps < 0):
         raise ConfigError("radii and label gaps must be >= 0")
 
-    U = rng.uniform(-1.0, 1.0, size=(B, S, D))
-    XP = (X[:, None, :] + U * radii[:, None, None]).reshape(B * S, D)
-
+    U = rng.uniform(-1.0, 1.0, size=(B, S, D)).reshape(B * S, D)
     z0, a0, _, y0, act1_0, _ = forward_parts(net, X)
-    zp, ap, _, yp, act1_p, _ = forward_parts(net, XP)
+    # z(x + r*u) = z0 + r*(u @ w1^T); the buffer becomes the post-ReLU values in place.
+    ap = U @ net.w1.T  # (B*S, H)
+    ap3 = ap.reshape(B, S, -1)
+    ap3 *= radii[:, None, None]
+    ap3 += z0[:, None, :]
+    np.maximum(ap, 0.0, out=ap)
+    yp, act1_p, _ = _output_head(net, ap @ net.w2 + net.b2)
     dy = y0[:, None] - yp.reshape(B, S)
     gate = (np.abs(dy) > gaps[:, None]) & (radii[:, None] > 0.0)
     gated = np.where(gate, dy, 0.0)
     omega = (gated * gated).mean(axis=1)  # (B,)
 
-    # d omega_i / d theta = (2/S) sum_s gated * (d f(x_i)/d theta - d f(x_i+dx)/d theta)
+    # d omega_i / d theta = (2/S) sum_s gated * (d f(x_i)/d theta - d f(x_i+dx)/d theta);
+    # only the G gated samples have a non-zero weight, so only they are contracted.
     coef = (2.0 / S) * gated  # (B, S)
     c0 = coef.sum(axis=1) * act1_0  # (B,) weight on the clean-point jacobian
-    cp = coef.ravel() * act1_p  # (B*S,) weight on each perturbed-point jacobian
-    grad_sum = _param_grad(net, X, z0, a0, c0) - _param_grad(net, XP, zp, ap, cp)
+    idx = np.flatnonzero(gate)  # (G,) gated rows of the (B*S) perturbed batch
+    row = idx // S
+    XPg = U[idx]
+    XPg *= radii[row, None]
+    XPg += X[row]  # the gated perturbed inputs x_i + r_i * u, (G, D)
+    cp = coef.ravel()[idx] * act1_p[idx]  # (G,) weight on each gated perturbed jacobian
+    grad_sum = _param_grad(net, X, a0, c0) - _param_grad(net, XPg, ap[idx], cp)
     return omega, grad_sum
 
 

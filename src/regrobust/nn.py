@@ -138,16 +138,16 @@ def forward_parts(net: RegressionNet, X: np.ndarray):
     z = X @ net.w1.T + net.b1
     a = np.maximum(z, 0.0)
     u = a @ net.w2 + net.b2
+    return (z, a, u, *_output_head(net, u))
+
+
+def _output_head(net: RegressionNet, u):
+    """(yhat, act1, act2): the output activation and its first two derivatives at u."""
     if net.output_activation == "identity":
-        yhat = u
-        act1 = np.ones_like(u)
-        act2 = np.zeros_like(u)
-    else:
-        p = _sigmoid(u)
-        yhat = p
-        act1 = p * (1.0 - p)
-        act2 = act1 * (1.0 - 2.0 * p)
-    return z, a, u, yhat, act1, act2
+        return u, np.ones_like(u), np.zeros_like(u)
+    p = _sigmoid(u)
+    act1 = p * (1.0 - p)
+    return p, act1, act1 * (1.0 - 2.0 * p)
 
 
 def forward(net: RegressionNet, x):
@@ -166,16 +166,16 @@ def _check_targets(X: np.ndarray, Y) -> np.ndarray:
     return Y
 
 
-def _param_grad(net: RegressionNet, X, z, a, g_u) -> np.ndarray:
+def _param_grad(net: RegressionNet, X, a, g_u) -> np.ndarray:
     """sum_i g_u[i] * d u(x_i) / d theta from cached intermediates, packed.
 
-    X is (N, D), z and a the pre- and post-ReLU hidden values from
-    forward_parts, and g_u (N,) the weight on each row's pre-output.
+    X is (N, D), a the post-ReLU hidden values from forward_parts (a > 0
+    exactly where z > 0), and g_u (N,) the weight on each row's pre-output.
     """
-    dz = ((z > 0.0) * net.w2) * g_u[:, None]  # (N, H)
-    d_w1 = dz.T @ X
-    d_w2 = (a * g_u[:, None]).sum(axis=0)
-    return np.concatenate([d_w1.ravel(), dz.sum(axis=0), d_w2, [g_u.sum()]])
+    d_w2 = (a * g_u[:, None]).sum(axis=0)  # its (N, H) temporary is freed before dz exists
+    dz = (a > 0.0) * net.w2  # (N, H)
+    dz *= g_u[:, None]
+    return np.concatenate([(dz.T @ X).ravel(), dz.sum(axis=0), d_w2, [g_u.sum()]])
 
 
 def _input_grad(net: RegressionNet, z, g_u):
@@ -194,11 +194,11 @@ def batch_backward(net: RegressionNet, X, Y, loss: str = "squared_error", delta:
     """
     X, _ = _as_batch(net, X)
     Y = _check_targets(X, Y)
-    z, a, u, yhat, act1, _ = forward_parts(net, X)
+    _, a, _, yhat, act1, _ = forward_parts(net, X)
     resid = Y - yhat
     values = loss_value(loss, resid, delta)
     g_u = -loss_d1(loss, resid, delta) * act1  # (N,)
-    return np.asarray(values, dtype=np.float64), _param_grad(net, X, z, a, g_u)
+    return np.asarray(values, dtype=np.float64), _param_grad(net, X, a, g_u)
 
 
 def input_gradient(net: RegressionNet, X, Y, loss: str = "squared_error", delta: float = 1.0):
@@ -244,7 +244,7 @@ def grad_penalty_batch(
     mask = z > 0.0
     v = s @ net.w1.T  # (N, H)
     c = (v * (mask * net.w2)).sum(axis=1)  # (N,)
-    grad = _param_grad(net, X, z, a, k * c)
+    grad = _param_grad(net, X, a, k * c)
     # Terms where theta enters d_x directly rather than through g_u.
     n_w1 = net.w1.size
     grad[:n_w1] += (dz.T @ s).ravel()

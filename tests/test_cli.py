@@ -123,6 +123,47 @@ class TestPrepare:
         assert field in err["message"]
 
 
+class TestStaleCache:
+    @pytest.mark.parametrize(
+        "stage_args,edit,field",
+        [
+            (["--seed", "1"], None, "seed"),
+            ([], lambda doc, csv: doc.update(fractions=[0.5, 0.25, 0.25]), "fractions"),
+            ([], lambda doc, csv: doc["dataset"].update(name="other"), "dataset.name"),
+            ([], lambda doc, csv: csv.write_text(csv.read_text() + "0.5,0.5,0.5\n"), "csv_sha256"),
+        ],
+        ids=["seed", "fractions", "dataset-name", "csv-bytes"],
+    )
+    def test_mismatched_cache_names_field(self, workspace, capsys, stage_args, edit, field):
+        tmp, cfg = workspace
+        assert main(["prepare", "--config", str(cfg), "--seed", "0"]) == 0
+        if edit is not None:
+            doc = json.loads(cfg.read_text())
+            edit(doc, tmp / "syn.csv")
+            cfg.write_text(json.dumps(doc))
+        for stage in ("tune", "evaluate"):
+            assert main([stage, "--config", str(cfg), *stage_args]) == 1
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err["error"] == "ConfigError"
+            assert f"prepared with {field}=" in err["message"]
+
+    def test_same_seed_reuses_cache(self, workspace):
+        tmp, cfg = workspace
+        cache = tmp / "out" / "dataset_cache.json"
+        assert main(["prepare", "--config", str(cfg), "--seed", "1"]) == 0
+        stamped = cache.read_bytes()
+        assert json.loads(stamped)["provenance"]["seed"] == 1
+        assert main(["tune", "--config", str(cfg), "--seed", "1"]) == 0
+        assert cache.read_bytes() == stamped
+
+    def test_tune_without_cache_writes_stamped_cache(self, workspace):
+        tmp, cfg = workspace
+        assert main(["tune", "--config", str(cfg), "--seed", "3"]) == 0
+        doc = json.loads((tmp / "out" / "dataset_cache.json").read_text())
+        assert doc["provenance"]["seed"] == 3
+        assert main(["evaluate", "--config", str(cfg), "--seed", "4"]) == 1
+
+
 class TestTuneEvaluateReport:
     def test_full_pipeline(self, workspace, capsys):
         tmp, cfg = workspace

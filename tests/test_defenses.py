@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,14 @@ from hypothesis import strategies as st
 from regrobust.defenses import DefenseConfig, ansr_batch, batch_loss_grad
 from regrobust.errors import ConfigError, DimensionError
 from regrobust.losses import pseudo_huber
-from regrobust.nn import RegressionNet, batch_backward, forward, params_to_vector, vector_to_net
+from regrobust.nn import (
+    RegressionNet,
+    batch_backward,
+    forward,
+    forward_parts,
+    params_to_vector,
+    vector_to_net,
+)
 
 from conftest import fd_gradient, max_rel_err, random_net, safe_case
 
@@ -167,6 +176,120 @@ class TestAnsrParamGrad:
                 return lam * omega[0]
 
             assert max_rel_err(fd_gradient(f, theta0), lam * g) < 1e-3
+
+
+def param_jacobian(net, X):
+    """(N, n_params) rows d u(x_i) / d theta written out from the chain rule."""
+    z = X @ net.w1.T + net.b1
+    m = (z > 0.0) * net.w2  # (N, H)
+    d_w1 = (m[:, :, None] * X[:, None, :]).reshape(len(X), -1)
+    return np.hstack([d_w1, m, np.maximum(z, 0.0), np.ones((len(X), 1))])
+
+
+def dense_ansr(net, X, radii, gaps, n_samples, rng):
+    """The stability penalty the direct way: every perturbed point x + r*u is
+    built and forwarded, and the Jacobian is contracted over all B*S samples.
+
+    Returns (omega, grad_sum, gate) from the same single (B, S, D) draw.
+    """
+    B, D = X.shape
+    S = n_samples
+    U = rng.uniform(-1.0, 1.0, size=(B, S, D))
+    XP = (X[:, None, :] + U * radii[:, None, None]).reshape(B * S, D)
+    _, _, _, y0, act1_0, _ = forward_parts(net, X)
+    _, _, _, yp, act1_p, _ = forward_parts(net, XP)
+    dy = y0[:, None] - yp.reshape(B, S)
+    gate = (np.abs(dy) > gaps[:, None]) & (radii[:, None] > 0.0)
+    gated = np.where(gate, dy, 0.0)
+    coef = (2.0 / S) * gated
+    grad = param_jacobian(net, X).T @ (coef.sum(axis=1) * act1_0)
+    grad -= param_jacobian(net, XP).T @ (coef.ravel() * act1_p)
+    return (gated * gated).mean(axis=1), grad, gate
+
+
+def gaps_for_rate(net, X, radii, n_samples, seed, rate):
+    """Per-row label gaps at which about `rate` of the samples drawn from `seed` gate."""
+    B, D = X.shape
+    U = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(B, n_samples, D))
+    XP = (X[:, None, :] + U * radii[:, None, None]).reshape(-1, D)
+    dy = np.abs(forward(net, X)[:, None] - forward(net, XP).reshape(B, n_samples))
+    return np.quantile(dy, 1.0 - rate, axis=1)
+
+
+class TestAnsrAgainstDenseOracle:
+    S = 40
+
+    def _case(self, act, B, seed=0):
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, input_dim=4, hidden_dim=6, output_activation=act)
+        X = rng.normal(size=(B, 4))
+        radii = rng.uniform(0.2, 1.5, size=B)
+        if B > 1:
+            radii[3] = 0.0
+        return net, X, radii
+
+    def _compare(self, net, X, radii, gaps, seed=21):
+        omega, grad = ansr_batch(net, X, radii, gaps, self.S, np.random.default_rng(seed))
+        o_ref, g_ref, gate = dense_ansr(net, X, radii, gaps, self.S, np.random.default_rng(seed))
+        np.testing.assert_allclose(omega, o_ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(grad, g_ref, rtol=1e-12, atol=1e-12 * np.abs(g_ref).max())
+        assert np.all(omega[radii == 0.0] == 0.0)
+        return gate
+
+    @pytest.mark.parametrize("act", ["identity", "sigmoid"])
+    @pytest.mark.parametrize("B", [1, 32])
+    def test_mixed_gates(self, act, B):
+        net, X, radii = self._case(act, B)
+        gaps = gaps_for_rate(net, X, radii, self.S, 21, 0.3)
+        gate = self._compare(net, X, radii, gaps)
+        assert 0.15 < gate.mean() < 0.45
+
+    @pytest.mark.parametrize("act", ["identity", "sigmoid"])
+    def test_every_sample_gated(self, act):
+        net, X, radii = self._case(act, 32)
+        gate = self._compare(net, X, radii, np.zeros(32))
+        assert np.all(gate[radii > 0.0])
+
+    @pytest.mark.parametrize("act", ["identity", "sigmoid"])
+    def test_no_sample_gated_gives_exact_zeros(self, act):
+        net, X, radii = self._case(act, 32)
+        omega, grad = ansr_batch(net, X, radii, np.full(32, 1e9), self.S,
+                                 np.random.default_rng(21))
+        assert np.all(omega == 0.0)
+        assert np.all(grad == 0.0)
+
+    @pytest.mark.parametrize("gap", [0.0, 0.05, 1e9])
+    def test_stream_advances_by_one_draw(self, gap):
+        net, X, radii = self._case("identity", 5)
+        used, ref = np.random.default_rng(33), np.random.default_rng(33)
+        ansr_batch(net, X, radii, np.full(5, gap), self.S, used)
+        ref.uniform(-1.0, 1.0, size=(5, self.S, 4))
+        assert used.bit_generator.state == ref.bit_generator.state
+
+
+class TestAnsrMemory:
+    # The wide shape: B=32 rows, S=100 samples, D=H=64.
+    B, S, D = 32, 100, 64
+
+    def _peak(self, rate):
+        rng = np.random.default_rng(4)
+        net = random_net(rng, input_dim=self.D)
+        X = rng.normal(size=(self.B, self.D))
+        radii = rng.uniform(0.2, 1.0, size=self.B)
+        gaps = gaps_for_rate(net, X, radii, self.S, 9, rate) if rate < 1 else np.zeros(self.B)
+        tracemalloc.start()
+        try:
+            ansr_batch(net, X, radii, gaps, self.S, np.random.default_rng(9))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_at_typical_gate_rate(self):
+        # Four (B*S, 64) float64 buffers; the dense formulation needed about six.
+        assert self._peak(0.3) < 4 * self.B * self.S * 64 * 8
+
+    def test_peak_with_every_sample_gated(self):
+        assert self._peak(1.0) <= 10_000_000
 
 
 class TestTotalLossGrad:

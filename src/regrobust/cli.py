@@ -70,20 +70,22 @@ def _provenance(cfg: ExperimentConfig) -> dict:
 
 
 def _load_or_prepare(cfg: ExperimentConfig, out: Path):
+    """(dataset, neighbors, provenance): the checked cache, or a fresh one."""
     cache = out / "dataset_cache.json"
     provenance = _provenance(cfg)
     if cache.exists():
-        return data_mod.load_dataset_cache(cache, provenance)
-    ds, norm, neighbors = _build_dataset(cfg)
-    data_mod.save_dataset_cache(cache, ds, norm, neighbors, provenance)
-    return ds, norm, neighbors
+        ds, _, neighbors = data_mod.load_dataset_cache(cache, provenance)
+    else:
+        ds, norm, neighbors = _build_dataset(cfg)
+        data_mod.save_dataset_cache(cache, ds, norm, neighbors, provenance)
+    return ds, neighbors, provenance
 
 
 def cmd_prepare(cfg: ExperimentConfig, out: Path) -> int:
     ds, norm, neighbors = _build_dataset(cfg)
     data_mod.save_dataset_cache(out / "dataset_cache.json", ds, norm, neighbors, _provenance(cfg))
     sizes = {name: int((ds.split == i).sum()) for i, name in enumerate(data_mod.SPLIT_NAMES)}
-    nn_d, gaps = data_mod.neighbor_arrays(neighbors, neighbors)
+    nn_d, gaps = neighbors.distance, neighbors.label_gap
     print(
         f"prepared {ds.name}: {ds.n_rows} rows, {ds.n_features} features, "
         f"splits {sizes}, cache {out / 'dataset_cache.json'}; "
@@ -97,7 +99,17 @@ def _tuned_path(out: Path, kind: str) -> Path:
     return out / f"tuned_{kind}.json"
 
 
-def _combined_candidates(out: Path, n_samples: int):
+def _read_tuned(out: Path, kind: str, provenance: dict, n_samples: int = 100):
+    """The tuned config of one defense kind, checked against this run's provenance."""
+    path = _tuned_path(out, kind)
+    with open(path) as f:
+        doc = json.load(f)
+    data_mod.check_provenance(f"{path} was tuned", doc.get("provenance") or {}, provenance,
+                              "run tune again")
+    return parse_defense_config(doc.get("config"), f"tuned:{path}", n_samples=n_samples)
+
+
+def _combined_candidates(out: Path, n_samples: int, provenance: dict):
     """Warm-start configs for the combined search, merged from the tuned
     individual defenses when all three are on disk.
 
@@ -107,13 +119,10 @@ def _combined_candidates(out: Path, n_samples: int):
     penalties over-regularize at their solo strengths). Both still compete
     against the sampled trials on the same validation objective.
     """
-    parts = {}
-    for kind in ("pseudo_huber", "grad_reg", "ansr"):
-        path = _tuned_path(out, kind)
-        if not path.exists():
-            return ()
-        with open(path) as f:
-            parts[kind] = parse_defense_config(json.load(f)["config"], str(path))
+    kinds = ("pseudo_huber", "grad_reg", "ansr")
+    if not all(_tuned_path(out, kind).exists() for kind in kinds):
+        return ()
+    parts = {kind: _read_tuned(out, kind, provenance) for kind in kinds}
     merged = DefenseConfig(
         kind="combined",
         delta=parts["pseudo_huber"].delta,
@@ -127,7 +136,7 @@ def _combined_candidates(out: Path, n_samples: int):
 
 
 def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
-    ds, _, neighbors = _load_or_prepare(cfg, out)
+    ds, neighbors, provenance = _load_or_prepare(cfg, out)
     pgd_attacks = [a for a in cfg.attacks if a.kind == "pgd"]
     attack = pgd_attacks[0] if pgd_attacks else None
     tuned_any = False
@@ -136,7 +145,8 @@ def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
             continue
         tuned_any = True
         kind = entry.config.kind
-        candidates = _combined_candidates(out, cfg.n_samples) if kind == "combined" else ()
+        candidates = (_combined_candidates(out, cfg.n_samples, provenance)
+                      if kind == "combined" else ())
         best, records = random_search(
             ds,
             kind,
@@ -159,6 +169,7 @@ def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
                     "best_trial": best.trial,
                     "n_trials": len(records),
                     "config": defense_config_to_dict(best.config),
+                    "provenance": provenance,
                 },
                 f,
                 indent=2,
@@ -187,7 +198,7 @@ def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _resolve_defense(entry, out: Path, n_samples: int):
+def _resolve_defense(entry, out: Path, n_samples: int, provenance: dict):
     if not entry.tune:
         return entry.config
     path = _tuned_path(out, entry.config.kind)
@@ -196,20 +207,19 @@ def _resolve_defense(entry, out: Path, n_samples: int):
             f"defense {entry.config.kind!r} has tune=true but {path} does not exist; "
             f"run the tune command first"
         )
-    with open(path) as f:
-        doc = json.load(f)
-    return parse_defense_config(doc.get("config", {}), f"tuned:{path}", n_samples=n_samples)
+    return _read_tuned(out, entry.config.kind, provenance, n_samples)
 
 
 def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
-    ds, _, neighbors = _load_or_prepare(cfg, out)
+    ds, neighbors, provenance = _load_or_prepare(cfg, out)
+    # Every tuned config is read and checked before any model is trained.
+    defenses = [(e.label, _resolve_defense(e, out, cfg.n_samples, provenance))
+                for e in cfg.defenses]
     test_nn = data_mod.nearest_train_distance(ds, ds.features[ds.rows(data_mod.TEST)])
     cells = []
     profiles = []
     try:
-        for entry in cfg.defenses:
-            defense = _resolve_defense(entry, out, cfg.n_samples)
-            label = entry.label
+        for label, defense in defenses:
             train_cfg = replace(cfg.train, seed=derive_seed(cfg.seed, "eval", label))
             models = train_models(
                 ds, defense, train_cfg, cfg.n_seeds,

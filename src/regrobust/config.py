@@ -1,14 +1,19 @@
 """Experiment configuration: one JSON file describing a full run.
 
-Every knob has a default matching the standard evaluation protocol, so a
-minimal config only needs the dataset block. Validation errors name the
-offending field path.
+The config dataclasses are the schema. Each section (``dataset``, ``train``,
+``search``, every ``defenses`` and ``attacks`` entry) is read field by field
+from its dataclass: a key is a field name (``lam`` is spelled ``"lambda"``),
+its value must match the field's annotation, and a missing key takes the
+field's default. A key that names no field fails, so a typo never falls back
+to a default unnoticed. Every default matches the standard evaluation
+protocol, so a minimal config only needs the dataset block. Validation errors
+start with the offending field path.
 """
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .attacks import AttackConfig
-from .defenses import DEFENSE_KINDS, DefenseConfig
+from .defenses import DefenseConfig
 from .errors import ConfigError
 from .training import OBJECTIVES, SearchSpace, TrainConfig
 
@@ -50,145 +55,87 @@ class ExperimentConfig:
     jobs: int = 1
 
 
-def _typed(doc: dict, key: str, types, path: str, default):
-    """Fetch doc[key] with a type check; _REQUIRED marks mandatory fields."""
-    if key not in doc:
-        if default is _REQUIRED:
-            raise ConfigError(f"{path}.{key}: required field is missing")
-        return default
-    v = doc[key]
-    if types is float and isinstance(v, int) and not isinstance(v, bool):
+_JSON_KEYS = {"lam": "lambda"}  # field name -> JSON key, where they differ
+
+
+def _check(v, typ, where: str):
+    """v checked against a field annotation; a float field also takes an int."""
+    if typ is float and isinstance(v, int) and not isinstance(v, bool):
         v = float(v)
-    if not isinstance(v, types) or isinstance(v, bool) and types is not bool:
-        raise ConfigError(f"{path}.{key}: expected {getattr(types, '__name__', types)}, got {v!r}")
+    if not isinstance(v, typ) or isinstance(v, bool) and typ is not bool:
+        raise ConfigError(f"{where}: expected {getattr(typ, '__name__', typ)}, got {v!r}")
     return v
 
 
-class _Required:
-    pass
-
-
-_REQUIRED = _Required()
-
-
-def _floats(values, path: str) -> tuple:
+def _floats(values, where: str) -> tuple:
     try:
         return tuple(float(v) for v in values)
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"{path}: expected numbers, got {values!r}") from e
+        raise ConfigError(f"{where}: expected numbers, got {values!r}") from e
 
 
-def _parse_pair(doc, key, path, default):
-    v = doc.get(key)
-    if v is None:
-        return default
+def _parse_pair(v, where: str) -> tuple:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise ConfigError(f"{path}.{key}: expected [lo, hi], got {v!r}")
-    return _floats(v, f"{path}.{key}")
+        raise ConfigError(f"{where}: expected [lo, hi], got {v!r}")
+    return _floats(v, where)
 
 
-def _parse_dataset(doc, path="dataset") -> DatasetSpec:
+def _section(cls, doc, path: str, extra=(), **defaults):
+    """Build the config dataclass cls from the JSON object doc.
+
+    Reads one key per field of cls. extra names keys the caller reads itself;
+    any other key is an error. A missing key takes defaults[field] if given,
+    else the field's own default.
+    """
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected an object, got {doc!r}")
-    return DatasetSpec(
-        path=_typed(doc, "path", str, path, _REQUIRED),
-        target_column=_typed(doc, "target_column", str, path, _REQUIRED),
-        name=_typed(doc, "name", str, path, "dataset"),
-        target_bounded_01=_typed(doc, "target_bounded_01", bool, path, False),
-        missing=_typed(doc, "missing", str, path, "error"),
-    )
-
-
-def _parse_train(doc, path="train") -> TrainConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected an object, got {doc!r}")
-    base = TrainConfig()
+    specs = {_JSON_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    for key in doc:
+        if key not in specs and key not in extra:
+            raise ConfigError(f"{path}.{key}: unknown field")
+    kwargs = {}
+    for key, f in specs.items():
+        where = f"{path}.{key}"
+        if key in doc:
+            v = doc[key]
+            kwargs[f.name] = _parse_pair(v, where) if f.type is tuple else _check(v, f.type, where)
+        elif f.name in defaults:
+            kwargs[f.name] = defaults[f.name]
+        elif f.default is MISSING:
+            raise ConfigError(f"{where}: required field is missing")
     try:
-        return TrainConfig(
-            learning_rate=_typed(doc, "learning_rate", float, path, base.learning_rate),
-            batch_size=_typed(doc, "batch_size", int, path, base.batch_size),
-            epochs=_typed(doc, "epochs", int, path, base.epochs),
-            adam_beta1=_typed(doc, "adam_beta1", float, path, base.adam_beta1),
-            adam_beta2=_typed(doc, "adam_beta2", float, path, base.adam_beta2),
-            adam_eps=_typed(doc, "adam_eps", float, path, base.adam_eps),
-            seed=_typed(doc, "seed", int, path, base.seed),
-            hidden_dim=_typed(doc, "hidden_dim", int, path, None),
-        )
-    except ConfigError:
-        raise
+        return cls(**kwargs)
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from e
 
 
-def _parse_search(doc, path="search"):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected an object, got {doc!r}")
-    base = SearchSpace()
-    objective = _typed(doc, "objective", str, path, "val_mse_pgd")
-    if objective not in OBJECTIVES:
-        raise ConfigError(f"{path}.objective: must be one of {OBJECTIVES}, got {objective!r}")
-    space = SearchSpace(
-        delta=_parse_pair(doc, "delta", path, base.delta),
-        sigma=_parse_pair(doc, "sigma", path, base.sigma),
-        beta=_parse_pair(doc, "beta", path, base.beta),
-        lam=_parse_pair(doc, "lambda", path, base.lam),
-        n_trials=_typed(doc, "n_trials", int, path, base.n_trials),
-    )
-    return space, objective
-
-
 def parse_defense_config(doc, path: str, n_samples: int = 100) -> DefenseConfig:
     """Build a DefenseConfig from a JSON object like {"kind": ..., "beta": ...}."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected an object, got {doc!r}")
-    kind = _typed(doc, "kind", str, path, _REQUIRED)
-    if kind not in DEFENSE_KINDS:
-        raise ConfigError(f"{path}.kind: must be one of {DEFENSE_KINDS}, got {kind!r}")
-    base = DefenseConfig(kind=kind, n_samples=n_samples)
-    try:
-        return DefenseConfig(
-            kind=kind,
-            delta=_typed(doc, "delta", float, path, base.delta),
-            sigma=_typed(doc, "sigma", float, path, base.sigma),
-            lam=_typed(doc, "lambda", float, path, base.lam),
-            beta=_typed(doc, "beta", float, path, base.beta),
-            n_samples=_typed(doc, "n_samples", int, path, base.n_samples),
-            norm_p=_typed(doc, "norm_p", str, path, base.norm_p),
-        )
-    except ConfigError as e:
-        if str(e).startswith(path):
-            raise
-        raise ConfigError(f"{path}: {e}") from e
+    return _section(DefenseConfig, doc, path, n_samples=n_samples)
 
 
 def defense_config_to_dict(cfg: DefenseConfig) -> dict:
-    return {
-        "kind": cfg.kind,
-        "delta": cfg.delta,
-        "sigma": cfg.sigma,
-        "lambda": cfg.lam,
-        "beta": cfg.beta,
-        "n_samples": cfg.n_samples,
-        "norm_p": cfg.norm_p,
-    }
+    return {_JSON_KEYS.get(f.name, f.name): getattr(cfg, f.name) for f in fields(cfg)}
 
 
-def _parse_attack(doc, path) -> AttackConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected an object, got {doc!r}")
-    kind = _typed(doc, "kind", str, path, _REQUIRED)
-    base = AttackConfig(kind="pgd")
-    try:
-        return AttackConfig(
-            kind=kind,
-            epsilon=_typed(doc, "epsilon", float, path, base.epsilon),
-            rho=_typed(doc, "rho", float, path, base.rho),
-            steps=_typed(doc, "steps", int, path, base.steps),
-        )
-    except ConfigError as e:
-        if str(e).startswith(path):
-            raise
-        raise ConfigError(f"{path}: {e}") from e
+def _entries(doc, key: str, parse) -> list:
+    """Parse a non-empty list of config entries whose kinds must be distinct."""
+    docs = doc.get(key, [{"kind": "none"}])
+    if not isinstance(docs, list) or not docs:
+        raise ConfigError(f"config.{key}: expected a non-empty list")
+    entries, seen = [], set()
+    for i, entry in enumerate(docs):
+        parsed = parse(entry, f"{key}[{i}]")
+        kind = getattr(parsed, "config", parsed).kind
+        if kind in seen:
+            raise ConfigError(f"{key}[{i}].kind: duplicate {key[:-1]} kind {kind!r}")
+        seen.add(kind)
+        entries.append(parsed)
+    return entries
+
+
+# Top-level keys: every ExperimentConfig field but objective, which sits in search.
+_TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "objective")
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -201,58 +148,45 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path}: top level must be an object")
+    for key in doc:
+        if key not in _TOP_KEYS:
+            raise ConfigError(f"config.{key}: unknown field")
+    if "dataset" not in doc:
+        raise ConfigError("config.dataset: required field is missing")
 
-    dataset = _parse_dataset(_typed(doc, "dataset", dict, "config", _REQUIRED))
-    fractions = doc.get("fractions", [0.6, 0.2, 0.2])
+    scalars = {f.name: _check(doc[f.name], f.type, f"config.{f.name}")
+               for f in fields(ExperimentConfig) if f.type in (int, str) and f.name in doc}
+    for key in ("n_seeds", "jobs"):
+        if scalars.get(key, 1) < 1:
+            raise ConfigError(f"config.{key}: must be >= 1, got {scalars[key]}")
+    n_samples = scalars.get("n_samples", ExperimentConfig.n_samples)
+
+    fractions = doc.get("fractions", ExperimentConfig.fractions)
     if not (isinstance(fractions, (list, tuple)) and len(fractions) == 3):
         raise ConfigError(f"config.fractions: expected 3 numbers, got {fractions!r}")
-    fractions = _floats(fractions, "config.fractions")
-    n_samples = _typed(doc, "n_samples", int, "config", 100)
-    search, objective = _parse_search(doc.get("search", {}))
 
-    defense_docs = doc.get("defenses", [{"kind": "none"}])
-    if not isinstance(defense_docs, list) or not defense_docs:
-        raise ConfigError("config.defenses: expected a non-empty list")
-    defenses = []
-    seen = set()
-    for i, entry in enumerate(defense_docs):
-        path_i = f"defenses[{i}]"
-        cfg = parse_defense_config(entry, path_i, n_samples=n_samples)
-        if cfg.kind in seen:
-            raise ConfigError(f"{path_i}.kind: duplicate defense kind {cfg.kind!r}")
-        seen.add(cfg.kind)
-        defenses.append(DefenseEntry(config=cfg, tune=_typed(entry, "tune", bool, path_i, False)))
+    train = doc.get("train", {})
+    if isinstance(train, dict) and "seed" in train:
+        raise ConfigError(
+            "train.seed: unknown field; training seeds derive from the top-level seed"
+        )
+    search = doc.get("search", {})
+    space = _section(SearchSpace, search, "search", extra=("objective",))
+    objective = _check(search.get("objective", ExperimentConfig.objective), str, "search.objective")
+    if objective not in OBJECTIVES:
+        raise ConfigError(f"search.objective: must be one of {OBJECTIVES}, got {objective!r}")
 
-    attack_docs = doc.get("attacks", [{"kind": "none"}])
-    if not isinstance(attack_docs, list) or not attack_docs:
-        raise ConfigError("config.attacks: expected a non-empty list")
-    attacks = []
-    seen = set()
-    for i, entry in enumerate(attack_docs):
-        cfg = _parse_attack(entry, f"attacks[{i}]")
-        if cfg.kind in seen:
-            raise ConfigError(f"attacks[{i}].kind: duplicate attack kind {cfg.kind!r}")
-        seen.add(cfg.kind)
-        attacks.append(cfg)
-
-    n_seeds = _typed(doc, "n_seeds", int, "config", 6)
-    if n_seeds < 1:
-        raise ConfigError(f"config.n_seeds: must be >= 1, got {n_seeds}")
-    jobs = _typed(doc, "jobs", int, "config", 1)
-    if jobs < 1:
-        raise ConfigError(f"config.jobs: must be >= 1, got {jobs}")
+    def defense_entry(entry, where):
+        cfg = _section(DefenseConfig, entry, where, extra=("tune",), n_samples=n_samples)
+        return DefenseEntry(cfg, _check(entry.get("tune", False), bool, f"{where}.tune"))
 
     return ExperimentConfig(
-        dataset=dataset,
-        out_dir=_typed(doc, "out_dir", str, "config", "out"),
-        fractions=fractions,
-        seed=_typed(doc, "seed", int, "config", 0),
-        train=_parse_train(doc.get("train", {})),
-        search=search,
+        dataset=_section(DatasetSpec, doc["dataset"], "dataset"),
+        fractions=_floats(fractions, "config.fractions"),
+        train=_section(TrainConfig, train, "train"),
+        search=space,
         objective=objective,
-        defenses=defenses,
-        attacks=attacks,
-        n_samples=n_samples,
-        n_seeds=n_seeds,
-        jobs=jobs,
+        defenses=_entries(doc, "defenses", defense_entry),
+        attacks=_entries(doc, "attacks", lambda entry, where: _section(AttackConfig, entry, where)),
+        **scalars,
     )

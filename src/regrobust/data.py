@@ -7,15 +7,18 @@ space. Neighbor search is exact: distances are built in cache-sized
 (rows, n) tiles one feature at a time, the train-to-train search sweeps only
 the upper triangle (the distance is symmetric bit for bit), ties go to the
 lowest index, and memory is bounded by two tile buffers.
+
+Neighbors are three arrays aligned with the train rows (``Neighbors``), and
+the dataset cache stores them as the same three columns.
 """
 import csv
 import json
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .defenses import NeighborInfo
 from .errors import ConfigError, DataError, DimensionError
 
 TRAIN, VAL, TEST = 0, 1, 2
@@ -259,14 +262,22 @@ def _keep_nearer(dist, idx, d, cand) -> None:
     idx[better] = cand[better]
 
 
-def compute_neighbors(dataset: Dataset) -> dict[int, NeighborInfo]:
+class Neighbors(NamedTuple):
+    """Nearest train neighbor of each train row, aligned with dataset.rows(TRAIN)."""
+
+    index: np.ndarray  # (n_train,) int64 dataset row index of the neighbor
+    distance: np.ndarray  # (n_train,) L-inf distance to it
+    label_gap: np.ndarray  # (n_train,) |target - neighbor's target|
+
+
+def compute_neighbors(dataset: Dataset) -> Neighbors:
     """Nearest neighbor among the other train rows, for every train row.
 
-    Keyed by dataset row index. Expects features to be normalized already;
-    distances are L-inf. The search is exact and symmetric: since d(i, j)
-    equals d(j, i) bit for bit, row block [s, e) is compared only with columns
-    j >= s, and a running column minimum carries each tile's result to the
-    later rows. Ties go to the lowest index. Memory is two (rows, n) tiles.
+    Expects features to be normalized already; distances are L-inf. The
+    search is exact and symmetric: since d(i, j) equals d(j, i) bit for bit,
+    row block [s, e) is compared only with columns j >= s, and a running
+    column minimum carries each tile's result to the later rows. Ties go to
+    the lowest index. Memory is two (rows, n) tiles.
     """
     rows = dataset.rows(TRAIN)
     n = len(rows)
@@ -284,25 +295,7 @@ def compute_neighbors(dataset: Dataset) -> dict[int, NeighborInfo]:
         # Earlier blocks hold lower indices, so a tie keeps what is held.
         _keep_nearer(dist[e:], idx[e:], tile[:, r:].min(0), s + tile[:, r:].argmin(0))
         _keep_nearer(dist[s:e], idx[s:e], tile.min(1), s + tile.argmin(1))
-    return {
-        int(row): NeighborInfo(
-            nn_index=int(rows[j]),
-            nn_distance=float(dist[k]),
-            label_gap=float(abs(y[k] - y[j])),
-        )
-        for k, (row, j) in enumerate(zip(rows, idx))
-    }
-
-
-def neighbor_arrays(neighbors: dict, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Align neighbor info with an ordered sequence of dataset row indices."""
-    try:
-        infos = [neighbors[int(r)] for r in rows]
-    except KeyError as e:
-        raise DataError(f"no neighbor info for row {e.args[0]}") from None
-    nn_d = np.array([i.nn_distance for i in infos], dtype=np.float64)
-    gaps = np.array([i.label_gap for i in infos], dtype=np.float64)
-    return nn_d, gaps
+    return Neighbors(rows[idx], dist, np.abs(y - y[idx]))
 
 
 def nearest_train_distance(dataset: Dataset, X) -> np.ndarray:
@@ -323,9 +316,12 @@ def nearest_train_distance(dataset: Dataset, X) -> np.ndarray:
     return dist
 
 
-def save_dataset_cache(path, dataset: Dataset, norm: Normalizer, neighbors: dict,
+def save_dataset_cache(path, dataset: Dataset, norm: Normalizer, neighbors: Neighbors,
                        provenance: dict | None = None) -> None:
-    """Write the prepared dataset (already normalized) plus neighbor info as JSON.
+    """Write the prepared dataset (already normalized) plus its neighbors as JSON.
+
+    The neighbors are stored as columns: {"index": [...], "distance": [...],
+    "label_gap": [...]}, aligned with the train rows.
 
     provenance, if given, is stored as is: a flat JSON object of the fields
     the cache was built from, which load_dataset_cache can later check.
@@ -340,15 +336,7 @@ def save_dataset_cache(path, dataset: Dataset, norm: Normalizer, neighbors: dict
         "targets": dataset.targets.tolist(),
         "split": [SPLIT_NAMES[s] for s in dataset.split],
         "normalizer": {"mean": norm.mean.tolist(), "std": norm.std.tolist()},
-        "neighbors": [
-            {
-                "index": i,
-                "nn_index": info.nn_index,
-                "nn_distance": info.nn_distance,
-                "label_gap": info.label_gap,
-            }
-            for i, info in sorted(neighbors.items())
-        ],
+        "neighbors": {name: col.tolist() for name, col in neighbors._asdict().items()},
     }
     if provenance is not None:
         doc["provenance"] = provenance
@@ -357,11 +345,27 @@ def save_dataset_cache(path, dataset: Dataset, norm: Normalizer, neighbors: dict
         f.write("\n")
 
 
+def check_provenance(what: str, stamped: dict, provenance: dict, remedy: str) -> None:
+    """Raise a ConfigError naming the first field of provenance the stamp differs in.
+
+    what says where the stamp came from ("dataset cache ... was prepared"),
+    remedy what to run to rebuild it.
+    """
+    for field, want in provenance.items():
+        if stamped.get(field) != want:
+            raise ConfigError(
+                f"{what} with {field}={stamped.get(field)!r} but this run has "
+                f"{field}={want!r}; {remedy}"
+            )
+
+
 def load_dataset_cache(path, provenance: dict | None = None):
     """Inverse of save_dataset_cache. Returns (dataset, normalizer, neighbors).
 
-    If provenance is given, every field of it must equal the cache's stamp;
-    otherwise a ConfigError names the first field that differs.
+    The neighbor columns must hold exactly one entry per train row, with
+    finite, non-negative distances and gaps. If provenance is given, every
+    field of it must equal the cache's stamp; otherwise a ConfigError names
+    the first field that differs.
     """
     try:
         with open(path) as f:
@@ -379,23 +383,19 @@ def load_dataset_cache(path, provenance: dict | None = None):
             mean=np.asarray(doc["normalizer"]["mean"], dtype=np.float64),
             std=np.asarray(doc["normalizer"]["std"], dtype=np.float64),
         )
-        neighbors = {
-            int(e["index"]): NeighborInfo(
-                nn_index=int(e["nn_index"]),
-                nn_distance=float(e["nn_distance"]),
-                label_gap=float(e["label_gap"]),
-            )
-            for e in doc["neighbors"]
-        }
+        cols = doc["neighbors"]
+        neighbors = Neighbors(np.asarray(cols["index"], dtype=np.int64),
+                              *(np.asarray(cols[k], dtype=np.float64)
+                                for k in ("distance", "label_gap")))
+        n = len(dataset.rows(TRAIN))
+        if any(col.shape != (n,) for col in neighbors):
+            raise ValueError(f"neighbor columns must hold one entry per train row ({n})")
+        if not all(np.all(np.isfinite(col) & (col >= 0)) for col in neighbors[1:]):
+            raise ValueError("neighbor distances and label gaps must be finite and >= 0")
     except (KeyError, ValueError, TypeError) as e:
-        raise DataError(f"malformed dataset cache {path}: {e}") from e
+        raise DataError(f"malformed dataset cache {path}: {e}; run prepare again") from e
     except OSError as e:
         raise DataError(f"cannot read dataset cache {path}: {e}") from e
-    stamped = doc.get("provenance") or {}
-    for field, want in (provenance or {}).items():
-        if stamped.get(field) != want:
-            raise ConfigError(
-                f"dataset cache {path} was prepared with {field}={stamped.get(field)!r} but "
-                f"this run has {field}={want!r}; run prepare again"
-            )
+    check_provenance(f"dataset cache {path} was prepared", doc.get("provenance") or {},
+                     provenance or {}, "run prepare again")
     return dataset, norm, neighbors

@@ -63,7 +63,6 @@ class DefenseConfig:
     lam: float = 1.0  # stability penalty weight
     beta: float = 1.0  # perturbation radius as a multiple of nn distance
     n_samples: int = 100  # Monte-Carlo samples per point per step
-    norm_p: str = "inf"
 
     def __post_init__(self):
         if self.kind not in DEFENSE_KINDS:
@@ -82,28 +81,11 @@ class DefenseConfig:
             raise ConfigError(f"beta must be positive, got {self.beta}")
         if int(self.n_samples) < 1:
             raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.norm_p != "inf":
-            raise ConfigError(f"only the inf norm is supported, got {self.norm_p!r}")
 
     @property
     def needs_neighbors(self) -> bool:
         """Whether the stability penalty is active: it needs neighbors and an rng."""
         return self.kind in ("ansr", "combined")
-
-
-@dataclass(frozen=True)
-class NeighborInfo:
-    """Nearest training neighbor of a training point, under the L-inf norm."""
-
-    nn_index: int
-    nn_distance: float
-    label_gap: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.nn_distance) and self.nn_distance >= 0):
-            raise ConfigError(f"nn_distance must be finite and >= 0, got {self.nn_distance}")
-        if not (np.isfinite(self.label_gap) and self.label_gap >= 0):
-            raise ConfigError(f"label_gap must be finite and >= 0, got {self.label_gap}")
 
 
 def ansr_batch(net: RegressionNet, X, radii, gaps, n_samples: int, rng):

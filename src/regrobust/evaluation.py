@@ -81,7 +81,7 @@ def train_models(
     defense: DefenseConfig,
     train_cfg: TrainConfig,
     n_seeds: int,
-    neighbors: dict | None = None,
+    neighbors: data_mod.Neighbors | None = None,
     label: str | None = None,
     jobs: int = 1,
 ) -> list:

@@ -6,7 +6,7 @@ import numpy as np
 from . import data as data_mod
 from .attacks import DEFAULT_PGD, AttackConfig, apply_attack
 from .defenses import DefenseConfig, batch_loss_grad
-from .errors import ConfigError, DimensionError, SearchFailed, TrainingDiverged
+from .errors import ConfigError, DataError, DimensionError, SearchFailed, TrainingDiverged
 from .nn import RegressionNet, forward, initialize, params_to_vector, vector_to_net
 from .parallel import pmap
 from .seeding import derive_seed
@@ -70,7 +70,7 @@ def train(
     dataset,
     defense: DefenseConfig,
     cfg: TrainConfig,
-    neighbors: dict | None = None,
+    neighbors: data_mod.Neighbors | None = None,
 ):
     """Train a fresh network on the train split under the given defense.
 
@@ -90,7 +90,9 @@ def train(
     if defense.needs_neighbors:
         if neighbors is None:
             raise ConfigError(f"defense {defense.kind!r} needs precomputed neighbors")
-        nn_d, gaps = data_mod.neighbor_arrays(neighbors, rows)
+        if len(neighbors.distance) != n:
+            raise DataError(f"neighbors cover {len(neighbors.distance)} rows, the train split {n}")
+        nn_d, gaps = neighbors.distance, neighbors.label_gap
     else:
         nn_d = gaps = None
 
@@ -205,7 +207,7 @@ def random_search(
     objective: str,
     seed: int,
     train_cfg: TrainConfig,
-    neighbors: dict | None = None,
+    neighbors: data_mod.Neighbors | None = None,
     attack: AttackConfig | None = None,
     candidates=(),
     n_samples: int = 100,

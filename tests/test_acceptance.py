@@ -17,7 +17,7 @@ import pytest
 from conftest import fd_gradient, safe_case
 from regrobust.attacks import AttackConfig, fgsm, pgd
 from regrobust.cli import main as cli_main
-from regrobust.defenses import DefenseConfig, NeighborInfo, ansr_batch
+from regrobust.defenses import DefenseConfig, ansr_batch
 from regrobust.evaluation import read_cells_csv
 from regrobust.losses import loss_value
 from regrobust.nn import (
@@ -52,7 +52,7 @@ def nre(approx, exact) -> float:
 
 
 def _ansr_fd_case(rng, n_samples=8):
-    """(net, x, neighbor, cfg, seed) with frozen draws clear of gates/kinks."""
+    """(net, x, nn distance, label gap, cfg, seed) with frozen draws clear of gates/kinks."""
     while True:
         net, x, _ = safe_case(rng, input_dim=3, margin=2e-2, loss_margin=False)
         dist = float(rng.uniform(0.05, 0.2))
@@ -67,11 +67,10 @@ def _ansr_fd_case(rng, n_samples=8):
         if order[-k] - order[-k - 1] < 2e-3:
             continue
         gap = float((order[-k] + order[-k - 1]) / 2.0)
-        nbr = NeighborInfo(nn_index=0, nn_distance=dist, label_gap=gap)
         cfg = DefenseConfig(
             kind="ansr", lam=float(rng.uniform(0.25, 4.0)), n_samples=n_samples
         )
-        return net, x, nbr, cfg, seed
+        return net, x, dist, gap, cfg, seed
 
 
 def test_gradient_suite_matches_finite_differences():
@@ -119,10 +118,10 @@ def test_gradient_suite_matches_finite_differences():
         cases += 1
 
     for _ in range(250):  # stability penalty (frozen samples and gates)
-        net, x, nbr, cfg, seed = _ansr_fd_case(rng)
-        radius = [cfg.beta * nbr.nn_distance]
+        net, x, dist, gap, cfg, seed = _ansr_fd_case(rng)
+        radius = [cfg.beta * dist]
         _, grad = ansr_batch(
-            net, x[None, :], radius, [nbr.label_gap], cfg.n_samples, np.random.default_rng(seed)
+            net, x[None, :], radius, [gap], cfg.n_samples, np.random.default_rng(seed)
         )
         grad = cfg.lam * grad
         theta0 = params_to_vector(net)
@@ -130,7 +129,7 @@ def test_gradient_suite_matches_finite_differences():
         def f_omega(th):
             n2 = vector_to_net(net, th)
             omega, _ = ansr_batch(
-                n2, x[None, :], radius, [nbr.label_gap], cfg.n_samples, np.random.default_rng(seed)
+                n2, x[None, :], radius, [gap], cfg.n_samples, np.random.default_rng(seed)
             )
             return cfg.lam * omega[0]
 
@@ -201,11 +200,8 @@ def test_stability_penalty_zero_cases():
     checked = 0
     for _ in range(50):
         d = int(rng.integers(1, 5))
-        nbr = NeighborInfo(
-            nn_index=0,
-            nn_distance=float(rng.uniform(0.0, 2.0)),
-            label_gap=float(rng.uniform(0.0, 3.0)),
-        )
+        nn_distance = float(rng.uniform(0.0, 2.0))
+        label_gap = float(rng.uniform(0.0, 3.0))
         cfg = DefenseConfig(kind="ansr", beta=float(rng.uniform(0.5, 4.0)), n_samples=16)
         x = rng.normal(size=d)
 
@@ -214,26 +210,24 @@ def test_stability_penalty_zero_cases():
         dead = initialize(d, rng)
         dead = replace(dead, w1=0.1 * dead.w1, b1=dead.b1 - 6.0)  # relu never fires
         X = x[None, :]
-        radius = [cfg.beta * nbr.nn_distance]
+        radius = [cfg.beta * nn_distance]
         for net in (flat, dead):
             omega, grad = ansr_batch(
-                net, X, radius, [nbr.label_gap], cfg.n_samples, np.random.default_rng(1)
+                net, X, radius, [label_gap], cfg.n_samples, np.random.default_rng(1)
             )
             assert omega[0] == 0.0
             assert not np.any(cfg.lam * grad)
             checked += 2
 
         live = initialize(d, rng)
-        gated = NeighborInfo(nn_index=0, nn_distance=1.0, label_gap=1e9)
         omega, grad = ansr_batch(
-            live, X, [cfg.beta * gated.nn_distance], [gated.label_gap], cfg.n_samples,
+            live, X, [cfg.beta * 1.0], [1e9], cfg.n_samples,
             np.random.default_rng(2),
         )
         assert omega[0] == 0.0
         assert not np.any(cfg.lam * grad)
-        zero_r = NeighborInfo(nn_index=0, nn_distance=0.0, label_gap=0.0)
         omega, _ = ansr_batch(
-            live, X, [cfg.beta * zero_r.nn_distance], [zero_r.label_gap], cfg.n_samples,
+            live, X, [cfg.beta * 0.0], [0.0], cfg.n_samples,
             np.random.default_rng(3),
         )
         assert omega[0] == 0.0
@@ -256,7 +250,7 @@ def test_penalty_monte_carlo_consistency():
         w1=np.array([[1.0]]), b1=np.array([10.0]), w2=np.array([1.0]), b2=-10.0
     )  # f(x) = x for x > -10
     x = np.array([0.3])
-    nbr = NeighborInfo(nn_index=0, nn_distance=0.8, label_gap=0.4)
+    nn_distance, label_gap = 0.8, 0.4
     cfg = DefenseConfig(kind="ansr", n_samples=100)
 
     # brute-force oracle: for the identity map the gated integrand is
@@ -268,7 +262,7 @@ def test_penalty_monte_carlo_consistency():
     for r in range(100):
         seed = 5000 + r
         omega, _ = ansr_batch(
-            net, x[None, :], [cfg.beta * nbr.nn_distance], [nbr.label_gap], cfg.n_samples,
+            net, x[None, :], [cfg.beta * nn_distance], [label_gap], cfg.n_samples,
             np.random.default_rng(seed),
         )
         est = omega[0]

@@ -1,13 +1,17 @@
 import csv
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from regrobust.cli import main
+from regrobust.config import load_experiment_config
 
 from conftest import BOSTON_CSV
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_synthetic_csv(path, n=80, seed=0):
@@ -73,8 +77,8 @@ class TestPrepare:
         cfg = write_config(tmp_path / "exp.json", csv_path, tmp_path / "out")
         assert main(["prepare", "--config", str(cfg)]) == 0
         doc = json.loads((tmp_path / "out" / "dataset_cache.json").read_text())
-        d = [e["nn_distance"] for e in doc["neighbors"]]
-        g = [e["label_gap"] for e in doc["neighbors"]]
+        d = doc["neighbors"]["distance"]
+        g = doc["neighbors"]["label_gap"]
         out = capsys.readouterr().out
         assert f"median distance {np.median(d):.4g}," in out
         assert f"median label gap {np.median(g):.4g}," in out
@@ -92,7 +96,8 @@ class TestPrepare:
         assert len(doc["features"][0]) == 13
         counts = {s: doc["split"].count(s) for s in ("train", "val", "test")}
         assert counts == {"train": 304, "val": 101, "test": 101}
-        assert len(doc["neighbors"]) == 304
+        assert {k: len(v) for k, v in doc["neighbors"].items()} == \
+            {"index": 304, "distance": 304, "label_gap": 304}
 
     def test_missing_csv_is_machine_parseable_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", tmp_path / "nope.csv", tmp_path / "out")
@@ -109,8 +114,17 @@ class TestPrepare:
             (lambda d: d.update(fractions=[0.6, None, 0.2]), "config.fractions"),
             (lambda d: d["search"].update(beta=["x", 1]), "search.beta"),
             (lambda d: d["search"].update(beta=[None, 1]), "search.beta"),
+            (lambda d: d["train"].update(epoch=5), "train.epoch: unknown field"),
+            (lambda d: d["defenses"][1].update(lam=2), "defenses[1].lam: unknown field"),
+            (lambda d: d["attacks"][2].update(sptes=3), "attacks[2].sptes: unknown field"),
+            (lambda d: d["defenses"][2].update(norm_p="inf"), "defenses[2].norm_p: unknown field"),
+            (lambda d: d["train"].update(seed=3),
+             "train.seed: unknown field; training seeds derive from the top-level seed"),
+            (lambda d: d["search"].update(n_trials=0), "search"),
         ],
-        ids=["defense-kind", "fractions-str", "fractions-null", "search-str", "search-null"],
+        ids=["defense-kind", "fractions-str", "fractions-null", "search-str", "search-null",
+             "train-epoch", "defense-lam", "attack-sptes", "norm-p", "train-seed",
+             "search-n-trials"],
     )
     def test_invalid_config_names_field(self, workspace, capsys, edit, field):
         tmp, cfg = workspace
@@ -121,6 +135,13 @@ class TestPrepare:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
         assert field in err["message"]
+        assert err["message"].startswith(field.split(":")[0])
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+def test_shipped_config_loads_strictly(path):
+    cfg = load_experiment_config(path)
+    assert cfg.defenses and cfg.attacks
 
 
 class TestStaleCache:
@@ -162,6 +183,40 @@ class TestStaleCache:
         doc = json.loads((tmp / "out" / "dataset_cache.json").read_text())
         assert doc["provenance"]["seed"] == 3
         assert main(["evaluate", "--config", str(cfg), "--seed", "4"]) == 1
+
+
+class TestStaleTuned:
+    def test_evaluate_rejects_tuned_config_of_other_seed(self, workspace, capsys):
+        tmp, cfg = workspace
+        for stage in ("prepare", "tune"):
+            assert main([stage, "--config", str(cfg), "--seed", "0"]) == 0
+        assert main(["prepare", "--config", str(cfg), "--seed", "1"]) == 0
+        assert main(["evaluate", "--config", str(cfg), "--seed", "1"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert "tuned_ansr.json was tuned with seed=0" in err["message"]
+        assert not (tmp / "out" / "cells.csv").exists()
+
+    def test_combined_warm_start_rejects_tuned_configs_of_other_seed(self, workspace, capsys):
+        tmp, cfg = workspace
+        doc = json.loads(cfg.read_text())
+        doc["defenses"] = [{"kind": k, "tune": True}
+                           for k in ("pseudo_huber", "grad_reg", "ansr", "combined")]
+        doc["train"]["epochs"] = 5
+        cfg.write_text(json.dumps(doc))
+        parts = ["--defense", "pseudo_huber", "--defense", "grad_reg", "--defense", "ansr"]
+        assert main(["tune", "--config", str(cfg), "--seed", "0", *parts]) == 0
+        assert main(["prepare", "--config", str(cfg), "--seed", "1"]) == 0
+        assert main(["tune", "--config", str(cfg), "--seed", "1", "--defense", "combined"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert "was tuned with seed=0" in err["message"]
+        assert not (tmp / "out" / "tuned_combined.json").exists()
+        # At the seed the parts were tuned with, they warm-start the search.
+        assert main(["prepare", "--config", str(cfg), "--seed", "0"]) == 0
+        assert main(["tune", "--config", str(cfg), "--seed", "0", "--defense", "combined"]) == 0
+        trials = (tmp / "out" / "trials_combined.jsonl").read_text().splitlines()
+        assert [json.loads(t)["source"] for t in trials].count("injected") == 2
 
 
 class TestTuneEvaluateReport:

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,6 @@ from regrobust.data import (
     load_csv,
     load_dataset_cache,
     nearest_train_distance,
-    neighbor_arrays,
     normalize_dataset,
     save_dataset_cache,
     split_dataset,
@@ -217,10 +217,10 @@ class TestNeighbors:
             split=np.array([TRAIN, TRAIN, TRAIN]),
         )
         nb = compute_neighbors(ds)
-        assert nb[2].nn_index == 1
-        assert nb[2].nn_distance == 2.0
-        assert nb[2].label_gap == 9.0
-        assert nb[0].nn_index == 1 and nb[1].nn_index == 0
+        assert nb.index[2] == 1
+        assert nb.distance[2] == 2.0
+        assert nb.label_gap[2] == 9.0
+        assert nb.index[0] == 1 and nb.index[1] == 0
 
     def test_duplicates_give_zero_distance(self):
         ds = Dataset(
@@ -229,9 +229,9 @@ class TestNeighbors:
             split=np.array([TRAIN, TRAIN, TRAIN]),
         )
         nb = compute_neighbors(ds)
-        assert nb[0].nn_distance == 0.0 and nb[0].nn_index == 1
-        assert nb[1].nn_distance == 0.0 and nb[1].nn_index == 0
-        assert nb[0].label_gap == 3.0
+        assert nb.distance[0] == 0.0 and nb.index[0] == 1
+        assert nb.distance[1] == 0.0 and nb.index[1] == 0
+        assert nb.label_gap[0] == 3.0
 
     def test_ties_break_to_lowest_index(self):
         ds = Dataset(
@@ -240,7 +240,7 @@ class TestNeighbors:
             split=np.array([TRAIN, TRAIN, TRAIN]),
         )
         nb = compute_neighbors(ds)
-        assert nb[0].nn_index == 1  # rows 1 and 2 tie at distance 1
+        assert nb.index[0] == 1  # rows 1 and 2 tie at distance 1
 
     def test_only_train_rows_participate(self):
         ds = Dataset(
@@ -249,8 +249,8 @@ class TestNeighbors:
             split=np.array([TRAIN, VAL, TRAIN]),
         )
         nb = compute_neighbors(ds)
-        assert set(nb) == {0, 2}
-        assert nb[0].nn_index == 2 and nb[0].nn_distance == 10.0
+        assert all(len(col) == 2 for col in nb)  # one entry per train row: 0 and 2
+        assert nb.index[0] == 2 and nb.distance[0] == 10.0
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(21)
@@ -259,11 +259,11 @@ class TestNeighbors:
         rows = ds.rows(TRAIN)
         nb = compute_neighbors(ds)
         oracle = brute_force_neighbors(ds.features[rows], ds.targets[rows], list(rows))
-        assert set(nb) == set(oracle)
-        for i, (j, d, gap) in oracle.items():
-            assert nb[i].nn_index == j
-            assert nb[i].nn_distance == d
-            assert nb[i].label_gap == gap
+        assert list(oracle) == rows.tolist()
+        for k, (j, d, gap) in enumerate(oracle.values()):
+            assert nb.index[k] == j
+            assert nb.distance[k] == d
+            assert nb.label_gap[k] == gap
 
     def test_distance_is_a_true_minimum(self):
         rng = np.random.default_rng(22)
@@ -272,10 +272,10 @@ class TestNeighbors:
         rows = ds.rows(TRAIN)
         nb = compute_neighbors(ds)
         X = ds.features
-        for i in rows:
+        for k, i in enumerate(rows):
             for j in rows:
                 if i != j:
-                    assert nb[int(i)].nn_distance <= np.max(np.abs(X[i] - X[j])) + 1e-15
+                    assert nb.distance[k] <= np.max(np.abs(X[i] - X[j])) + 1e-15
 
     def test_needs_two_train_rows(self):
         ds = Dataset(features=np.ones((2, 1)), targets=np.zeros(2),
@@ -284,17 +284,17 @@ class TestNeighbors:
             compute_neighbors(ds)
 
     def test_neighbor_arrays_alignment(self):
+        # Entry k belongs to the k-th train row; index holds dataset row indices.
         ds = Dataset(
-            features=np.array([[0.0], [1.0], [3.0]]),
-            targets=np.array([10.0, 11.0, 20.0]),
-            split=np.array([TRAIN, TRAIN, TRAIN]),
+            features=np.array([[0.0], [7.0], [1.0], [3.0]]),
+            targets=np.array([10.0, 0.0, 11.0, 20.0]),
+            split=np.array([TRAIN, VAL, TRAIN, TRAIN]),
         )
         nb = compute_neighbors(ds)
-        d, g = neighbor_arrays(nb, [2, 0])
-        assert np.array_equal(d, [2.0, 1.0])
-        assert np.array_equal(g, [9.0, 1.0])
-        with pytest.raises(DataError):
-            neighbor_arrays(nb, [5])
+        assert np.array_equal(nb.index, [2, 0, 2])
+        assert np.array_equal(nb.distance, [1.0, 1.0, 2.0])
+        assert np.array_equal(nb.label_gap, [1.0, 1.0, 9.0])
+        assert nb.index.dtype == np.int64
 
     def test_nearest_train_distance(self):
         ds = Dataset(
@@ -317,9 +317,9 @@ def assert_neighbors_exact(X, y):
     d = linf_matrix(X, X)
     np.fill_diagonal(d, np.inf)
     j = d.argmin(axis=1)  # lowest index among ties
-    assert [nb[i].nn_index for i in range(len(X))] == j.tolist()
-    assert np.array_equal([nb[i].nn_distance for i in range(len(X))], d[np.arange(len(X)), j])
-    assert np.array_equal([nb[i].label_gap for i in range(len(X))], np.abs(y - y[j]))
+    assert nb.index.tolist() == j.tolist()
+    assert np.array_equal(nb.distance, d[np.arange(len(X)), j])
+    assert np.array_equal(nb.label_gap, np.abs(y - y[j]))
 
 
 class TestTiledSearchExact:
@@ -398,7 +398,8 @@ class TestCache:
         assert ds2.name == ds.name
         assert np.array_equal(norm2.mean, norm.mean)
         assert np.array_equal(norm2.std, norm.std)
-        assert nb2 == nb
+        for col2, col in zip(nb2, nb):
+            assert col2.dtype == col.dtype and np.array_equal(col2, col)
 
     def test_two_saves_byte_identical(self, tmp_path):
         ds, norm, nb = self._prepared()
@@ -411,6 +412,25 @@ class TestCache:
         p = tmp_path / "bad.json"
         p.write_text('{"name": "x"}\n')
         with pytest.raises(DataError, match="malformed"):
+            load_dataset_cache(p)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda cols: [col.pop() for col in cols.values()],
+            lambda cols: cols["distance"].__setitem__(3, -0.5),
+            lambda cols: cols["label_gap"].__setitem__(0, float("nan")),
+        ],
+        ids=["short-columns", "negative-distance", "nan-gap"],
+    )
+    def test_malformed_neighbors_rejected(self, tmp_path, edit):
+        ds, norm, nb = self._prepared()
+        p = tmp_path / "cache.json"
+        save_dataset_cache(p, ds, norm, nb)
+        doc = json.loads(p.read_text())
+        edit(doc["neighbors"])
+        p.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="malformed .*run prepare again"):
             load_dataset_cache(p)
 
     def test_unsplit_dataset_rejected(self, tmp_path):

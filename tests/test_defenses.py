@@ -75,7 +75,7 @@ class TestDefenseConfig:
     @pytest.mark.parametrize(
         "field,value",
         [("delta", 0.0), ("delta", -1.0), ("sigma", -0.1), ("lam", -2.0),
-         ("beta", 0.0), ("n_samples", 0), ("norm_p", "2")],
+         ("beta", 0.0), ("n_samples", 0)],
     )
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(ConfigError):

@@ -13,7 +13,7 @@ from regrobust.data import (
     split_dataset,
 )
 from regrobust.defenses import DefenseConfig
-from regrobust.errors import ConfigError, DimensionError, SearchFailed, TrainingDiverged
+from regrobust.errors import ConfigError, DataError, DimensionError, SearchFailed, TrainingDiverged
 from regrobust.nn import forward, params_to_vector
 from regrobust.training import (
     AdamState,
@@ -115,6 +115,11 @@ class TestTrain:
     def test_ansr_needs_neighbors(self, lin_ds):
         with pytest.raises(ConfigError, match="neighbors"):
             train(lin_ds, DefenseConfig(kind="ansr"), TrainConfig(epochs=1))
+
+    def test_ansr_rejects_neighbors_of_another_split(self, lin_ds):
+        short = compute_neighbors(lin_ds)._replace(distance=np.ones(3), label_gap=np.ones(3))
+        with pytest.raises(DataError, match="train split"):
+            train(lin_ds, DefenseConfig(kind="ansr"), TrainConfig(epochs=1), neighbors=short)
 
     def test_ansr_deterministic_with_neighbors(self, lin_ds):
         nbrs = compute_neighbors(lin_ds)

@@ -17,9 +17,9 @@ import numpy as np
 from . import data as data_mod
 from .config import (
     ExperimentConfig,
-    defense_config_to_dict,
     load_experiment_config,
     parse_defense_config,
+    section_to_dict,
 )
 from .defenses import DefenseConfig
 from .errors import ConfigError, DataError, RegrobustError
@@ -49,7 +49,7 @@ def _build_dataset(cfg: ExperimentConfig):
     ds = data_mod.split_dataset(ds, cfg.fractions, seed=derive_seed(cfg.seed, "split"))
     norm = data_mod.fit_normalizer(ds)
     ds = data_mod.normalize_dataset(ds, norm)
-    neighbors = data_mod.compute_neighbors(ds)
+    neighbors = data_mod.compute_neighbors(ds, jobs=cfg.jobs)
     return ds, norm, neighbors
 
 
@@ -67,6 +67,24 @@ def _provenance(cfg: ExperimentConfig) -> dict:
         raise DataError(f"cannot read {path}: {e}") from e
     return {"seed": cfg.seed, "fractions": list(cfg.fractions), "csv_sha256": csv_sha256,
             **{f"dataset.{k}": v for k, v in dataset.items()}}
+
+
+def _tuned_stamp(cfg: ExperimentConfig, provenance: dict) -> dict:
+    """What a tuned config is a function of, as stamped into tuned_*.json.
+
+    The data provenance, then every train field but the seed (training seeds
+    derive from the top-level seed, which the provenance holds), the search
+    ranges, n_trials and objective, and n_samples, keyed by their config path.
+    """
+    train = section_to_dict(cfg.train)
+    del train["seed"]
+    return {
+        **provenance,
+        **{f"train.{k}": v for k, v in train.items()},
+        **{f"search.{k}": v for k, v in section_to_dict(cfg.search).items()},
+        "search.objective": cfg.objective,
+        "n_samples": cfg.n_samples,
+    }
 
 
 def _load_or_prepare(cfg: ExperimentConfig, out: Path):
@@ -99,17 +117,17 @@ def _tuned_path(out: Path, kind: str) -> Path:
     return out / f"tuned_{kind}.json"
 
 
-def _read_tuned(out: Path, kind: str, provenance: dict, n_samples: int = 100):
-    """The tuned config of one defense kind, checked against this run's provenance."""
+def _read_tuned(out: Path, kind: str, cfg: ExperimentConfig, provenance: dict):
+    """The tuned config of one defense kind, checked against this run's tuned stamp."""
     path = _tuned_path(out, kind)
     with open(path) as f:
         doc = json.load(f)
-    data_mod.check_provenance(f"{path} was tuned", doc.get("provenance") or {}, provenance,
-                              "run tune again")
-    return parse_defense_config(doc.get("config"), f"tuned:{path}", n_samples=n_samples)
+    data_mod.check_provenance(f"{path} was tuned", doc.get("provenance") or {},
+                              _tuned_stamp(cfg, provenance), "run tune again")
+    return parse_defense_config(doc.get("config"), f"tuned:{path}", n_samples=cfg.n_samples)
 
 
-def _combined_candidates(out: Path, n_samples: int, provenance: dict):
+def _combined_candidates(out: Path, cfg: ExperimentConfig, provenance: dict):
     """Warm-start configs for the combined search, merged from the tuned
     individual defenses when all three are on disk.
 
@@ -122,14 +140,14 @@ def _combined_candidates(out: Path, n_samples: int, provenance: dict):
     kinds = ("pseudo_huber", "grad_reg", "ansr")
     if not all(_tuned_path(out, kind).exists() for kind in kinds):
         return ()
-    parts = {kind: _read_tuned(out, kind, provenance) for kind in kinds}
+    parts = {kind: _read_tuned(out, kind, cfg, provenance) for kind in kinds}
     merged = DefenseConfig(
         kind="combined",
         delta=parts["pseudo_huber"].delta,
         sigma=parts["grad_reg"].sigma,
         beta=parts["ansr"].beta,
         lam=parts["ansr"].lam,
-        n_samples=n_samples,
+        n_samples=cfg.n_samples,
     )
     tempered = replace(merged, sigma=merged.sigma / 2, lam=merged.lam / 2)
     return (merged, tempered)
@@ -145,7 +163,7 @@ def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
             continue
         tuned_any = True
         kind = entry.config.kind
-        candidates = (_combined_candidates(out, cfg.n_samples, provenance)
+        candidates = (_combined_candidates(out, cfg, provenance)
                       if kind == "combined" else ())
         best, records = random_search(
             ds,
@@ -168,8 +186,8 @@ def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
                     "best_value": best.value,
                     "best_trial": best.trial,
                     "n_trials": len(records),
-                    "config": defense_config_to_dict(best.config),
-                    "provenance": provenance,
+                    "config": section_to_dict(best.config),
+                    "provenance": _tuned_stamp(cfg, provenance),
                 },
                 f,
                 indent=2,
@@ -183,7 +201,7 @@ def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
                         {
                             "trial": r.trial,
                             "source": r.source,
-                            "config": defense_config_to_dict(r.config),
+                            "config": section_to_dict(r.config),
                             "value": None if r.value != r.value else r.value,
                             "train_seed": r.train_seed,
                         },
@@ -198,7 +216,7 @@ def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-def _resolve_defense(entry, out: Path, n_samples: int, provenance: dict):
+def _resolve_defense(entry, out: Path, cfg: ExperimentConfig, provenance: dict):
     if not entry.tune:
         return entry.config
     path = _tuned_path(out, entry.config.kind)
@@ -207,13 +225,13 @@ def _resolve_defense(entry, out: Path, n_samples: int, provenance: dict):
             f"defense {entry.config.kind!r} has tune=true but {path} does not exist; "
             f"run the tune command first"
         )
-    return _read_tuned(out, entry.config.kind, provenance, n_samples)
+    return _read_tuned(out, entry.config.kind, cfg, provenance)
 
 
 def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     ds, neighbors, provenance = _load_or_prepare(cfg, out)
     # Every tuned config is read and checked before any model is trained.
-    defenses = [(e.label, _resolve_defense(e, out, cfg.n_samples, provenance))
+    defenses = [(e.label, _resolve_defense(e, out, cfg, provenance))
                 for e in cfg.defenses]
     test_nn = data_mod.nearest_train_distance(ds, ds.features[ds.rows(data_mod.TEST)])
     cells = []

@@ -114,8 +114,13 @@ def parse_defense_config(doc, path: str, n_samples: int = 100) -> DefenseConfig:
     return _section(DefenseConfig, doc, path, n_samples=n_samples)
 
 
-def defense_config_to_dict(cfg: DefenseConfig) -> dict:
-    return {_JSON_KEYS.get(f.name, f.name): getattr(cfg, f.name) for f in fields(cfg)}
+def section_to_dict(cfg) -> dict:
+    """A config dataclass as its JSON object: JSON keys, tuples as lists."""
+    doc = {}
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        doc[_JSON_KEYS.get(f.name, f.name)] = list(v) if isinstance(v, tuple) else v
+    return doc
 
 
 def _entries(doc, key: str, parse) -> list:

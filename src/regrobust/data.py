@@ -6,7 +6,14 @@ train/val/test. All distances here are L-infinity in normalized feature
 space. Neighbor search is exact: distances are built in cache-sized
 (rows, n) tiles one feature at a time, the train-to-train search sweeps only
 the upper triangle (the distance is symmetric bit for bit), ties go to the
-lowest index, and memory is bounded by two tile buffers.
+lowest index, and memory is bounded by two tile buffers per worker. With
+jobs > 1 the row blocks are split into groups searched in parallel and
+merged exactly, so the result does not depend on jobs.
+
+Each set-up artifact is made in one pass: the CSV is converted in one numpy
+call (a per-cell loop runs only for files with missing or malformed cells),
+and the dataset cache is written with the C JSON encoder, one features row
+at a time, in exactly the bytes of json.dump(doc, sort_keys=True).
 
 Neighbors are three arrays aligned with the train rows (``Neighbors``), and
 the dataset cache stores them as the same three columns.
@@ -20,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError
+from .parallel import pmap
 
 TRAIN, VAL, TEST = 0, 1, 2
 SPLIT_NAMES = ("train", "val", "test")
@@ -69,6 +77,22 @@ class Dataset:
         return np.flatnonzero(self.split == which)
 
 
+def _parse_fast(raw_rows, width: int):
+    """Every cell converted at once, or None if some row or cell needs the loop.
+
+    For str cells numpy calls Python's float(), so the accepted syntax and the
+    resulting bits are those of load_csv's per-cell loop. A ragged row, a cell
+    float() rejects (most NA markers) or a NaN or infinite result gives None.
+    """
+    try:
+        values = np.array([row for _, row in raw_rows], dtype=np.float64)
+    except ValueError:
+        return None
+    if values.shape != (len(raw_rows), width) or not np.isfinite(values).all():
+        return None
+    return values
+
+
 def load_csv(
     path,
     target_column: str,
@@ -82,7 +106,13 @@ def load_csv(
     file naming the offending lines, "drop_rows" removes those rows, and
     "drop_columns" removes feature columns containing any missing value (rows
     whose target is missing are dropped). Cells that are neither numeric nor a
-    recognized NA marker are always an error naming the line and column.
+    recognized NA marker, and infinite cells, are always an error naming the
+    line and column.
+
+    A cell is read as float(cell.strip()). All cells are first converted in
+    one numpy call (same syntax, same bits); only a file with a ragged row or
+    a cell that is missing, malformed or infinite goes through the per-cell
+    loop, which applies the missing policy and builds the error messages.
     """
     if missing not in MISSING_POLICIES:
         raise ConfigError(f"missing policy must be one of {MISSING_POLICIES}, got {missing!r}")
@@ -105,31 +135,38 @@ def load_csv(
     t_col = header.index(target_column)
     width = len(header)
 
-    values = np.empty((len(raw_rows), width), dtype=np.float64)
+    values = _parse_fast(raw_rows, width)
     missing_cells = []  # (row_pos, col, line_no)
-    for i, (line_no, row) in enumerate(raw_rows):
-        if len(row) != width:
-            raise DataError(
-                f"{path}: line {line_no} has {len(row)} cells, expected {width}"
-            )
-        for j, cell in enumerate(row):
-            cell = cell.strip()
-            if cell.lower() in NA_MARKERS:
-                values[i, j] = np.nan
-                missing_cells.append((i, j, line_no))
-                continue
-            try:
-                v = float(cell)
-            except ValueError:
+    if values is None:
+        values = np.empty((len(raw_rows), width), dtype=np.float64)
+        for i, (line_no, row) in enumerate(raw_rows):
+            if len(row) != width:
                 raise DataError(
-                    f"{path}: line {line_no}, column {header[j]!r}: "
-                    f"cannot parse {cell!r} as a number"
-                ) from None
-            if math.isnan(v):
-                values[i, j] = np.nan
-                missing_cells.append((i, j, line_no))
-            else:
-                values[i, j] = v
+                    f"{path}: line {line_no} has {len(row)} cells, expected {width}"
+                )
+            for j, cell in enumerate(row):
+                cell = cell.strip()
+                if cell.lower() in NA_MARKERS:
+                    values[i, j] = np.nan
+                    missing_cells.append((i, j, line_no))
+                    continue
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{path}: line {line_no}, column {header[j]!r}: "
+                        f"cannot parse {cell!r} as a number"
+                    ) from None
+                if math.isnan(v):
+                    values[i, j] = np.nan
+                    missing_cells.append((i, j, line_no))
+                elif math.isinf(v):
+                    raise DataError(
+                        f"{path}: line {line_no}, column {header[j]!r}: "
+                        f"{cell!r} is not a finite number"
+                    )
+                else:
+                    values[i, j] = v
 
     if missing_cells and missing == "error":
         lines = sorted({ln for _, _, ln in missing_cells})
@@ -232,19 +269,26 @@ def normalize_dataset(dataset: Dataset, norm: Normalizer) -> Dataset:
 _TILE_ELEMENTS = 1 << 16  # float64 cells per distance tile: 0.5 MB, cache-resident
 
 
-def _linf_tiles(A: np.ndarray, B: np.ndarray, upper: bool = False):
-    """Yield (s, tile) for each row block [s, s + len(tile)) of A.
+def _tile_rows(n_a: int, n_b: int) -> int:
+    """Rows of A per tile against n_b rows of B."""
+    return max(1, min(n_a, _TILE_ELEMENTS // n_b))
+
+
+def _linf_tiles(A: np.ndarray, B: np.ndarray, upper: bool = False, start: int = 0,
+                stop: int | None = None):
+    """Yield (s, tile) for each row block [s, s + len(tile)) of A[start:stop].
 
     tile[i, j] = max_k |A[s + i, k] - B[c + j, k]| with c = s when upper (the
     block meets only columns j >= s) and c = 0 otherwise. Each tile is built
     one feature at a time in two preallocated buffers sized from len(B), and
     is overwritten by the next one.
     """
+    stop = len(A) if stop is None else stop
     BT = np.ascontiguousarray(B.T)
-    step = max(1, min(len(A), _TILE_ELEMENTS // len(B)))
+    step = _tile_rows(len(A), len(B))
     bufs = np.empty((2, step * len(B)))
-    for s in range(0, len(A), step):
-        rows, cols = A[s : s + step], BT[:, s:] if upper else BT
+    for s in range(start, stop, step):
+        rows, cols = A[s : min(s + step, stop)], BT[:, s:] if upper else BT
         tile, tmp = (buf[: len(rows) * cols.shape[1]].reshape(len(rows), -1) for buf in bufs)
         np.subtract(rows[:, :1], cols[0], out=tile)
         np.abs(tile, out=tile)
@@ -262,6 +306,27 @@ def _keep_nearer(dist, idx, d, cand) -> None:
     idx[better] = cand[better]
 
 
+def _nearest_from_blocks(task) -> tuple:
+    """(distance, index) for all rows of X over the pairs whose lower row is in [start, stop).
+
+    A row that meets no such pair keeps distance inf. Within the group, ties
+    go to the lowest index, as in the whole search.
+    """
+    X, start, stop = task
+    n = len(X)
+    dist = np.full(n, np.inf)
+    idx = np.zeros(n, dtype=np.int64)
+    for s, tile in _linf_tiles(X, X, upper=True, start=start, stop=stop):
+        r = len(tile)
+        e = s + r
+        tile[np.arange(r), np.arange(r)] = np.inf
+        # Later rows' candidates from this block, then this block's own rows.
+        # Earlier blocks hold lower indices, so a tie keeps what is held.
+        _keep_nearer(dist[e:], idx[e:], tile[:, r:].min(0), s + tile[:, r:].argmin(0))
+        _keep_nearer(dist[s:e], idx[s:e], tile.min(1), s + tile.argmin(1))
+    return dist, idx
+
+
 class Neighbors(NamedTuple):
     """Nearest train neighbor of each train row, aligned with dataset.rows(TRAIN)."""
 
@@ -270,14 +335,20 @@ class Neighbors(NamedTuple):
     label_gap: np.ndarray  # (n_train,) |target - neighbor's target|
 
 
-def compute_neighbors(dataset: Dataset) -> Neighbors:
+def compute_neighbors(dataset: Dataset, jobs: int = 1) -> Neighbors:
     """Nearest neighbor among the other train rows, for every train row.
 
     Expects features to be normalized already; distances are L-inf. The
     search is exact and symmetric: since d(i, j) equals d(j, i) bit for bit,
     row block [s, e) is compared only with columns j >= s, and a running
     column minimum carries each tile's result to the later rows. Ties go to
-    the lowest index. Memory is two (rows, n) tiles.
+    the lowest index. Memory is two (rows, n) tiles per worker.
+
+    The row blocks are cut into up to jobs contiguous groups of about equal
+    upper-triangle area, searched in parallel (pmap). Each pair's distance is
+    computed in exactly one group, by the same operations as in one pass, and
+    a later group only offers higher indices, so merging the groups in order
+    by strictly smaller distance gives the same result for any jobs.
     """
     rows = dataset.rows(TRAIN)
     n = len(rows)
@@ -285,16 +356,17 @@ def compute_neighbors(dataset: Dataset) -> Neighbors:
         raise DataError("nearest-neighbor computation needs at least 2 train rows")
     X = dataset.features[rows]
     y = dataset.targets[rows]
-    dist = np.full(n, np.inf)
-    idx = np.zeros(n, dtype=np.int64)
-    for s, tile in _linf_tiles(X, X, upper=True):
-        r = len(tile)
-        e = s + r
-        tile[np.arange(r), np.arange(r)] = np.inf
-        # Later rows' candidates from this block, then this block's own rows.
-        # Earlier blocks hold lower indices, so a tie keeps what is held.
-        _keep_nearer(dist[e:], idx[e:], tile[:, r:].min(0), s + tile[:, r:].argmin(0))
-        _keep_nearer(dist[s:e], idx[s:e], tile.min(1), s + tile.argmin(1))
+    step = _tile_rows(n, n)
+    n_blocks = -(-n // step)
+    jobs = max(1, int(jobs))
+    # The k-th cut leaves k/jobs of the triangle's area above it.
+    cuts = sorted({min(n, step * round(n_blocks * (1 - math.sqrt(1 - k / jobs))))
+                   for k in range(jobs + 1)})
+    groups = [(X, a, b) for a, b in zip(cuts, cuts[1:])]
+    found = pmap(_nearest_from_blocks, groups, jobs=len(groups))
+    dist, idx = found[0]
+    for d, cand in found[1:]:
+        _keep_nearer(dist, idx, d, cand)
     return Neighbors(rows[idx], dist, np.abs(y - y[idx]))
 
 
@@ -325,6 +397,11 @@ def save_dataset_cache(path, dataset: Dataset, norm: Normalizer, neighbors: Neig
 
     provenance, if given, is stored as is: a flat JSON object of the fields
     the cache was built from, which load_dataset_cache can later check.
+
+    The bytes are those of json.dump(doc, f, sort_keys=True) plus a newline,
+    but each piece is made by json.dumps, which uses the C encoder (json.dump
+    always runs the pure-Python one). The features go out one row at a time,
+    so the whole document never exists as one string.
     """
     if dataset.split is None:
         raise DataError("cannot cache a dataset without split assignment")
@@ -332,7 +409,7 @@ def save_dataset_cache(path, dataset: Dataset, norm: Normalizer, neighbors: Neig
         "name": dataset.name,
         "target_bounded_01": dataset.target_bounded_01,
         "feature_names": list(dataset.feature_names),
-        "features": [row.tolist() for row in dataset.features],
+        "features": None,  # streamed row by row below
         "targets": dataset.targets.tolist(),
         "split": [SPLIT_NAMES[s] for s in dataset.split],
         "normalizer": {"mean": norm.mean.tolist(), "std": norm.std.tolist()},
@@ -341,8 +418,16 @@ def save_dataset_cache(path, dataset: Dataset, norm: Normalizer, neighbors: Neig
     if provenance is not None:
         doc["provenance"] = provenance
     with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True)
-        f.write("\n")
+        for i, key in enumerate(sorted(doc)):
+            f.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
+            if key != "features":
+                f.write(json.dumps(doc[key], sort_keys=True))
+                continue
+            f.write("[")
+            for r, row in enumerate(dataset.features):
+                f.write((", " if r else "") + json.dumps(row.tolist()))
+            f.write("]")
+        f.write("}\n")
 
 
 def check_provenance(what: str, stamped: dict, provenance: dict, remedy: str) -> None:

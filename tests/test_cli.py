@@ -11,7 +11,8 @@ from regrobust.config import load_experiment_config
 
 from conftest import BOSTON_CSV
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+REPO = Path(__file__).resolve().parents[1]
+CONFIGS = REPO / "configs"
 
 
 def write_synthetic_csv(path, n=80, seed=0):
@@ -219,6 +220,31 @@ class TestStaleTuned:
         assert [json.loads(t)["source"] for t in trials].count("injected") == 2
 
 
+    @pytest.mark.parametrize(
+        "edit,field",
+        [
+            (lambda doc: doc["train"].update(epochs=7), "train.epochs=5"),
+            (lambda doc: doc["search"].update(beta=[1.0, 2.0]), "search.beta=[0.5, 8.0]"),
+            (lambda doc: doc.update(n_samples=4), "n_samples=8"),
+        ],
+        ids=["train-epochs", "search-beta", "n-samples"],
+    )
+    def test_evaluate_rejects_tuned_config_of_other_settings(self, workspace, capsys, edit,
+                                                              field):
+        tmp, cfg = workspace
+        doc = json.loads(cfg.read_text())
+        doc["train"]["epochs"] = 5
+        cfg.write_text(json.dumps(doc))
+        assert main(["tune", "--config", str(cfg)]) == 0
+        edit(doc)
+        cfg.write_text(json.dumps(doc))
+        assert main(["evaluate", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert f"tuned_ansr.json was tuned with {field} but this run has" in err["message"]
+        assert not (tmp / "out" / "cells.csv").exists()
+
+
 class TestTuneEvaluateReport:
     def test_full_pipeline(self, workspace, capsys):
         tmp, cfg = workspace
@@ -311,6 +337,17 @@ class TestDeterminism:
         a = self._run(tmp, cfg, tmp / "o1", jobs=1)
         b = self._run(tmp, cfg, tmp / "o2", jobs=2)
         assert a == b
+
+    @pytest.mark.parametrize("name", ["synthetic", "boston"])
+    def test_prepare_cache_byte_identical_across_jobs(self, tmp_path, name):
+        # Boston's 304 train rows make two row blocks, so --jobs 3 searches
+        # them in two workers; both caches must equal the tracked one.
+        for jobs in (1, 3):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["prepare", "--config", str(CONFIGS / f"{name}.json"),
+                         "--out", str(out), "--jobs", str(jobs)]) == 0
+            assert (out / "dataset_cache.json").read_bytes() == \
+                (REPO / "out" / name / "dataset_cache.json").read_bytes()
 
     def test_seed_changes_results(self, workspace):
         tmp, cfg = workspace

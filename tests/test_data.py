@@ -1,10 +1,14 @@
+import csv
 import json
+import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from regrobust.data import (
+    NA_MARKERS,
     TEST,
     TRAIN,
     VAL,
@@ -101,6 +105,51 @@ class TestLoadCsv:
         assert ds.n_rows == 506 and ds.n_features == 13
         assert ds.targets.min() == 5.0 and ds.targets.max() == 50.0
         assert ds.feature_names[0] == "CRIM"
+
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "1e400", "-1e309"])
+    def test_infinite_cell_names_line_and_column(self, tmp_path, cell):
+        p = write(tmp_path, f"a,b,target\n1,2,3\n4,5,6\n7,{cell},9\n")
+        with pytest.raises(DataError, match=rf"line 4, column 'b': '{cell}' is not a finite"):
+            load_csv(p, target_column="target")
+
+    @pytest.mark.parametrize("missing", ["drop_rows", "drop_columns"])
+    def test_infinite_target_rejected_under_any_policy(self, tmp_path, missing):
+        p = write(tmp_path, "a,target\n1,2\nNA,3\n5,inf\n")
+        with pytest.raises(DataError, match=r"line 4, column 'target': 'inf'"):
+            load_csv(p, target_column="target", missing=missing)
+
+
+def reference_cell(cell: str):
+    """What the per-cell parse makes of one cell: its float, or the start of its error."""
+    cell = cell.strip()
+    if cell.lower() in NA_MARKERS:
+        return "missing values on line"
+    try:
+        v = float(cell)
+    except ValueError:
+        return "line 3, column 'a': cannot parse"
+    if math.isnan(v):
+        return "missing values on line"
+    return v if math.isfinite(v) else "line 3, column 'a':"
+
+
+# Cells as written in the file: the quoted ones reach the parser unquoted.
+CSV_CELLS = [" 1.5 ", "+1", "-0", "1_000", "1e400", ".5", "\u0661\u0662\u0663", "", "0x10",
+             '"1,5"', '"2.5"', "nan", "-inf", "5e-324", "1e308", "NA", "bogus"]
+
+
+@pytest.mark.parametrize("raw", CSV_CELLS, ids=repr)
+def test_load_csv_matches_per_cell_float(tmp_path, raw):
+    p = tmp_path / "d.csv"
+    p.write_text(f"a,target\n0.25,1\n{raw},2\n-3.5,3\n", encoding="utf-8")
+    want = reference_cell((next(csv.reader([raw])) or [""])[0])
+    if isinstance(want, str):
+        with pytest.raises(DataError, match=re.escape(want)):
+            load_csv(p, target_column="target")
+        return
+    ds = load_csv(p, target_column="target")
+    expected = np.array([[0.25], [want], [-3.5]])
+    assert ds.features.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 class TestSplit:
@@ -306,14 +355,17 @@ class TestNeighbors:
         assert np.array_equal(d, [1.0, 0.5])
 
 
+JOBS = (1, 2, 3)
+
+
 def linf_matrix(A, B):
     """Full (len(A), len(B)) L-inf distance matrix in one broadcast: the oracle."""
     return np.abs(A[:, None, :] - B[None, :, :]).max(axis=2)
 
 
-def assert_neighbors_exact(X, y):
+def assert_neighbors_exact(X, y, jobs=1):
     ds = Dataset(features=X, targets=y, split=np.full(len(X), TRAIN))
-    nb = compute_neighbors(ds)
+    nb = compute_neighbors(ds, jobs=jobs)
     d = linf_matrix(X, X)
     np.fill_diagonal(d, np.inf)
     j = d.argmin(axis=1)  # lowest index among ties
@@ -323,26 +375,38 @@ def assert_neighbors_exact(X, y):
 
 
 class TestTiledSearchExact:
-    """compute_neighbors and nearest_train_distance against the full matrix, with ==."""
+    """compute_neighbors and nearest_train_distance against the full matrix, with ==.
+
+    Every compute_neighbors case runs at jobs 1, 2 and 3: the row blocks split
+    into that many groups, searched in worker processes and merged.
+    """
 
     def test_many_tiles_continuous(self):
         rng = np.random.default_rng(41)
-        assert_neighbors_exact(rng.normal(size=(700, 3)), rng.normal(size=700))
+        X, y = rng.normal(size=(700, 3)), rng.normal(size=700)
+        for jobs in JOBS:
+            assert_neighbors_exact(X, y, jobs)
 
     def test_many_tiles_integer_ties_and_duplicates(self):
         rng = np.random.default_rng(42)
         X = rng.integers(0, 3, size=(650, 2)).astype(np.float64)
         assert len(np.unique(X, axis=0)) < 10  # nearly every row has duplicates
-        assert_neighbors_exact(X, rng.integers(0, 5, size=650).astype(np.float64))
+        y = rng.integers(0, 5, size=650).astype(np.float64)
+        for jobs in JOBS:
+            assert_neighbors_exact(X, y, jobs)
 
     def test_one_feature(self):
         rng = np.random.default_rng(43)
-        assert_neighbors_exact(rng.integers(0, 50, size=(640, 1)).astype(np.float64),
-                               rng.normal(size=640))
+        X, y = rng.integers(0, 50, size=(640, 1)).astype(np.float64), rng.normal(size=640)
+        for jobs in JOBS:
+            assert_neighbors_exact(X, y, jobs)
 
     def test_two_rows(self):
-        assert_neighbors_exact(np.array([[0.5, -1.0], [2.0, 3.0]]), np.array([1.0, -2.0]))
-        assert_neighbors_exact(np.array([[1.0], [1.0]]), np.array([0.0, 0.0]))
+        # One row block, so jobs > 1 leaves a single group.
+        for jobs in JOBS:
+            assert_neighbors_exact(np.array([[0.5, -1.0], [2.0, 3.0]]), np.array([1.0, -2.0]),
+                                   jobs)
+            assert_neighbors_exact(np.array([[1.0], [1.0]]), np.array([0.0, 0.0]), jobs)
 
     @pytest.mark.parametrize("integer", [False, True], ids=["normal", "integer"])
     def test_nearest_train_distance_many_tiles(self, integer):
@@ -407,6 +471,35 @@ class TestCache:
         save_dataset_cache(p1, ds, norm, nb)
         save_dataset_cache(p2, ds, norm, nb)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_bytes_match_reference_json_dump(self, tmp_path):
+        # Edge floats, non-ASCII names (escaped by the default ensure_ascii)
+        # and a provenance block, against json.dumps of the whole document.
+        ds, norm, nb = self._prepared()
+        features = ds.features.copy()
+        features[:4, 0] = [-0.0, 2.2250738585072014e-309, 5e-324, 1e308]
+        ds = Dataset(features=features, targets=ds.targets, split=ds.split,
+                     name="Bost\u00f6n \u623f",
+                     feature_names=("\u00e9t\u00e9", "\u03b2", "x\U0001f600"))
+        provenance = {"seed": 3, "fractions": [0.6, 0.2, 0.2], "dataset.name": ds.name,
+                      "csv_sha256": "ab" * 32}
+        p = tmp_path / "cache.json"
+        save_dataset_cache(p, ds, norm, nb, provenance)
+        doc = {
+            "name": ds.name,
+            "target_bounded_01": ds.target_bounded_01,
+            "feature_names": list(ds.feature_names),
+            "features": ds.features.tolist(),
+            "targets": ds.targets.tolist(),
+            "split": [("train", "val", "test")[s] for s in ds.split],
+            "normalizer": {"mean": norm.mean.tolist(), "std": norm.std.tolist()},
+            "neighbors": {"index": nb.index.tolist(), "distance": nb.distance.tolist(),
+                          "label_gap": nb.label_gap.tolist()},
+            "provenance": provenance,
+        }
+        assert p.read_text(encoding="ascii") == json.dumps(doc, sort_keys=True) + "\n"
+        ds2 = load_dataset_cache(p)[0]
+        assert ds2.features.view(np.int64).tolist() == features.view(np.int64).tolist()
 
     def test_malformed_cache_rejected(self, tmp_path):
         p = tmp_path / "bad.json"

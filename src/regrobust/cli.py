@@ -74,7 +74,8 @@ def _tuned_stamp(cfg: ExperimentConfig, provenance: dict) -> dict:
 
     The data provenance, then every train field but the seed (training seeds
     derive from the top-level seed, which the provenance holds), the search
-    ranges, n_trials and objective, and n_samples, keyed by their config path.
+    ranges, n_trials and objective, the attack the objective uses (null for
+    val_mse_clean), and n_samples, keyed by their config path.
     """
     train = section_to_dict(cfg.train)
     del train["seed"]
@@ -83,6 +84,8 @@ def _tuned_stamp(cfg: ExperimentConfig, provenance: dict) -> dict:
         **{f"train.{k}": v for k, v in train.items()},
         **{f"search.{k}": v for k, v in section_to_dict(cfg.search).items()},
         "search.objective": cfg.objective,
+        "search.attack": (section_to_dict(cfg.tuning_attack)
+                          if cfg.objective == "val_mse_pgd" else None),
         "n_samples": cfg.n_samples,
     }
 
@@ -155,8 +158,6 @@ def _combined_candidates(out: Path, cfg: ExperimentConfig, provenance: dict):
 
 def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
     ds, neighbors, provenance = _load_or_prepare(cfg, out)
-    pgd_attacks = [a for a in cfg.attacks if a.kind == "pgd"]
-    attack = pgd_attacks[0] if pgd_attacks else None
     tuned_any = False
     for entry in cfg.defenses:
         if not entry.tune:
@@ -173,7 +174,7 @@ def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
             seed=derive_seed(cfg.seed, "tune", kind),
             train_cfg=replace(cfg.train, seed=derive_seed(cfg.seed, "tune-train", kind)),
             neighbors=neighbors,
-            attack=attack,
+            attack=cfg.tuning_attack,
             candidates=candidates,
             n_samples=cfg.n_samples,
             jobs=cfg.jobs,

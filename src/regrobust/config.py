@@ -12,7 +12,7 @@ start with the offending field path.
 import json
 from dataclasses import MISSING, dataclass, field, fields
 
-from .attacks import AttackConfig
+from .attacks import DEFAULT_PGD, AttackConfig
 from .defenses import DefenseConfig
 from .errors import ConfigError
 from .training import OBJECTIVES, SearchSpace, TrainConfig
@@ -53,6 +53,12 @@ class ExperimentConfig:
     n_samples: int = 100
     n_seeds: int = 6
     jobs: int = 1
+    tuning_attack: AttackConfig = field(init=False)  # derived; not a JSON key
+
+    def __post_init__(self):
+        # The attack tune optimises: the first pgd entry, else DEFAULT_PGD. Fixed
+        # here, so narrowing attacks afterwards (--attack) leaves it unchanged.
+        self.tuning_attack = next((a for a in self.attacks if a.kind == "pgd"), DEFAULT_PGD)
 
 
 _JSON_KEYS = {"lam": "lambda"}  # field name -> JSON key, where they differ
@@ -139,8 +145,8 @@ def _entries(doc, key: str, parse) -> list:
     return entries
 
 
-# Top-level keys: every ExperimentConfig field but objective, which sits in search.
-_TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "objective")
+# Top-level keys: every ExperimentConfig init field but objective, which sits in search.
+_TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.init and f.name != "objective")
 
 
 def load_experiment_config(path) -> ExperimentConfig:

@@ -12,12 +12,16 @@ merged exactly, so the result does not depend on jobs.
 
 Each set-up artifact is made in one pass: the CSV is converted in one numpy
 call (a per-cell loop runs only for files with missing or malformed cells),
-and the dataset cache is written with the C JSON encoder, one features row
-at a time, in exactly the bytes of json.dump(doc, sort_keys=True).
+and the dataset cache is written with the C JSON encoder in exactly the
+bytes of json.dump(doc, sort_keys=True).
 
-Neighbors are three arrays aligned with the train rows (``Neighbors``), and
-the dataset cache stores them as the same three columns.
+The dataset cache is one JSON document. Its only (N, D) block, the features,
+is stored as the base64 of its little-endian float64 bytes, so it is written
+and read at C speed, takes about half the bytes of decimal text and keeps
+every bit. Neighbors are three arrays aligned with the train rows
+(``Neighbors``), and the cache stores them as the same three JSON columns.
 """
+import base64
 import csv
 import json
 import math
@@ -392,7 +396,9 @@ def save_dataset_cache(path, dataset: Dataset, norm: Normalizer, neighbors: Neig
                        provenance: dict | None = None) -> None:
     """Write the prepared dataset (already normalized) plus its neighbors as JSON.
 
-    The neighbors are stored as columns: {"index": [...], "distance": [...],
+    The features are one block: {"base64": <standard base64 of the row-major
+    '<f8' bytes>, "dtype": "<f8", "shape": [N, D]}. Every other key is plain
+    JSON; the neighbors are columns {"index": [...], "distance": [...],
     "label_gap": [...]}, aligned with the train rows.
 
     provenance, if given, is stored as is: a flat JSON object of the fields
@@ -400,8 +406,8 @@ def save_dataset_cache(path, dataset: Dataset, norm: Normalizer, neighbors: Neig
 
     The bytes are those of json.dump(doc, f, sort_keys=True) plus a newline,
     but each piece is made by json.dumps, which uses the C encoder (json.dump
-    always runs the pure-Python one). The features go out one row at a time,
-    so the whole document never exists as one string.
+    always runs the pure-Python one), and the base64 string goes straight to
+    the file, so the whole document never exists as one string.
     """
     if dataset.split is None:
         raise DataError("cannot cache a dataset without split assignment")
@@ -409,7 +415,7 @@ def save_dataset_cache(path, dataset: Dataset, norm: Normalizer, neighbors: Neig
         "name": dataset.name,
         "target_bounded_01": dataset.target_bounded_01,
         "feature_names": list(dataset.feature_names),
-        "features": None,  # streamed row by row below
+        "features": None,  # streamed below
         "targets": dataset.targets.tolist(),
         "split": [SPLIT_NAMES[s] for s in dataset.split],
         "normalizer": {"mean": norm.mean.tolist(), "std": norm.std.tolist()},
@@ -423,11 +429,21 @@ def save_dataset_cache(path, dataset: Dataset, norm: Normalizer, neighbors: Neig
             if key != "features":
                 f.write(json.dumps(doc[key], sort_keys=True))
                 continue
-            f.write("[")
-            for r, row in enumerate(dataset.features):
-                f.write((", " if r else "") + json.dumps(row.tolist()))
-            f.write("]")
+            f.write('{"base64": "')
+            f.write(base64.b64encode(dataset.features.astype("<f8").tobytes()).decode("ascii"))
+            f.write(f'", "dtype": "<f8", "shape": {json.dumps(list(dataset.features.shape))}}}')
         f.write("}\n")
+
+
+def _features_from_block(block, n: int, d: int) -> np.ndarray:
+    """The (n, d) float64 array of a cache's features block, as a writable copy."""
+    if not isinstance(block, dict) or block.get("dtype") != "<f8" \
+            or block.get("shape") != [n, d]:
+        raise ValueError(f"features must be a '<f8' block of shape [{n}, {d}]")
+    raw = base64.b64decode(block["base64"], validate=True)
+    if len(raw) != 8 * n * d:
+        raise ValueError(f"features block holds {len(raw)} bytes, expected {8 * n * d}")
+    return np.frombuffer(raw, dtype="<f8").reshape(n, d).astype(np.float64)
 
 
 def check_provenance(what: str, stamped: dict, provenance: dict, remedy: str) -> None:
@@ -447,6 +463,9 @@ def check_provenance(what: str, stamped: dict, provenance: dict, remedy: str) ->
 def load_dataset_cache(path, provenance: dict | None = None):
     """Inverse of save_dataset_cache. Returns (dataset, normalizer, neighbors).
 
+    The features block must say dtype "<f8" and shape [len(targets),
+    len(feature_names)], and its base64 must be valid and decode to exactly
+    8 * N * D bytes; the array returned is a writable native float64 copy.
     The neighbor columns must hold exactly one entry per train row, with
     finite, non-negative distances and gaps. If provenance is given, every
     field of it must equal the cache's stamp; otherwise a ConfigError names
@@ -457,7 +476,8 @@ def load_dataset_cache(path, provenance: dict | None = None):
             doc = json.load(f)
         split = np.array([SPLIT_NAMES.index(s) for s in doc["split"]], dtype=np.int64)
         dataset = Dataset(
-            features=np.asarray(doc["features"], dtype=np.float64),
+            features=_features_from_block(doc["features"], len(doc["targets"]),
+                                          len(doc["feature_names"])),
             targets=np.asarray(doc["targets"], dtype=np.float64),
             split=split,
             name=doc["name"],

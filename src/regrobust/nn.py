@@ -10,7 +10,6 @@ contraction (_param_grad) over the cached forward intermediates. ReLU'(0) is
 taken to be 0, and all analytic gradients are exact for the piecewise-linear
 network, which is what the finite-difference test suites check against.
 """
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,40 +249,3 @@ def grad_penalty_batch(
     grad[:n_w1] += (dz.T @ s).ravel()
     grad[n_w1 + net.hidden_dim : -1] += ((v * mask) * g_u[:, None]).sum(axis=0)
     return penalties, sigma * grad
-
-
-def net_to_dict(net: RegressionNet) -> dict:
-    return {
-        "input_dim": net.input_dim,
-        "hidden_dim": net.hidden_dim,
-        "output_activation": net.output_activation,
-        "w1": net.w1.ravel().tolist(),
-        "b1": net.b1.tolist(),
-        "w2": net.w2.tolist(),
-        "b2": net.b2,
-    }
-
-
-def net_from_dict(d: dict) -> RegressionNet:
-    try:
-        h, di = int(d["hidden_dim"]), int(d["input_dim"])
-        return RegressionNet(
-            w1=np.asarray(d["w1"], dtype=np.float64).reshape(h, di),
-            b1=np.asarray(d["b1"], dtype=np.float64),
-            w2=np.asarray(d["w2"], dtype=np.float64),
-            b2=float(d["b2"]),
-            output_activation=d.get("output_activation", "identity"),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"malformed network dict: {e}") from e
-
-
-def save_net(net: RegressionNet, path) -> None:
-    with open(path, "w") as f:
-        json.dump(net_to_dict(net), f, sort_keys=True)
-        f.write("\n")
-
-
-def load_net(path) -> RegressionNet:
-    with open(path) as f:
-        return net_from_dict(json.load(f))

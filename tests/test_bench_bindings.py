@@ -5,12 +5,16 @@ layer untraced (or break the call counts run.py checks) only at benchmark
 time. These tests read the tracer's tables without installing it.
 """
 import importlib
+import json
 import types
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+from regrobust.cli import main
+
+REPO = Path(__file__).resolve().parents[1]
+TRACER = REPO / "bench" / "tracer.py"
 
 
 def _tracer():
@@ -39,3 +43,15 @@ def test_pmap_caller_binds_pmap(module_name):
 def test_cli_stages_are_wrappable():
     cli = importlib.import_module("regrobust.cli")
     assert set(cli.COMMANDS) == {"prepare", "tune", "evaluate", "report"}
+
+
+def test_cache_fields_read_by_run_py(tmp_path):
+    # bench/run.py counts train rows from split and features from feature_names.
+    assert main(["prepare", "--config", str(REPO / "configs" / "synthetic.json"),
+                 "--out", str(tmp_path)]) == 0
+    cache = json.loads((tmp_path / "dataset_cache.json").read_text())
+    n, d = len(cache["targets"]), len(cache["normalizer"]["mean"])
+    assert isinstance(cache["split"], list) and len(cache["split"]) == n
+    assert set(cache["split"]) <= {"train", "val", "test"}
+    assert isinstance(cache["feature_names"], list) and len(cache["feature_names"]) == d
+    assert all(isinstance(name, str) for name in cache["feature_names"])

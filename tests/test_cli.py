@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -94,11 +97,21 @@ class TestPrepare:
         assert main(["prepare", "--config", str(cfg)]) == 0
         doc = json.loads((tmp_path / "out" / "dataset_cache.json").read_text())
         assert len(doc["targets"]) == 506
-        assert len(doc["features"][0]) == 13
+        assert doc["features"]["shape"] == [506, 13]
         counts = {s: doc["split"].count(s) for s in ("train", "val", "test")}
         assert counts == {"train": 304, "val": 101, "test": 101}
         assert {k: len(v) for k, v in doc["neighbors"].items()} == \
             {"index": 304, "distance": 304, "label_gap": 304}
+
+    def test_one_job_never_imports_process_pool(self, tmp_path):
+        script = ("import sys; from regrobust.cli import main; "
+                  f"assert main(['prepare', '--config', {str(CONFIGS / 'synthetic.json')!r}, "
+                  f"'--out', {str(tmp_path)!r}, '--jobs', '1']) == 0; "
+                  "assert 'concurrent.futures' not in sys.modules, 'pool imported'")
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=REPO, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_missing_csv_is_machine_parseable_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", tmp_path / "nope.csv", tmp_path / "out")
@@ -226,8 +239,10 @@ class TestStaleTuned:
             (lambda doc: doc["train"].update(epochs=7), "train.epochs=5"),
             (lambda doc: doc["search"].update(beta=[1.0, 2.0]), "search.beta=[0.5, 8.0]"),
             (lambda doc: doc.update(n_samples=4), "n_samples=8"),
+            (lambda doc: doc["attacks"][2].update(rho=0.3),
+             "search.attack={'epsilon': 0.025, 'kind': 'pgd', 'rho': 0.1, 'steps': 5}"),
         ],
-        ids=["train-epochs", "search-beta", "n-samples"],
+        ids=["train-epochs", "search-beta", "n-samples", "tuning-attack-rho"],
     )
     def test_evaluate_rejects_tuned_config_of_other_settings(self, workspace, capsys, edit,
                                                               field):
@@ -243,6 +258,17 @@ class TestStaleTuned:
         assert err["error"] == "ConfigError"
         assert f"tuned_ansr.json was tuned with {field} but this run has" in err["message"]
         assert not (tmp / "out" / "cells.csv").exists()
+
+    def test_attack_filter_keeps_tuned_config_valid(self, workspace):
+        # --attack fgsm leaves no pgd entry, but the tuning attack is the config's.
+        tmp, cfg = workspace
+        doc = json.loads(cfg.read_text())
+        doc["train"]["epochs"] = 5
+        cfg.write_text(json.dumps(doc))
+        assert main(["tune", "--config", str(cfg)]) == 0
+        assert main(["evaluate", "--config", str(cfg), "--attack", "fgsm"]) == 0
+        with open(tmp / "out" / "cells.csv", newline="") as f:
+            assert {c["attack"] for c in csv.DictReader(f)} == {"fgsm"}
 
 
 class TestTuneEvaluateReport:

@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 import math
@@ -489,7 +490,8 @@ class TestCache:
             "name": ds.name,
             "target_bounded_01": ds.target_bounded_01,
             "feature_names": list(ds.feature_names),
-            "features": ds.features.tolist(),
+            "features": {"base64": base64.b64encode(features.astype("<f8").tobytes()).decode(),
+                         "dtype": "<f8", "shape": [40, 3]},
             "targets": ds.targets.tolist(),
             "split": [("train", "val", "test")[s] for s in ds.split],
             "normalizer": {"mean": norm.mean.tolist(), "std": norm.std.tolist()},
@@ -500,6 +502,29 @@ class TestCache:
         assert p.read_text(encoding="ascii") == json.dumps(doc, sort_keys=True) + "\n"
         ds2 = load_dataset_cache(p)[0]
         assert ds2.features.view(np.int64).tolist() == features.view(np.int64).tolist()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc, ds: doc.update(features=ds.features.tolist()),
+            lambda doc, ds: doc["features"].update(dtype="<f4"),
+            lambda doc, ds: doc["features"]["shape"].__setitem__(0, 41),
+            lambda doc, ds: doc["feature_names"].pop(),
+            lambda doc, ds: doc["features"].update(base64=doc["features"]["base64"][:-4]),
+            lambda doc, ds: doc["features"].update(base64="!" + doc["features"]["base64"]),
+        ],
+        ids=["list-format", "dtype-f4", "shape-vs-targets", "shape-vs-feature-names",
+             "truncated-base64", "non-base64-char"],
+    )
+    def test_malformed_features_rejected(self, tmp_path, edit):
+        ds, norm, nb = self._prepared()
+        p = tmp_path / "cache.json"
+        save_dataset_cache(p, ds, norm, nb)
+        doc = json.loads(p.read_text())
+        edit(doc, ds)
+        p.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="malformed .*run prepare again"):
+            load_dataset_cache(p)
 
     def test_malformed_cache_rejected(self, tmp_path):
         p = tmp_path / "bad.json"

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,11 +11,7 @@ from regrobust.nn import (
     grad_penalty_batch,
     initialize,
     input_gradient,
-    load_net,
-    net_from_dict,
-    net_to_dict,
     params_to_vector,
-    save_net,
     vector_to_net,
 )
 
@@ -193,28 +187,6 @@ class TestGradPenalty:
 
 
 class TestSerialization:
-    def test_roundtrip_bit_exact(self, rng):
-        net = random_net(rng, input_dim=4, output_activation="sigmoid")
-        # Awkward values survive the repr-based JSON float round-trip.
-        net.w1[0, 0] = 1.0 / 3.0
-        net.w2[1] = 1e-17
-        back = net_from_dict(json.loads(json.dumps(net_to_dict(net))))
-        assert np.array_equal(back.w1, net.w1)
-        assert np.array_equal(back.b1, net.b1)
-        assert np.array_equal(back.w2, net.w2)
-        assert back.b2 == net.b2
-        assert back.output_activation == net.output_activation
-
-    def test_file_roundtrip(self, rng, tmp_path):
-        net = random_net(rng)
-        save_net(net, tmp_path / "net.json")
-        back = load_net(tmp_path / "net.json")
-        assert np.array_equal(back.w1, net.w1) and back.b2 == net.b2
-
-    def test_malformed_dict_raises(self):
-        with pytest.raises(ConfigError):
-            net_from_dict({"input_dim": 2})
-
     def test_params_vector_roundtrip(self, rng):
         net = random_net(rng, input_dim=3, hidden_dim=2)
         theta = params_to_vector(net)

@@ -74,8 +74,8 @@ def _tuned_stamp(cfg: ExperimentConfig, provenance: dict) -> dict:
 
     The data provenance, then every train field but the seed (training seeds
     derive from the top-level seed, which the provenance holds), the search
-    ranges, n_trials and objective, the attack the objective uses (null for
-    val_mse_clean), and n_samples, keyed by their config path.
+    fields (ranges, n_trials, objective), the attack the objective uses
+    (null for val_mse_clean), and n_samples, keyed by their config path.
     """
     train = section_to_dict(cfg.train)
     del train["seed"]
@@ -83,9 +83,8 @@ def _tuned_stamp(cfg: ExperimentConfig, provenance: dict) -> dict:
         **provenance,
         **{f"train.{k}": v for k, v in train.items()},
         **{f"search.{k}": v for k, v in section_to_dict(cfg.search).items()},
-        "search.objective": cfg.objective,
         "search.attack": (section_to_dict(cfg.tuning_attack)
-                          if cfg.objective == "val_mse_pgd" else None),
+                          if cfg.search.objective == "val_mse_pgd" else None),
         "n_samples": cfg.n_samples,
     }
 
@@ -123,11 +122,19 @@ def _tuned_path(out: Path, kind: str) -> Path:
 def _read_tuned(out: Path, kind: str, cfg: ExperimentConfig, provenance: dict):
     """The tuned config of one defense kind, checked against this run's tuned stamp."""
     path = _tuned_path(out, kind)
-    with open(path) as f:
-        doc = json.load(f)
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"cannot read tuned config {path}: {e}; run tune again") from e
+    if not isinstance(doc, dict):
+        raise ConfigError(f"tuned config {path} is not a JSON object; run tune again")
     data_mod.check_provenance(f"{path} was tuned", doc.get("provenance") or {},
                               _tuned_stamp(cfg, provenance), "run tune again")
-    return parse_defense_config(doc.get("config"), f"tuned:{path}", n_samples=cfg.n_samples)
+    tuned = parse_defense_config(doc.get("config"), f"tuned:{path}", n_samples=cfg.n_samples)
+    if tuned.kind != kind:
+        raise ConfigError(f"{path} holds a {tuned.kind!r} config; run tune again")
+    return tuned
 
 
 def _combined_candidates(out: Path, cfg: ExperimentConfig, provenance: dict):
@@ -170,7 +177,6 @@ def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
             ds,
             kind,
             cfg.search,
-            cfg.objective,
             seed=derive_seed(cfg.seed, "tune", kind),
             train_cfg=replace(cfg.train, seed=derive_seed(cfg.seed, "tune-train", kind)),
             neighbors=neighbors,
@@ -183,7 +189,7 @@ def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
             json.dump(
                 {
                     "kind": kind,
-                    "objective": cfg.objective,
+                    "objective": cfg.search.objective,
                     "best_value": best.value,
                     "best_trial": best.trial,
                     "n_trials": len(records),
@@ -210,7 +216,7 @@ def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
                     )
                     + "\n"
                 )
-        print(f"tuned {kind}: best {cfg.objective}={best.value:.6g} "
+        print(f"tuned {kind}: best {cfg.search.objective}={best.value:.6g} "
               f"(trial {best.trial}/{len(records)}) -> {_tuned_path(out, kind)}")
     if not tuned_any:
         print("nothing to tune: no defense entry has tune=true")
@@ -232,37 +238,30 @@ def _resolve_defense(entry, out: Path, cfg: ExperimentConfig, provenance: dict):
 def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     ds, neighbors, provenance = _load_or_prepare(cfg, out)
     # Every tuned config is read and checked before any model is trained.
-    defenses = [(e.label, _resolve_defense(e, out, cfg, provenance))
-                for e in cfg.defenses]
+    defenses = [_resolve_defense(e, out, cfg, provenance) for e in cfg.defenses]
     test_nn = data_mod.nearest_train_distance(ds, ds.features[ds.rows(data_mod.TEST)])
     cells = []
-    profiles = []
+    points = []
     try:
-        for label, defense in defenses:
-            train_cfg = replace(cfg.train, seed=derive_seed(cfg.seed, "eval", label))
-            models = train_models(
-                ds, defense, train_cfg, cfg.n_seeds,
-                neighbors=neighbors, label=label, jobs=cfg.jobs,
-            )
+        for defense in defenses:
+            train_cfg = replace(cfg.train, seed=derive_seed(cfg.seed, "eval", defense.kind))
+            models = train_models(ds, defense, train_cfg, cfg.n_seeds,
+                                  neighbors=neighbors, jobs=cfg.jobs)
             for attack in cfg.attacks:
-                cells.extend(
-                    evaluate_cell(ds, defense, attack, models, defense_label=label)
-                )
+                cells.extend(evaluate_cell(ds, defense, attack, models))
                 if attack.kind == "pgd":
-                    for i, net in models:
-                        records = perturbation_profile(net, ds, attack, test_nn)
-                        profiles.append((label, attack.kind, i, records))
-            print(f"evaluated {label}: {len(cfg.attacks)} attack(s) x {cfg.n_seeds} seed(s)")
+                    points.extend(perturbation_profile(ds, defense, attack, models, test_nn))
+            print(f"evaluated {defense.kind}: {len(cfg.attacks)} attack(s) x {cfg.n_seeds} seed(s)")
     except RegrobustError:
         # Flush whatever finished so a long run is not lost to one bad cell.
         if cells:
             write_cells_csv(out / "cells.csv", cells)
             write_summary_json(out / "summary.json", aggregate(cells))
-        if profiles:
-            write_points_csv(out / "points.csv", profiles)
+        if points:
+            write_points_csv(out / "points.csv", points)
         raise
     write_cells_csv(out / "cells.csv", cells)
-    write_points_csv(out / "points.csv", profiles)
+    write_points_csv(out / "points.csv", points)
     write_summary_json(out / "summary.json", aggregate(cells))
     print(f"wrote {out / 'cells.csv'}, {out / 'points.csv'}, {out / 'summary.json'}")
     return 0

@@ -4,10 +4,11 @@ The config dataclasses are the schema. Each section (``dataset``, ``train``,
 ``search``, every ``defenses`` and ``attacks`` entry) is read field by field
 from its dataclass: a key is a field name (``lam`` is spelled ``"lambda"``),
 its value must match the field's annotation, and a missing key takes the
-field's default. A key that names no field fails, so a typo never falls back
-to a default unnoticed. Every default matches the standard evaluation
-protocol, so a minimal config only needs the dataset block. Validation errors
-start with the offending field path.
+field's default; ``search`` holds the fields of ``SearchSpace``, ``objective``
+among them. A key that names no field fails, so a typo never falls back to a
+default unnoticed. Every default matches the standard evaluation protocol, so
+a minimal config only needs the dataset block. Validation errors start with
+the offending field path.
 """
 import json
 from dataclasses import MISSING, dataclass, field, fields
@@ -15,7 +16,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from .attacks import DEFAULT_PGD, AttackConfig
 from .defenses import DefenseConfig
 from .errors import ConfigError
-from .training import OBJECTIVES, SearchSpace, TrainConfig
+from .training import SearchSpace, TrainConfig
 
 
 @dataclass(frozen=True)
@@ -29,14 +30,10 @@ class DatasetSpec:
 
 @dataclass(frozen=True)
 class DefenseEntry:
-    """One defense to evaluate; tune=True replaces its params via search."""
+    """One defense to evaluate, named by its kind; tune=True replaces its params via search."""
 
     config: DefenseConfig
     tune: bool = False
-
-    @property
-    def label(self) -> str:
-        return self.config.kind
 
 
 @dataclass
@@ -47,7 +44,6 @@ class ExperimentConfig:
     seed: int = 0
     train: TrainConfig = field(default_factory=TrainConfig)
     search: SearchSpace = field(default_factory=SearchSpace)
-    objective: str = "val_mse_pgd"
     defenses: list = field(default_factory=list)
     attacks: list = field(default_factory=list)
     n_samples: int = 100
@@ -145,8 +141,7 @@ def _entries(doc, key: str, parse) -> list:
     return entries
 
 
-# Top-level keys: every ExperimentConfig init field but objective, which sits in search.
-_TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.init and f.name != "objective")
+_TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.init)
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -181,12 +176,6 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(
             "train.seed: unknown field; training seeds derive from the top-level seed"
         )
-    search = doc.get("search", {})
-    space = _section(SearchSpace, search, "search", extra=("objective",))
-    objective = _check(search.get("objective", ExperimentConfig.objective), str, "search.objective")
-    if objective not in OBJECTIVES:
-        raise ConfigError(f"search.objective: must be one of {OBJECTIVES}, got {objective!r}")
-
     def defense_entry(entry, where):
         cfg = _section(DefenseConfig, entry, where, extra=("tune",), n_samples=n_samples)
         return DefenseEntry(cfg, _check(entry.get("tune", False), bool, f"{where}.tune"))
@@ -195,8 +184,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         dataset=_section(DatasetSpec, doc["dataset"], "dataset"),
         fractions=_floats(fractions, "config.fractions"),
         train=_section(TrainConfig, train, "train"),
-        search=space,
-        objective=objective,
+        search=_section(SearchSpace, doc.get("search", {}), "search"),
         defenses=_entries(doc, "defenses", defense_entry),
         attacks=_entries(doc, "attacks", lambda entry, where: _section(AttackConfig, entry, where)),
         **scalars,

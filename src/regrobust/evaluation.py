@@ -1,12 +1,14 @@
 """Test-set evaluation of defense/attack grids, plus report artifacts.
 
-Artifacts are deterministic byte-for-byte given a config and master seed:
-floats are written with repr (round-trip exact) in CSVs, and the summary JSON
-presents aggregates in 3-significant-digit scientific notation.
+Artifacts are deterministic byte-for-byte given a config and master seed.
+Each CSV has one column per field of its record dataclass, in field order,
+with floats written with repr (round-trip exact); the summary JSON presents
+aggregates in 3-significant-digit scientific notation.
 """
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -14,7 +16,7 @@ from . import data as data_mod
 from .attacks import AttackConfig, apply_attack
 from .defenses import DefenseConfig
 from .errors import DataError, TrainingDiverged
-from .nn import RegressionNet, forward
+from .nn import forward
 from .parallel import pmap
 from .seeding import derive_seed
 from .training import TrainConfig, train
@@ -56,6 +58,9 @@ class AggregateRecord:
 class PointRecord:
     """Per test point detail for one model under one attack."""
 
+    defense: str
+    attack: str
+    seed: int  # retrain seed index, 0-based
     index: int
     y: float
     pred_clean: float
@@ -66,13 +71,12 @@ class PointRecord:
 
 
 def _train_seed_worker(payload):
-    dataset, defense, train_cfg, neighbors, label, seed_index = payload
+    dataset, defense, train_cfg, neighbors, seed_index = payload
     try:
         net, _ = train(dataset, defense, train_cfg, neighbors=neighbors)
     except TrainingDiverged as e:
-        raise TrainingDiverged(
-            f"defense {label!r}, retrain seed index {seed_index} (seed {train_cfg.seed}): {e}"
-        ) from e
+        raise TrainingDiverged(f"defense {defense.kind!r}, retrain seed index {seed_index} "
+                               f"(seed {train_cfg.seed}): {e}") from e
     return net
 
 
@@ -82,7 +86,6 @@ def train_models(
     train_cfg: TrainConfig,
     n_seeds: int,
     neighbors: data_mod.Neighbors | None = None,
-    label: str | None = None,
     jobs: int = 1,
 ) -> list:
     """Train n_seeds independent models; returns [(seed_index, net), ...].
@@ -90,24 +93,16 @@ def train_models(
     Retrain seeds are derived from train_cfg.seed, so the list is identical
     for any jobs setting.
     """
-    label = label or defense.kind
     payloads = []
     for i in range(int(n_seeds)):
         cfg_i = replace(train_cfg, seed=derive_seed(train_cfg.seed, "retrain", i))
-        payloads.append((dataset, defense, cfg_i, neighbors, label, i))
+        payloads.append((dataset, defense, cfg_i, neighbors, i))
     nets = pmap(_train_seed_worker, payloads, jobs=jobs)
     return list(enumerate(nets))
 
 
-def evaluate_cell(
-    dataset,
-    defense: DefenseConfig,
-    attack: AttackConfig,
-    models: list,
-    defense_label: str | None = None,
-) -> list:
+def evaluate_cell(dataset, defense: DefenseConfig, attack: AttackConfig, models: list) -> list:
     """Test MSE of each trained model (from train_models) under one attack."""
-    label = defense_label or defense.kind
     rows = dataset.rows(data_mod.TEST)
     Xt = dataset.features[rows]
     Yt = dataset.targets[rows]
@@ -117,7 +112,7 @@ def evaluate_cell(
         out.append(
             CellRecord(
                 dataset=dataset.name,
-                defense=label,
+                defense=defense.kind,
                 attack=attack.kind,
                 seed=i,
                 test_mse=mse(Yt, forward(net, adv)),
@@ -148,8 +143,9 @@ def aggregate(cells) -> list:
     return out
 
 
-def perturbation_profile(net: RegressionNet, dataset, attack: AttackConfig, nn_dist):
-    """Per test point adversarial errors for one model.
+def perturbation_profile(dataset, defense: DefenseConfig, attack: AttackConfig, models: list,
+                         nn_dist) -> list:
+    """Per test point adversarial errors of each trained model (from train_models).
 
     Each record carries y, clean and attacked predictions, |f(x_adv) - y|,
     |f(x_adv) - f(x)|, and the point's L-inf distance to the nearest train
@@ -159,89 +155,58 @@ def perturbation_profile(net: RegressionNet, dataset, attack: AttackConfig, nn_d
     rows = dataset.rows(data_mod.TEST)
     Xt = dataset.features[rows]
     Yt = dataset.targets[rows]
-    adv = apply_attack(net, Xt, Yt, attack)
-    pred_clean = np.atleast_1d(forward(net, Xt))
-    pred_adv = np.atleast_1d(forward(net, adv))
-    abs_err = np.abs(pred_adv - Yt)
-    return [
-        PointRecord(
-            index=int(rows[k]),
-            y=float(Yt[k]),
-            pred_clean=float(pred_clean[k]),
-            pred_adv=float(pred_adv[k]),
-            abs_err_adv=float(abs_err[k]),
-            pred_shift=float(abs(pred_adv[k] - pred_clean[k])),
-            nn_train_distance=float(nn_dist[k]),
+    out = []
+    for i, net in models:
+        adv = apply_attack(net, Xt, Yt, attack)
+        pred_clean = np.atleast_1d(forward(net, Xt))
+        pred_adv = np.atleast_1d(forward(net, adv))
+        abs_err = np.abs(pred_adv - Yt)
+        out.extend(
+            PointRecord(
+                defense=defense.kind,
+                attack=attack.kind,
+                seed=i,
+                index=int(rows[k]),
+                y=float(Yt[k]),
+                pred_clean=float(pred_clean[k]),
+                pred_adv=float(pred_adv[k]),
+                abs_err_adv=float(abs_err[k]),
+                pred_shift=float(abs(pred_adv[k] - pred_clean[k])),
+                nn_train_distance=float(nn_dist[k]),
+            )
+            for k in range(len(rows))
         )
-        for k in range(len(rows))
-    ]
+    return out
 
 
-CELL_COLUMNS = ("dataset", "defense", "attack", "seed", "test_mse")
-POINT_COLUMNS = (
-    "defense",
-    "attack",
-    "seed",
-    "index",
-    "y",
-    "pred_clean",
-    "pred_adv",
-    "abs_err_adv",
-    "pred_shift",
-    "nn_train_distance",
-)
+def _write_records(path, cls, records) -> None:
+    """A CSV of records of the dataclass cls: its field names, then one row each."""
+    names = [f.name for f in fields(cls)]
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)  # floats are written with repr, so they round-trip exactly
+        w.writerow(names)
+        w.writerows(map(attrgetter(*names), records))
 
 
 def write_cells_csv(path, cells) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(CELL_COLUMNS)
-        for c in cells:
-            w.writerow([c.dataset, c.defense, c.attack, c.seed, repr(c.test_mse)])
+    _write_records(path, CellRecord, cells)
+
+
+def write_points_csv(path, points) -> None:
+    _write_records(path, PointRecord, points)
 
 
 def read_cells_csv(path) -> list:
+    specs = fields(CellRecord)
     try:
         with open(path, newline="") as f:
-            reader = csv.DictReader(f)
-            cells = [
-                CellRecord(
-                    dataset=r["dataset"],
-                    defense=r["defense"],
-                    attack=r["attack"],
-                    seed=int(r["seed"]),
-                    test_mse=float(r["test_mse"]),
-                )
-                for r in reader
-            ]
+            cells = [CellRecord(**{s.name: s.type(r[s.name]) for s in specs})
+                     for r in csv.DictReader(f)]
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"malformed cells csv {path}: {e}") from e
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e
     return cells
-
-
-def write_points_csv(path, labeled_profiles) -> None:
-    """labeled_profiles: iterable of (defense, attack, seed_index, records)."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(POINT_COLUMNS)
-        for defense, attack, seed, records in labeled_profiles:
-            for r in records:
-                w.writerow(
-                    [
-                        defense,
-                        attack,
-                        seed,
-                        r.index,
-                        repr(r.y),
-                        repr(r.pred_clean),
-                        repr(r.pred_adv),
-                        repr(r.abs_err_adv),
-                        repr(r.pred_shift),
-                        repr(r.nn_train_distance),
-                    ]
-                )
 
 
 def write_summary_json(path, aggregates) -> None:

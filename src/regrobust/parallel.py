@@ -13,5 +13,5 @@ def pmap(fn, items, jobs=1):
         return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=int(jobs)) as ex:
+    with ProcessPoolExecutor(max_workers=min(int(jobs), len(items))) as ex:
         return list(ex.map(fn, items))

@@ -134,13 +134,15 @@ def train(
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Uniform sampling intervals for each defense hyperparameter."""
+    """Uniform sampling intervals for each defense hyperparameter, the trial
+    count and the validation objective the trials are scored by."""
 
     delta: tuple = (0.01, 16.0)
     sigma: tuple = (0.01, 16.0)
     beta: tuple = (0.5, 8.0)
     lam: tuple = (0.1, 10.0)
     n_trials: int = 20
+    objective: str = "val_mse_pgd"  # one of OBJECTIVES
 
     def __post_init__(self):
         for name in ("delta", "sigma", "beta", "lam"):
@@ -149,6 +151,8 @@ class SearchSpace:
                 raise ConfigError(f"search range for {name} must satisfy 0 < lo <= hi, got {lo}, {hi}")
         if int(self.n_trials) < 1:
             raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
+        if self.objective not in OBJECTIVES:
+            raise ConfigError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
 
 
 # Which hyperparameters each defense kind actually tunes, in draw order.
@@ -204,7 +208,6 @@ def random_search(
     dataset,
     kind: str,
     space: SearchSpace,
-    objective: str,
     seed: int,
     train_cfg: TrainConfig,
     neighbors: data_mod.Neighbors | None = None,
@@ -216,13 +219,12 @@ def random_search(
     """Uniform random search over the defense's hyperparameters.
 
     Trains one model per trial (independently seeded from the master seed),
-    scores it on the validation split, and returns (best, records) where
-    records logs every trial and best is the record of the winning trial. Ties go to the earliest trial. Explicit
-    candidate configs, if given, are evaluated before the sampled ones.
+    scores it on the validation split by space.objective, and returns
+    (best, records) where records logs every trial and best is the record of
+    the winning trial. Ties go to the earliest trial. Explicit candidate
+    configs, if given, are evaluated before the sampled ones.
     Raises SearchFailed (carrying the log) if every trial diverged.
     """
-    if objective not in OBJECTIVES:
-        raise ConfigError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     if attack is None:
         attack = DEFAULT_PGD
 
@@ -236,7 +238,8 @@ def random_search(
     for k, (config, source) in enumerate(configs):
         train_seed = derive_seed(seed, "trial", k)
         payloads.append(
-            (dataset, config, replace(train_cfg, seed=train_seed), objective, attack, neighbors)
+            (dataset, config, replace(train_cfg, seed=train_seed), space.objective, attack,
+             neighbors)
         )
         records.append(
             TrialRecord(trial=k, source=source, config=config, value=float("nan"), train_seed=train_seed)

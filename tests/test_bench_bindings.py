@@ -2,10 +2,12 @@
 
 bench/tracer.py wraps globals by name; a rename in the package would leave a
 layer untraced (or break the call counts run.py checks) only at benchmark
-time. These tests read the tracer's tables without installing it.
+time. These tests read the tracer's tables without installing it, and run
+one traced benchmark iteration per stage mix on a tiny synthetic config.
 """
 import importlib
 import json
+import sys
 import types
 from pathlib import Path
 
@@ -15,16 +17,18 @@ from regrobust.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
 TRACER = REPO / "bench" / "tracer.py"
+RUN = REPO / "bench" / "run.py"
 
 
-def _tracer():
-    """bench/tracer.py as a module, compiled from its source so nothing is written there."""
-    module = types.ModuleType("bench_tracer")
-    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
+def _compiled(path: Path, name: str):
+    """A bench script as a module, compiled from its source so nothing is written there."""
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
-tracer = _tracer()
+tracer = _compiled(TRACER, "bench_tracer")
 
 
 @pytest.mark.parametrize("module_name,attr,span", tracer.BINDINGS,
@@ -55,3 +59,41 @@ def test_cache_fields_read_by_run_py(tmp_path):
     assert set(cache["split"]) <= {"train", "val", "test"}
     assert isinstance(cache["feature_names"], list) and len(cache["feature_names"]) == d
     assert all(isinstance(name, str) for name in cache["feature_names"])
+
+
+@pytest.fixture
+def bench_run(monkeypatch):
+    """bench/run.py as a module; the environment and modules it touches are restored after."""
+    monkeypatch.setitem(sys.modules, "tracer", tracer)  # run.py's `import tracer`
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # run.py pins these when it is loaded
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")  # the runner process writes no .pyc
+    return _compiled(RUN, "bench_run")
+
+
+def _tiny_config(tune: bool) -> dict:
+    cfg = json.loads((REPO / "configs" / "synthetic.json").read_text())
+    cfg["dataset"]["path"] = str(REPO / cfg["dataset"]["path"])
+    cfg["train"]["epochs"] = 2
+    cfg["search"]["n_trials"] = 2
+    cfg["defenses"] = [{"kind": "none"}, {"kind": "ansr", "tune": tune}]
+    cfg.update(n_samples=4, n_seeds=2)
+    return cfg
+
+
+@pytest.mark.parametrize("stages", [("prepare", "evaluate", "report"), ("prepare", "tune")],
+                         ids=["evaluate", "tune"])
+def test_traced_counts_match_run_py(bench_run, tmp_path, stages):
+    # A change to how often the package trains or attacks must move run.py's
+    # computed_counts with it, or every traced benchmark run fails check_trace.
+    cfg = _tiny_config(tune="tune" in stages)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    workload = bench_run.Workload("tiny-" + stages[-1], stages, make_config=None)
+    rec = bench_run.run_iteration(workload, cfg_path, cfg, tmp_path / "it", traced=True,
+                                  time_left=120.0)
+    assert rec["errors"] == []
+    assert rec["untraced_bindings"] == []
+    assert rec["diverged"] == 0
+    assert bench_run.check_trace(rec) == []
+    assert rec["trace"]["attacks.apply_attack"]["calls"] == rec["counts"]["apply_attack_calls"] > 0

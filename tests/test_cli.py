@@ -135,10 +135,13 @@ class TestPrepare:
             (lambda d: d["train"].update(seed=3),
              "train.seed: unknown field; training seeds derive from the top-level seed"),
             (lambda d: d["search"].update(n_trials=0), "search"),
+            (lambda d: d["search"].update(objective="test_mse"),
+             "search: objective must be one of"),
+            (lambda d: d["search"].update(objective=3), "search.objective: expected str"),
         ],
         ids=["defense-kind", "fractions-str", "fractions-null", "search-str", "search-null",
              "train-epoch", "defense-lam", "attack-sptes", "norm-p", "train-seed",
-             "search-n-trials"],
+             "search-n-trials", "search-objective", "search-objective-int"],
     )
     def test_invalid_config_names_field(self, workspace, capsys, edit, field):
         tmp, cfg = workspace
@@ -257,6 +260,31 @@ class TestStaleTuned:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
         assert f"tuned_ansr.json was tuned with {field} but this run has" in err["message"]
+        assert not (tmp / "out" / "cells.csv").exists()
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (lambda text: text[: len(text) // 2], "cannot read tuned config"),
+            (lambda text: f"[{text}]", "is not a JSON object"),
+            (lambda text: text.replace('"ansr"', '"grad_reg"'), "holds a 'grad_reg' config"),
+        ],
+        ids=["truncated", "list", "other-kind"],
+    )
+    def test_evaluate_rejects_corrupt_tuned_file(self, workspace, capsys, corrupt, message):
+        tmp, cfg = workspace
+        doc = json.loads(cfg.read_text())
+        doc["train"]["epochs"] = 5
+        cfg.write_text(json.dumps(doc))
+        assert main(["tune", "--config", str(cfg)]) == 0
+        tuned = tmp / "out" / "tuned_ansr.json"
+        tuned.write_text(corrupt(tuned.read_text()))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert "tuned_ansr.json" in err["message"] and message in err["message"]
+        assert err["message"].endswith("run tune again")
         assert not (tmp / "out" / "cells.csv").exists()
 
     def test_attack_filter_keeps_tuned_config_valid(self, workspace):

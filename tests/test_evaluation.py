@@ -1,6 +1,8 @@
 import csv
 import json
 import statistics
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from regrobust.errors import DataError, TrainingDiverged
 from regrobust.evaluation import (
     AggregateRecord,
     CellRecord,
+    PointRecord,
     aggregate,
     evaluate_cell,
     format_summary_table,
@@ -28,6 +31,8 @@ from regrobust.nn import RegressionNet, forward
 from regrobust.training import TrainConfig, train
 
 from conftest import random_net
+
+REFERENCE = Path(__file__).resolve().parents[1] / "out" / "boston"
 
 
 def nn_to_train(ds):
@@ -124,7 +129,8 @@ class TestEvaluateCell:
 class TestPerturbationProfile:
     def test_constant_net_has_zero_shift(self, lin_ds):
         net = RegressionNet(w1=np.zeros((1, 1)), b1=np.zeros(1), w2=np.zeros(1), b2=2.0)
-        records = perturbation_profile(net, lin_ds, DEFAULT_PGD, nn_to_train(lin_ds))
+        records = perturbation_profile(lin_ds, DefenseConfig(kind="none"), DEFAULT_PGD,
+                                       [(0, net)], nn_to_train(lin_ds))
         rows = lin_ds.rows(TEST)
         assert len(records) == len(rows)
         assert all(r.pred_shift == 0.0 for r in records)
@@ -133,7 +139,8 @@ class TestPerturbationProfile:
     def test_fields_consistent(self, lin_ds):
         cfg = TrainConfig(learning_rate=0.01, epochs=200, seed=0)
         net, _ = train(lin_ds, DefenseConfig(kind="none"), cfg)
-        records = perturbation_profile(net, lin_ds, DEFAULT_PGD, nn_to_train(lin_ds))
+        records = perturbation_profile(lin_ds, DefenseConfig(kind="none"), DEFAULT_PGD,
+                                       [(0, net)], nn_to_train(lin_ds))
         for r in records:
             assert r.abs_err_adv == pytest.approx(abs(r.pred_adv - r.y), abs=1e-15)
             assert r.pred_shift == pytest.approx(abs(r.pred_adv - r.pred_clean), abs=1e-15)
@@ -175,14 +182,34 @@ class TestArtifacts:
 
     def test_points_csv_layout(self, tmp_path, lin_ds):
         net = RegressionNet(w1=np.zeros((1, 1)), b1=np.zeros(1), w2=np.zeros(1), b2=1.0)
-        records = perturbation_profile(net, lin_ds, DEFAULT_PGD, nn_to_train(lin_ds))
+        records = perturbation_profile(lin_ds, DefenseConfig(kind="none"), DEFAULT_PGD,
+                                       [(0, net)], nn_to_train(lin_ds))
         p = tmp_path / "points.csv"
-        write_points_csv(p, [("none", "pgd", 0, records)])
+        write_points_csv(p, records)
         with open(p, newline="") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == len(records)
         assert rows[0]["defense"] == "none"
         assert float(rows[0]["pred_clean"]) == records[0].pred_clean
+
+    def test_points_csv_without_records_is_header_only(self, tmp_path):
+        # evaluate writes this when no pgd attack runs
+        p = tmp_path / "points.csv"
+        write_points_csv(p, [])
+        assert p.read_bytes() == (b"defense,attack,seed,index,y,pred_clean,pred_adv,"
+                                  b"abs_err_adv,pred_shift,nn_train_distance\r\n")
+
+    def test_writers_reproduce_tracked_reference(self, tmp_path):
+        cells = read_cells_csv(REFERENCE / "cells.csv")
+        write_cells_csv(tmp_path / "cells.csv", cells)
+        assert (tmp_path / "cells.csv").read_bytes() == (REFERENCE / "cells.csv").read_bytes()
+        specs = fields(PointRecord)
+        with open(REFERENCE / "points.csv", newline="") as f:
+            points = [PointRecord(**{s.name: s.type(r[s.name]) for s in specs})
+                      for r in csv.DictReader(f)]
+        assert len(points) == 5 * 6 * 101
+        write_points_csv(tmp_path / "points.csv", points)
+        assert (tmp_path / "points.csv").read_bytes() == (REFERENCE / "points.csv").read_bytes()
 
     def test_malformed_cells_csv_rejected(self, tmp_path):
         p = tmp_path / "cells.csv"

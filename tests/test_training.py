@@ -204,39 +204,35 @@ class TestSampleDefenseConfig:
 
 class TestRandomSearch:
     def test_single_trial_returns_it_and_logs(self, lin_ds):
-        space = SearchSpace(n_trials=1)
+        space = SearchSpace(n_trials=1, objective="val_mse_clean")
         cfg = TrainConfig(learning_rate=0.01, epochs=60, seed=0)
-        best, records = random_search(
-            lin_ds, "pseudo_huber", space, "val_mse_clean", seed=3, train_cfg=cfg
-        )
+        best, records = random_search(lin_ds, "pseudo_huber", space, seed=3, train_cfg=cfg)
         assert len(records) == 1
         assert records[0] is best
         assert np.isfinite(records[0].value)
         assert records[0].source == "sampled"
 
     def test_log_is_complete_and_deterministic(self, lin_ds):
-        space = SearchSpace(n_trials=3)
+        space = SearchSpace(n_trials=3, objective="val_mse_clean")
         cfg = TrainConfig(learning_rate=0.01, epochs=40, seed=0)
-        _, r1 = random_search(lin_ds, "pseudo_huber", space, "val_mse_clean", 7, cfg)
-        _, r2 = random_search(lin_ds, "pseudo_huber", space, "val_mse_clean", 7, cfg)
+        _, r1 = random_search(lin_ds, "pseudo_huber", space, 7, cfg)
+        _, r2 = random_search(lin_ds, "pseudo_huber", space, 7, cfg)
         assert [r.value for r in r1] == [r.value for r in r2]
         assert [r.config for r in r1] == [r.config for r in r2]
         assert [r.trial for r in r1] == [0, 1, 2]
 
     def test_argmin_selected(self, lin_ds):
-        space = SearchSpace(n_trials=4)
+        space = SearchSpace(n_trials=4, objective="val_mse_clean")
         cfg = TrainConfig(learning_rate=0.01, epochs=40, seed=0)
-        best, records = random_search(lin_ds, "pseudo_huber", space, "val_mse_clean", 11, cfg)
+        best, records = random_search(lin_ds, "pseudo_huber", space, 11, cfg)
         vals = [r.value for r in records]
         assert best is records[int(np.argmin(vals))]
 
     def test_injected_candidates_run_first(self, lin_ds):
-        space = SearchSpace(n_trials=1)
+        space = SearchSpace(n_trials=1, objective="val_mse_clean")
         cfg = TrainConfig(learning_rate=0.01, epochs=40, seed=0)
         cand = DefenseConfig(kind="pseudo_huber", delta=2.5)
-        _, records = random_search(
-            lin_ds, "pseudo_huber", space, "val_mse_clean", 5, cfg, candidates=[cand]
-        )
+        _, records = random_search(lin_ds, "pseudo_huber", space, 5, cfg, candidates=[cand])
         assert len(records) == 2
         assert records[0].source == "injected" and records[0].config == cand
         assert records[1].source == "sampled"
@@ -261,8 +257,7 @@ class TestRandomSearch:
             best, _ = random_search(
                 ds,
                 "ansr",
-                SearchSpace(n_trials=1),
-                objective,
+                SearchSpace(n_trials=1, objective=objective),
                 seed=5,
                 train_cfg=cfg,
                 neighbors=nbrs,
@@ -275,20 +270,20 @@ class TestRandomSearch:
         assert picks["val_mse_clean"] == weak.lam
 
     def test_all_diverged_raises_with_log(self, lin_ds):
-        space = SearchSpace(n_trials=2)
+        space = SearchSpace(n_trials=2, objective="val_mse_clean")
         cfg = TrainConfig(learning_rate=1e160, epochs=2, seed=0)
         with pytest.raises(SearchFailed) as exc_info:
-            random_search(lin_ds, "pseudo_huber", space, "val_mse_clean", 1, cfg)
+            random_search(lin_ds, "pseudo_huber", space, 1, cfg)
         assert len(exc_info.value.trials) == 2
         assert all(np.isnan(r.value) for r in exc_info.value.trials)
 
     def test_bad_objective_rejected(self, lin_ds):
-        with pytest.raises(ConfigError):
-            random_search(lin_ds, "ansr", SearchSpace(), "test_mse", 0, TrainConfig())
+        with pytest.raises(ConfigError, match="objective must be one of"):
+            random_search(lin_ds, "ansr", SearchSpace(objective="test_mse"), 0, TrainConfig())
 
     def test_jobs_do_not_change_results(self, lin_ds):
-        space = SearchSpace(n_trials=3)
+        space = SearchSpace(n_trials=3, objective="val_mse_clean")
         cfg = TrainConfig(learning_rate=0.01, epochs=30, seed=0)
-        _, serial = random_search(lin_ds, "pseudo_huber", space, "val_mse_clean", 13, cfg, jobs=1)
-        _, par = random_search(lin_ds, "pseudo_huber", space, "val_mse_clean", 13, cfg, jobs=2)
+        _, serial = random_search(lin_ds, "pseudo_huber", space, 13, cfg, jobs=1)
+        _, par = random_search(lin_ds, "pseudo_huber", space, 13, cfg, jobs=2)
         assert [r.value for r in serial] == [r.value for r in par]

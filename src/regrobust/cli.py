@@ -53,19 +53,26 @@ def _build_dataset(cfg: ExperimentConfig):
     return ds, norm, neighbors
 
 
+_HASH_BLOCK = 1 << 20  # bytes of the CSV read per sha256 update
+
+
 def _provenance(cfg: ExperimentConfig) -> dict:
     """What a prepared dataset is a function of, as stamped into its cache.
 
     The CSV enters by the sha256 of its bytes rather than by its path, so the
-    cache does not depend on where the inputs live.
+    cache does not depend on where the inputs live. It is hashed in blocks of
+    _HASH_BLOCK bytes, so the file is never held whole.
     """
     dataset = asdict(cfg.dataset)
     path = dataset.pop("path")
+    digest = hashlib.sha256()
     try:
-        csv_sha256 = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        with open(path, "rb") as f:
+            while block := f.read(_HASH_BLOCK):
+                digest.update(block)
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e
-    return {"seed": cfg.seed, "fractions": list(cfg.fractions), "csv_sha256": csv_sha256,
+    return {"seed": cfg.seed, "fractions": list(cfg.fractions), "csv_sha256": digest.hexdigest(),
             **{f"dataset.{k}": v for k, v in dataset.items()}}
 
 

@@ -10,10 +10,10 @@ lowest index, and memory is bounded by two tile buffers per worker. With
 jobs > 1 the row blocks are split into groups searched in parallel and
 merged exactly, so the result does not depend on jobs.
 
-Each set-up artifact is made in one pass: the CSV is converted in one numpy
-call (a per-cell loop runs only for files with missing or malformed cells),
-and the dataset cache is written with the C JSON encoder in exactly the
-bytes of json.dump(doc, sort_keys=True).
+Each set-up artifact is made in one pass: the CSV is converted one chunk of
+rows per numpy call (a per-cell loop reads it again only for files with
+missing or malformed cells), and the dataset cache is written with the C JSON
+encoder in exactly the bytes of json.dump(doc, sort_keys=True).
 
 The dataset cache is one JSON document. Its only (N, D) block, the features,
 is stored as the base64 of its little-endian float64 bytes, so it is written
@@ -23,6 +23,7 @@ every bit. Neighbors are three arrays aligned with the train rows
 """
 import base64
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -81,20 +82,26 @@ class Dataset:
         return np.flatnonzero(self.split == which)
 
 
-def _parse_fast(raw_rows, width: int):
-    """Every cell converted at once, or None if some row or cell needs the loop.
+_CHUNK_ROWS = 256  # CSV rows converted per numpy call
+
+
+def _parse_fast(rows, width: int):
+    """The rows converted chunk by chunk, or None if some row or cell needs the loop.
 
     For str cells numpy calls Python's float(), so the accepted syntax and the
     resulting bits are those of load_csv's per-cell loop. A ragged row, a cell
     float() rejects (most NA markers) or a NaN or infinite result gives None.
     """
-    try:
-        values = np.array([row for _, row in raw_rows], dtype=np.float64)
-    except ValueError:
-        return None
-    if values.shape != (len(raw_rows), width) or not np.isfinite(values).all():
-        return None
-    return values
+    blocks = [np.empty((0, width))]
+    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+        try:
+            block = np.array(chunk, dtype=np.float64)
+        except ValueError:
+            return None
+        if block.shape != (len(chunk), width) or not np.isfinite(block).all():
+            return None
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
 def load_csv(
@@ -113,10 +120,10 @@ def load_csv(
     recognized NA marker, and infinite cells, are always an error naming the
     line and column.
 
-    A cell is read as float(cell.strip()). All cells are first converted in
-    one numpy call (same syntax, same bits); only a file with a ragged row or
-    a cell that is missing, malformed or infinite goes through the per-cell
-    loop, which applies the missing policy and builds the error messages.
+    A cell is read as float(cell.strip()). Rows are first converted one chunk
+    of _CHUNK_ROWS per numpy call (same syntax, same bits); only a file with a
+    ragged row or a missing, malformed or infinite cell is read again, by the
+    per-cell loop, which applies the missing policy and builds the messages.
     """
     if missing not in MISSING_POLICIES:
         raise ConfigError(f"missing policy must be one of {MISSING_POLICIES}, got {missing!r}")
@@ -128,7 +135,11 @@ def load_csv(
             except StopIteration:
                 raise DataError(f"{path}: file is empty") from None
             header = [h.strip() for h in header]
-            raw_rows = [(line_no, row) for line_no, row in enumerate(reader, start=2) if row]
+            values = _parse_fast(filter(None, reader), len(header))
+            if values is None:
+                f.seek(0)
+                raw_rows = [(line_no, row) for line_no, row in enumerate(csv.reader(f), start=1)
+                            if row and line_no > 1]
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e
 
@@ -139,7 +150,6 @@ def load_csv(
     t_col = header.index(target_column)
     width = len(header)
 
-    values = _parse_fast(raw_rows, width)
     missing_cells = []  # (row_pos, col, line_no)
     if values is None:
         values = np.empty((len(raw_rows), width), dtype=np.float64)
@@ -185,7 +195,7 @@ def load_csv(
         bad_cols = {j for _, j, _ in missing_cells if j != t_col}
         keep_cols = [j for j in keep_cols if j not in bad_cols]
         col_names = [header[j] for j in keep_cols]
-    keep_rows = np.ones(len(raw_rows), dtype=bool)
+    keep_rows = np.ones(len(values), dtype=bool)
     if missing == "drop_rows":
         for i, _, _ in missing_cells:
             keep_rows[i] = False

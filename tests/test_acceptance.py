@@ -294,7 +294,7 @@ def boston_eval(tmp_path_factory):
     cfg["out_dir"] = str(out)
     cfg_path = out / "config.json"
     cfg_path.write_text(json.dumps(cfg))
-    assert cli_main(["evaluate", "--config", str(cfg_path)]) == 0
+    assert cli_main(["evaluate", "--config", str(cfg_path), "--jobs", "2"]) == 0
     cells = read_cells_csv(out / "cells.csv")
     with open(out / "points.csv", newline="") as f:
         points = list(csv.DictReader(f))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from regrobust import cli
 from regrobust.cli import main
 from regrobust.config import load_experiment_config
 
@@ -184,6 +186,13 @@ class TestStaleCache:
             err = json.loads(capsys.readouterr().err.strip())
             assert err["error"] == "ConfigError"
             assert f"prepared with {field}=" in err["message"]
+
+    def test_csv_hash_streamed_over_blocks_is_whole_file_sha256(self, tmp_path):
+        csv_path = tmp_path / "big.csv"
+        csv_path.write_bytes(np.random.default_rng(2).bytes(2 * cli._HASH_BLOCK + 12345))
+        cfg = load_experiment_config(write_config(tmp_path / "c.json", csv_path, tmp_path))
+        assert cli._provenance(cfg)["csv_sha256"] == \
+            hashlib.sha256(csv_path.read_bytes()).hexdigest()
 
     def test_same_seed_reuses_cache(self, workspace):
         tmp, cfg = workspace

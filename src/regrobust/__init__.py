@@ -58,59 +58,3 @@ from .training import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdamState",
-    "AggregateRecord",
-    "AttackConfig",
-    "CellRecord",
-    "ConfigError",
-    "DataError",
-    "Dataset",
-    "DefenseConfig",
-    "DimensionError",
-    "Neighbors",
-    "NonFiniteError",
-    "Normalizer",
-    "PointRecord",
-    "RegressionNet",
-    "RegrobustError",
-    "SearchFailed",
-    "SearchSpace",
-    "TrainConfig",
-    "TrainingDiverged",
-    "DEFAULT_FGSM",
-    "DEFAULT_PGD",
-    "TEST",
-    "TRAIN",
-    "VAL",
-    "adam_step",
-    "aggregate",
-    "apply_normalizer",
-    "apply_attack",
-    "batch_loss_grad",
-    "compute_neighbors",
-    "derive_seed",
-    "evaluate_cell",
-    "fgsm",
-    "fit_normalizer",
-    "forward",
-    "initialize",
-    "input_gradient",
-    "load_csv",
-    "load_dataset_cache",
-    "mse",
-    "nearest_train_distance",
-    "normalize_dataset",
-    "params_to_vector",
-    "perturbation_profile",
-    "pgd",
-    "pseudo_huber",
-    "random_search",
-    "sample_defense_config",
-    "save_dataset_cache",
-    "split_dataset",
-    "train",
-    "train_models",
-    "vector_to_net",
-]

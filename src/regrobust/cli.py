@@ -35,7 +35,7 @@ from .evaluation import (
     write_summary_json,
 )
 from .seeding import derive_seed
-from .training import random_search
+from .training import TUNED_PARAMS, random_search
 
 
 def _build_dataset(cfg: ExperimentConfig):
@@ -158,14 +158,8 @@ def _combined_candidates(out: Path, cfg: ExperimentConfig, provenance: dict):
     if not all(_tuned_path(out, kind).exists() for kind in kinds):
         return ()
     parts = {kind: _read_tuned(out, kind, cfg, provenance) for kind in kinds}
-    merged = DefenseConfig(
-        kind="combined",
-        delta=parts["pseudo_huber"].delta,
-        sigma=parts["grad_reg"].sigma,
-        beta=parts["ansr"].beta,
-        lam=parts["ansr"].lam,
-        n_samples=cfg.n_samples,
-    )
+    merged = DefenseConfig(kind="combined", n_samples=cfg.n_samples,
+                           **{p: getattr(parts[k], p) for k in kinds for p in TUNED_PARAMS[k]})
     tempered = replace(merged, sigma=merged.sigma / 2, lam=merged.lam / 2)
     return (merged, tempered)
 
@@ -259,17 +253,13 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
                 if attack.kind == "pgd":
                     points.extend(perturbation_profile(ds, defense, attack, models, test_nn))
             print(f"evaluated {defense.kind}: {len(cfg.attacks)} attack(s) x {cfg.n_seeds} seed(s)")
-    except RegrobustError:
-        # Flush whatever finished so a long run is not lost to one bad cell.
+    finally:
+        # A failed run still writes what finished, so a long run is not lost to
+        # one bad cell, and all three artifacts come from this run.
         if cells:
             write_cells_csv(out / "cells.csv", cells)
-            write_summary_json(out / "summary.json", aggregate(cells))
-        if points:
             write_points_csv(out / "points.csv", points)
-        raise
-    write_cells_csv(out / "cells.csv", cells)
-    write_points_csv(out / "points.csv", points)
-    write_summary_json(out / "summary.json", aggregate(cells))
+            write_summary_json(out / "summary.json", aggregate(cells))
     print(f"wrote {out / 'cells.csv'}, {out / 'points.csv'}, {out / 'summary.json'}")
     return 0
 

@@ -10,8 +10,8 @@ lowest index, and memory is bounded by two tile buffers per worker. With
 jobs > 1 the row blocks are split into groups searched in parallel and
 merged exactly, so the result does not depend on jobs.
 
-Each set-up artifact is made in one pass: the CSV is converted one chunk of
-rows per numpy call (a per-cell loop reads it again only for files with
+Each set-up artifact is made in one pass: the CSV is read once and converted
+one chunk of rows per numpy call (a per-cell loop converts only a chunk with
 missing or malformed cells), and the dataset cache is written with the C JSON
 encoder in exactly the bytes of json.dump(doc, sort_keys=True).
 
@@ -85,23 +85,49 @@ class Dataset:
 _CHUNK_ROWS = 256  # CSV rows converted per numpy call
 
 
-def _parse_fast(rows, width: int):
-    """The rows converted chunk by chunk, or None if some row or cell needs the loop.
+def _convert_chunk(path, header: list, chunk: list, missing_lines: list) -> np.ndarray:
+    """The (line_no, row) records of chunk as one (len(chunk), width) float64 block.
 
-    For str cells numpy calls Python's float(), so the accepted syntax and the
-    resulting bits are those of load_csv's per-cell loop. A ragged row, a cell
-    float() rejects (most NA markers) or a NaN or infinite result gives None.
+    One numpy call converts a chunk whose rows all have width cells and whose
+    cells are all finite numbers; for str cells numpy calls Python's float(),
+    so the accepted syntax and the bits are those of the per-cell loop. Any
+    other chunk goes through that loop, which reads a cell as
+    float(cell.strip()), stores a missing cell (an NA marker or NaN) as NaN
+    and appends its line to missing_lines, and rejects a ragged row, a
+    malformed cell or an infinite one, naming its line.
     """
-    blocks = [np.empty((0, width))]
-    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
-        try:
-            block = np.array(chunk, dtype=np.float64)
-        except ValueError:
-            return None
-        if block.shape != (len(chunk), width) or not np.isfinite(block).all():
-            return None
-        blocks.append(block)
-    return np.concatenate(blocks)
+    width = len(header)
+    try:
+        block = np.array([row for _, row in chunk], dtype=np.float64)
+        if block.shape == (len(chunk), width) and np.isfinite(block).all():
+            return block
+    except ValueError:
+        pass
+    block = np.empty((len(chunk), width))
+    for i, (line_no, row) in enumerate(chunk):
+        if len(row) != width:
+            raise DataError(f"{path}: line {line_no} has {len(row)} cells, expected {width}")
+        for j, cell in enumerate(row):
+            cell = cell.strip()
+            if cell.lower() in NA_MARKERS:
+                v = np.nan
+            else:
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{path}: line {line_no}, column {header[j]!r}: "
+                        f"cannot parse {cell!r} as a number"
+                    ) from None
+                if math.isinf(v):
+                    raise DataError(
+                        f"{path}: line {line_no}, column {header[j]!r}: "
+                        f"{cell!r} is not a finite number"
+                    )
+            if math.isnan(v):
+                missing_lines.append(line_no)
+            block[i, j] = v
+    return block
 
 
 def load_csv(
@@ -120,13 +146,15 @@ def load_csv(
     recognized NA marker, and infinite cells, are always an error naming the
     line and column.
 
-    A cell is read as float(cell.strip()). Rows are first converted one chunk
-    of _CHUNK_ROWS per numpy call (same syntax, same bits); only a file with a
-    ragged row or a missing, malformed or infinite cell is read again, by the
-    per-cell loop, which applies the missing policy and builds the messages.
+    The file is read once, one chunk of _CHUNK_ROWS rows at a time. A chunk
+    is converted in one numpy call, and only a chunk with a ragged row or a
+    missing, malformed or infinite cell goes through the per-cell loop, which
+    applies the same syntax and builds the messages (_convert_chunk). The
+    missing cells are then the NaN cells of the result.
     """
     if missing not in MISSING_POLICIES:
         raise ConfigError(f"missing policy must be one of {MISSING_POLICIES}, got {missing!r}")
+    missing_lines = []
     try:
         with open(path, newline="") as f:
             reader = csv.reader(f)
@@ -135,75 +163,35 @@ def load_csv(
             except StopIteration:
                 raise DataError(f"{path}: file is empty") from None
             header = [h.strip() for h in header]
-            values = _parse_fast(filter(None, reader), len(header))
-            if values is None:
-                f.seek(0)
-                raw_rows = [(line_no, row) for line_no, row in enumerate(csv.reader(f), start=1)
-                            if row and line_no > 1]
+            if target_column not in header:
+                raise DataError(
+                    f"{path}: target column {target_column!r} not found; columns are {header}"
+                )
+            records = ((line_no, row) for line_no, row in enumerate(reader, start=2) if row)
+            blocks = [np.empty((0, len(header)))]
+            while chunk := list(itertools.islice(records, _CHUNK_ROWS)):
+                blocks.append(_convert_chunk(path, header, chunk, missing_lines))
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e
+    values = np.concatenate(blocks)
 
-    if target_column not in header:
-        raise DataError(
-            f"{path}: target column {target_column!r} not found; columns are {header}"
-        )
-    t_col = header.index(target_column)
-    width = len(header)
-
-    missing_cells = []  # (row_pos, col, line_no)
-    if values is None:
-        values = np.empty((len(raw_rows), width), dtype=np.float64)
-        for i, (line_no, row) in enumerate(raw_rows):
-            if len(row) != width:
-                raise DataError(
-                    f"{path}: line {line_no} has {len(row)} cells, expected {width}"
-                )
-            for j, cell in enumerate(row):
-                cell = cell.strip()
-                if cell.lower() in NA_MARKERS:
-                    values[i, j] = np.nan
-                    missing_cells.append((i, j, line_no))
-                    continue
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: line {line_no}, column {header[j]!r}: "
-                        f"cannot parse {cell!r} as a number"
-                    ) from None
-                if math.isnan(v):
-                    values[i, j] = np.nan
-                    missing_cells.append((i, j, line_no))
-                elif math.isinf(v):
-                    raise DataError(
-                        f"{path}: line {line_no}, column {header[j]!r}: "
-                        f"{cell!r} is not a finite number"
-                    )
-                else:
-                    values[i, j] = v
-
-    if missing_cells and missing == "error":
-        lines = sorted({ln for _, _, ln in missing_cells})
+    if missing_lines and missing == "error":
+        lines = sorted(set(missing_lines))
         raise DataError(
             f"{path}: missing values on line(s) {lines[:20]}"
             f"{' ...' if len(lines) > 20 else ''} (policy 'error')"
         )
 
-    keep_cols = [j for j in range(width) if j != t_col]
-    col_names = [header[j] for j in keep_cols]
+    t_col = header.index(target_column)
+    keep_cols = [j for j in range(len(header)) if j != t_col]
+    is_missing = np.isnan(values)
     if missing == "drop_columns":
-        bad_cols = {j for _, j, _ in missing_cells if j != t_col}
-        keep_cols = [j for j in keep_cols if j not in bad_cols]
-        col_names = [header[j] for j in keep_cols]
-    keep_rows = np.ones(len(values), dtype=bool)
-    if missing == "drop_rows":
-        for i, _, _ in missing_cells:
-            keep_rows[i] = False
-    elif missing == "drop_columns":
+        keep_cols = [j for j in keep_cols if not is_missing[:, j].any()]
         # A missing target cannot be recovered by dropping a feature column.
-        for i, j, _ in missing_cells:
-            if j == t_col:
-                keep_rows[i] = False
+        keep_rows = ~is_missing[:, t_col]
+    else:  # "drop_rows"; under "error" no cell is missing by now
+        keep_rows = ~is_missing.any(axis=1)
+    col_names = [header[j] for j in keep_cols]
 
     if not keep_cols:
         raise DataError(f"{path}: every feature column had missing values")
@@ -320,13 +308,12 @@ def _keep_nearer(dist, idx, d, cand) -> None:
     idx[better] = cand[better]
 
 
-def _nearest_from_blocks(task) -> tuple:
+def _nearest_from_blocks(X: np.ndarray, start: int, stop: int) -> tuple:
     """(distance, index) for all rows of X over the pairs whose lower row is in [start, stop).
 
     A row that meets no such pair keeps distance inf. Within the group, ties
     go to the lowest index, as in the whole search.
     """
-    X, start, stop = task
     n = len(X)
     dist = np.full(n, np.inf)
     idx = np.zeros(n, dtype=np.int64)
@@ -376,8 +363,8 @@ def compute_neighbors(dataset: Dataset, jobs: int = 1) -> Neighbors:
     # The k-th cut leaves k/jobs of the triangle's area above it.
     cuts = sorted({min(n, step * round(n_blocks * (1 - math.sqrt(1 - k / jobs))))
                    for k in range(jobs + 1)})
-    groups = [(X, a, b) for a, b in zip(cuts, cuts[1:])]
-    found = pmap(_nearest_from_blocks, groups, jobs=len(groups))
+    groups = list(zip(cuts, cuts[1:]))
+    found = pmap(lambda group: _nearest_from_blocks(X, *group), groups, jobs=len(groups))
     dist, idx = found[0]
     for d, cand in found[1:]:
         _keep_nearer(dist, idx, d, cand)

@@ -70,16 +70,6 @@ class PointRecord:
     nn_train_distance: float
 
 
-def _train_seed_worker(payload):
-    dataset, defense, train_cfg, neighbors, seed_index = payload
-    try:
-        net, _ = train(dataset, defense, train_cfg, neighbors=neighbors)
-    except TrainingDiverged as e:
-        raise TrainingDiverged(f"defense {defense.kind!r}, retrain seed index {seed_index} "
-                               f"(seed {train_cfg.seed}): {e}") from e
-    return net
-
-
 def train_models(
     dataset,
     defense: DefenseConfig,
@@ -93,12 +83,16 @@ def train_models(
     Retrain seeds are derived from train_cfg.seed, so the list is identical
     for any jobs setting.
     """
-    payloads = []
-    for i in range(int(n_seeds)):
+    def fit(i: int):
         cfg_i = replace(train_cfg, seed=derive_seed(train_cfg.seed, "retrain", i))
-        payloads.append((dataset, defense, cfg_i, neighbors, i))
-    nets = pmap(_train_seed_worker, payloads, jobs=jobs)
-    return list(enumerate(nets))
+        try:
+            net, _ = train(dataset, defense, cfg_i, neighbors=neighbors)
+        except TrainingDiverged as e:
+            raise TrainingDiverged(f"defense {defense.kind!r}, retrain seed index {i} "
+                                   f"(seed {cfg_i.seed}): {e}") from e
+        return net
+
+    return list(enumerate(pmap(fit, range(int(n_seeds)), jobs=jobs)))
 
 
 def evaluate_cell(dataset, defense: DefenseConfig, attack: AttackConfig, models: list) -> list:

@@ -4,8 +4,10 @@ Results come back in input order regardless of worker scheduling, so outputs
 are identical for any worker count as long as tasks are independently seeded.
 The process pool is imported only when pmap forks, so a jobs=1 run never
 loads it. Forked workers inherit the function and items from a module global:
-only an index goes out and only a result comes back. Each worker sets its
-OpenBLAS to one thread, so N workers run N BLAS threads.
+only an index goes out and only a result comes back. Since neither is pickled,
+fn may be a closure or a lambda over the caller's arrays, and an item needs to
+carry only what differs between tasks. Each worker sets its OpenBLAS to one
+thread, so N workers run N BLAS threads.
 """
 import ctypes
 import os

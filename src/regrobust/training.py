@@ -195,15 +195,6 @@ def _objective_value(net: RegressionNet, dataset, objective: str, attack: Attack
     return float(np.mean((Yv - pred) ** 2))
 
 
-def _trial_worker(payload) -> float:
-    dataset, config, train_cfg, objective, attack, neighbors = payload
-    try:
-        net, _ = train(dataset, config, train_cfg, neighbors=neighbors)
-    except TrainingDiverged:
-        return float("nan")
-    return _objective_value(net, dataset, objective, attack)
-
-
 def random_search(
     dataset,
     kind: str,
@@ -233,20 +224,21 @@ def random_search(
         rng = np.random.default_rng(derive_seed(seed, "sample", i))
         configs.append((sample_defense_config(kind, space, rng, n_samples=n_samples), "sampled"))
 
-    payloads = []
-    records = []
-    for k, (config, source) in enumerate(configs):
-        train_seed = derive_seed(seed, "trial", k)
-        payloads.append(
-            (dataset, config, replace(train_cfg, seed=train_seed), space.objective, attack,
-             neighbors)
-        )
-        records.append(
-            TrialRecord(trial=k, source=source, config=config, value=float("nan"), train_seed=train_seed)
-        )
+    records = [
+        TrialRecord(trial=k, source=source, config=config, value=float("nan"),
+                    train_seed=derive_seed(seed, "trial", k))
+        for k, (config, source) in enumerate(configs)
+    ]
 
-    values = pmap(_trial_worker, payloads, jobs=jobs)
-    for rec, value in zip(records, values):
+    def score(rec: TrialRecord) -> float:
+        try:
+            net, _ = train(dataset, rec.config, replace(train_cfg, seed=rec.train_seed),
+                           neighbors=neighbors)
+        except TrainingDiverged:
+            return float("nan")
+        return _objective_value(net, dataset, space.objective, attack)
+
+    for rec, value in zip(records, pmap(score, records, jobs=jobs)):
         rec.value = float(value)
 
     finite = [r for r in records if np.isfinite(r.value)]

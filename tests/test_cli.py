@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 
 from regrobust import cli
 from regrobust.cli import main
-from regrobust.config import load_experiment_config
+from regrobust.config import load_experiment_config, section_to_dict
+from regrobust.defenses import DefenseConfig
+from regrobust.evaluation import PointRecord
 
 from conftest import BOSTON_CSV
 
@@ -244,6 +247,25 @@ class TestStaleTuned:
         trials = (tmp / "out" / "trials_combined.jsonl").read_text().splitlines()
         assert [json.loads(t)["source"] for t in trials].count("injected") == 2
 
+    def test_combined_warm_start_merges_tuned_parts(self, workspace):
+        tmp, cfg = workspace
+        doc = json.loads(cfg.read_text())
+        doc["defenses"] = [{"kind": k, "tune": True}
+                           for k in ("pseudo_huber", "grad_reg", "ansr", "combined")]
+        doc["train"]["epochs"] = 5
+        cfg.write_text(json.dumps(doc))
+        assert main(["tune", "--config", str(cfg)]) == 0
+        out = tmp / "out"
+        tuned = {k: json.loads((out / f"tuned_{k}.json").read_text())["config"]
+                 for k in ("pseudo_huber", "grad_reg", "ansr")}
+        merged = section_to_dict(DefenseConfig(
+            kind="combined", n_samples=8, delta=tuned["pseudo_huber"]["delta"],
+            sigma=tuned["grad_reg"]["sigma"], beta=tuned["ansr"]["beta"],
+            lam=tuned["ansr"]["lambda"]))
+        tempered = {**merged, "sigma": merged["sigma"] / 2, "lambda": merged["lambda"] / 2}
+        trials = [json.loads(t) for t in (out / "trials_combined.jsonl").read_text().splitlines()]
+        assert [t["config"] for t in trials if t["source"] == "injected"] == [merged, tempered]
+
 
     @pytest.mark.parametrize(
         "edit,field",
@@ -374,6 +396,28 @@ class TestTuneEvaluateReport:
         assert main(["evaluate", "--config", str(cfg), "--defense", "magic"]) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert "magic" in err["message"]
+
+    def test_failed_evaluate_leaves_no_stale_points(self, workspace, capsys):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        doc = json.loads(cfg.read_text())
+        doc["defenses"] = [{"kind": "none"}, {"kind": "grad_reg", "sigma": 0.3}]
+        cfg.write_text(json.dumps(doc))
+        assert main(["evaluate", "--config", str(cfg)]) == 0
+        assert len((out / "points.csv").read_text().splitlines()) == 1 + 2 * 2 * 16
+        # The second defense diverges at once; only the none/fgsm cells finish.
+        doc["defenses"][1]["sigma"] = 1e308
+        cfg.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg), "--attack", "fgsm"]) == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "TrainingDiverged"
+        with open(out / "cells.csv", newline="") as f:
+            assert [(c["defense"], c["attack"]) for c in csv.DictReader(f)] == \
+                [("none", "fgsm")] * 2
+        assert (out / "points.csv").read_text().splitlines() == \
+            [",".join(f.name for f in fields(PointRecord))]
+        summary = json.loads((out / "summary.json").read_text())
+        assert [(c["defense"], c["attack"]) for c in summary["cells"]] == [("none", "fgsm")]
 
     def test_report_without_cells_errors(self, workspace, capsys):
         tmp, cfg = workspace

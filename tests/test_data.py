@@ -206,22 +206,57 @@ class TestStreamedParse:
         assert ds.features.tobytes() == values[:, :1].tobytes()
         assert ds.targets.tobytes() == values[:, 2].tobytes()
 
-    def test_peak_memory_is_a_few_arrays(self, tmp_path):
-        # Holding every cell as a str before one conversion peaked at about
-        # 6.5 MB here, 12x the 0.5 MB feature array; chunked, about 1.8 MB.
+    @pytest.mark.parametrize("text", ["1,bogus,3", "1,2", "1,NA,3"],
+                             ids=["malformed", "ragged", "na"])
+    @pytest.mark.parametrize("line", [3, LATE], ids=["first-chunk", "late"])
+    def test_missing_target_column_wins_over_bad_cell(self, tmp_path, text, line):
+        p = write_grid(tmp_path, self.grid(), {line: text})
+        with pytest.raises(DataError) as err:
+            load_csv(p, target_column="y")
+        assert str(err.value) == (f"{p}: target column 'y' not found; "
+                                  f"columns are ['a', 'b', 'target']")
+
+    @staticmethod
+    def wide_csv(tmp_path, na_line=None):
+        """A 2000 x 33 CSV (target y); na_line, if given, holds one NA cell."""
         values = np.random.default_rng(9).normal(size=(2000, 33))
         p = tmp_path / "w.csv"
         with open(p, "w") as f:
             f.write(",".join(f"c{j}" for j in range(32)) + ",y\n")
-            for row in values:
-                f.write(",".join(repr(float(v)) for v in row) + "\n")
+            for line_no, row in enumerate(values, start=2):
+                cells = [repr(float(v)) for v in row]
+                if line_no == na_line:
+                    cells[5] = "NA"
+                f.write(",".join(cells) + "\n")
+        return p, values
+
+    @staticmethod
+    def peak_bytes(load):
         tracemalloc.start()
         try:
-            load_csv(p, target_column="y")
-            _, peak = tracemalloc.get_traced_memory()
+            load()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_peak_memory_is_a_few_arrays(self, tmp_path):
+        # Holding every cell as a str before one conversion peaked at about
+        # 6.5 MB here, 12x the 0.5 MB feature array; chunked, about 1.8 MB.
+        p, _ = self.wide_csv(tmp_path)
+        assert self.peak_bytes(lambda: load_csv(p, target_column="y")) < 4e6
+
+    def test_peak_memory_with_late_missing_cell(self, tmp_path):
+        # Reading the whole file again as str cells once one cell was missing
+        # peaked at about 6.6 MB; converting only that chunk cell by cell,
+        # about 1.8 MB.
+        p, values = self.wide_csv(tmp_path, na_line=1900)
+        loaded = []
+        peak = self.peak_bytes(
+            lambda: loaded.append(load_csv(p, target_column="y", missing="drop_rows")))
         assert peak < 4e6
+        kept = np.delete(values, 1900 - 2, axis=0)
+        assert loaded[0].features.tobytes() == kept[:, :32].tobytes()
+        assert loaded[0].targets.tobytes() == kept[:, 32].tobytes()
 
 
 class TestSplit:

@@ -112,10 +112,13 @@ class TestEvaluateCell:
         assert [c.test_mse for c in clean] == [c.test_mse for c in again]
         assert [c.test_mse for c in clean] == [c.test_mse for c in retrained]
 
-    def test_divergence_identifies_seed(self, lin_ds):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_divergence_identifies_seed(self, lin_ds, jobs):
+        # At jobs 2 the message comes from a forked worker.
         cfg = TrainConfig(learning_rate=1e160, epochs=2, seed=0)
-        with pytest.raises(TrainingDiverged, match=r"seed index 0"):
-            train_models(lin_ds, DefenseConfig(kind="none"), cfg, 1)
+        with pytest.raises(TrainingDiverged,
+                           match=r"defense 'none', retrain seed index 0 \(seed \d+\): "):
+            train_models(lin_ds, DefenseConfig(kind="none"), cfg, 2, jobs=jobs)
 
     def test_jobs_do_not_change_models(self, lin_ds):
         cfg = TrainConfig(learning_rate=0.01, epochs=40, seed=3)

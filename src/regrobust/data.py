@@ -167,7 +167,7 @@ def load_csv(
                 raise DataError(
                     f"{path}: target column {target_column!r} not found; columns are {header}"
                 )
-            records = ((line_no, row) for line_no, row in enumerate(reader, start=2) if row)
+            records = ((reader.line_num, row) for row in reader if row)
             blocks = [np.empty((0, len(header)))]
             while chunk := list(itertools.islice(records, _CHUNK_ROWS)):
                 blocks.append(_convert_chunk(path, header, chunk, missing_lines))

@@ -45,9 +45,9 @@ def loss_d1(kind: str, a, delta: float = 1.0):
 
 
 def loss_d2(kind: str, a, delta: float = 1.0):
-    """Second derivative with respect to the residual."""
+    """Second derivative with respect to the residual (a scalar for squared error)."""
     if kind == "squared_error":
-        return 2.0 * np.ones_like(np.asarray(a, dtype=np.float64))
+        return 2.0
     if kind == "pseudo_huber":
         r = a / delta
         return (1.0 + r * r) ** -1.5

@@ -9,6 +9,8 @@ and every parameter gradient is returned in that layout, built by one
 contraction (_param_grad) over the cached forward intermediates. ReLU'(0) is
 taken to be 0, and all analytic gradients are exact for the piecewise-linear
 network, which is what the finite-difference test suites check against.
+The identity head's derivatives are the scalars 1.0 and 0.0, which give the
+same bits as arrays of ones and zeros without allocating them.
 """
 from dataclasses import dataclass
 
@@ -113,7 +115,7 @@ def _as_batch(net: RegressionNet, x) -> tuple[np.ndarray, bool]:
         raise DimensionError(
             f"input must have {net.input_dim} features, got shape {np.asarray(x).shape}"
         )
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteError("network input contains NaN or infinity")
     return x, single
 
@@ -132,7 +134,8 @@ def forward_parts(net: RegressionNet, X: np.ndarray):
 
     Returns (z, a, u, yhat, act1, act2) where z = w1 @ x + b1 pre-activations,
     a = relu(z), u is the pre-output, yhat the prediction, and act1/act2 the
-    first/second derivatives of the output activation at u.
+    first/second derivatives of the output activation at u: (N,) arrays for
+    the sigmoid head, the scalars 1.0 and 0.0 for the identity head.
     """
     z = X @ net.w1.T + net.b1
     a = np.maximum(z, 0.0)
@@ -141,9 +144,10 @@ def forward_parts(net: RegressionNet, X: np.ndarray):
 
 
 def _output_head(net: RegressionNet, u):
-    """(yhat, act1, act2): the output activation and its first two derivatives at u."""
+    """(yhat, act1, act2): the output activation and its first two derivatives
+    at u; for the identity head, the scalars 1.0 and 0.0."""
     if net.output_activation == "identity":
-        return u, np.ones_like(u), np.zeros_like(u)
+        return u, 1.0, 0.0
     p = _sigmoid(u)
     act1 = p * (1.0 - p)
     return p, act1, act1 * (1.0 - 2.0 * p)
@@ -160,7 +164,7 @@ def _check_targets(X: np.ndarray, Y) -> np.ndarray:
     Y = np.atleast_1d(np.asarray(Y, dtype=np.float64))
     if Y.shape != (X.shape[0],):
         raise DimensionError(f"targets must have shape ({X.shape[0]},), got {Y.shape}")
-    if not np.all(np.isfinite(Y)):
+    if not np.isfinite(Y).all():
         raise NonFiniteError("targets contain NaN or infinity")
     return Y
 
@@ -171,10 +175,15 @@ def _param_grad(net: RegressionNet, X, a, g_u) -> np.ndarray:
     X is (N, D), a the post-ReLU hidden values from forward_parts (a > 0
     exactly where z > 0), and g_u (N,) the weight on each row's pre-output.
     """
-    d_w2 = (a * g_u[:, None]).sum(axis=0)  # its (N, H) temporary is freed before dz exists
+    h, d = net.w1.shape
+    grad = np.empty(net.n_params)
+    (a * g_u[:, None]).sum(axis=0, out=grad[-h - 1 : -1])  # freed before dz exists
     dz = (a > 0.0) * net.w2  # (N, H)
     dz *= g_u[:, None]
-    return np.concatenate([(dz.T @ X).ravel(), dz.sum(axis=0), d_w2, [g_u.sum()]])
+    np.matmul(dz.T, X, out=grad[: h * d].reshape(h, d))
+    dz.sum(axis=0, out=grad[h * d : -h - 1])
+    grad[-1] = g_u.sum()
+    return grad
 
 
 def _input_grad(net: RegressionNet, z, g_u):
@@ -186,14 +195,19 @@ def _input_grad(net: RegressionNet, z, g_u):
     return dz, dz @ net.w1
 
 
-def batch_backward(net: RegressionNet, X, Y, loss: str = "squared_error", delta: float = 1.0):
+def batch_backward(net: RegressionNet, X, Y, loss: str = "squared_error", delta: float = 1.0,
+                   fwd=None):
     """Per-point loss values and the summed parameter gradient over a batch.
 
-    Returns (values (N,), grad_sum (n_params,)).
+    Returns (values (N,), grad_sum (n_params,)). fwd, if given, is
+    forward_parts(net, X) of an already validated X and Y, used instead of
+    validating and running the forward pass again.
     """
-    X, _ = _as_batch(net, X)
-    Y = _check_targets(X, Y)
-    _, a, _, yhat, act1, _ = forward_parts(net, X)
+    if fwd is None:
+        X, _ = _as_batch(net, X)
+        Y = _check_targets(X, Y)
+        fwd = forward_parts(net, X)
+    _, a, _, yhat, act1, _ = fwd
     resid = Y - yhat
     values = loss_value(loss, resid, delta)
     g_u = -loss_d1(loss, resid, delta) * act1  # (N,)
@@ -221,16 +235,20 @@ def grad_penalty_batch(
     sigma: float,
     loss: str = "squared_error",
     delta: float = 1.0,
+    fwd=None,
 ):
     """Input-gradient L1 penalty sigma * ||d loss/d x||_1 and its theta-gradient.
 
     The theta-gradient treats the ReLU activation pattern and the signs of
     d loss/d x as locally constant, which is exact almost everywhere for the
-    piecewise-linear network. Returns (penalties (N,), grad_sum (n_params,)).
+    piecewise-linear network. fwd is as in batch_backward. Returns
+    (penalties (N,), grad_sum (n_params,)).
     """
-    X, _ = _as_batch(net, X)
-    Y = _check_targets(X, Y)
-    z, a, u, yhat, act1, act2 = forward_parts(net, X)
+    if fwd is None:
+        X, _ = _as_batch(net, X)
+        Y = _check_targets(X, Y)
+        fwd = forward_parts(net, X)
+    z, a, u, yhat, act1, act2 = fwd
     resid = Y - yhat
     l1 = loss_d1(loss, resid, delta)
     l2 = loss_d2(loss, resid, delta)

@@ -1,4 +1,5 @@
 """Minibatch Adam training and random-search hyperparameter tuning."""
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -58,12 +59,18 @@ def adam_step(params, grads, state: AdamState, t: int, cfg: TrainConfig):
         )
     if t < 1:
         raise ConfigError(f"adam step index must be >= 1, got {t}")
-    m = cfg.adam_beta1 * state.m + (1.0 - cfg.adam_beta1) * grads
-    v = cfg.adam_beta2 * state.v + (1.0 - cfg.adam_beta2) * grads * grads
-    m_hat = m / (1.0 - cfg.adam_beta1**t)
-    v_hat = v / (1.0 - cfg.adam_beta2**t)
-    new_params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-    return new_params, AdamState(m=m, v=v)
+    # In place on fresh arrays only, in the formula's operation order: the same bits.
+    m = cfg.adam_beta1 * state.m
+    m += (1.0 - cfg.adam_beta1) * grads
+    v = (1.0 - cfg.adam_beta2) * grads
+    v *= grads
+    v += cfg.adam_beta2 * state.v
+    step = cfg.learning_rate * (m / (1.0 - cfg.adam_beta1**t))  # lr * m_hat
+    denom = v / (1.0 - cfg.adam_beta2**t)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += cfg.adam_eps
+    step /= denom
+    return params - step, AdamState(m=m, v=v)
 
 
 def train(
@@ -78,7 +85,8 @@ def train(
     (the full defended objective, averaged over minibatches by size). Fresh
     stability perturbations are drawn for every minibatch gradient step.
     Aborts with TrainingDiverged the moment the loss or parameters go
-    non-finite.
+    non-finite. The net is built once: its w1, b1 and w2 are views of theta,
+    which each Adam step overwrites, and b2 is copied from it.
     """
     rows = dataset.rows(data_mod.TRAIN)
     if len(rows) < 1:
@@ -100,6 +108,7 @@ def train(
     rng_init = np.random.default_rng(derive_seed(cfg.seed, "init"))
     net = initialize(X.shape[1], rng_init, hidden_dim=cfg.hidden_dim, output_activation=activation)
     theta = params_to_vector(net)
+    net = vector_to_net(net, theta)
     state = AdamState.zeros(theta.size)
     rng_shuffle = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
     rng_penalty = np.random.default_rng(derive_seed(cfg.seed, "penalty"))
@@ -113,7 +122,7 @@ def train(
         for start in range(0, n, bs):
             idx = order[start : start + bs]
             loss, grad = batch_loss_grad(
-                vector_to_net(net, theta),
+                net,
                 X[idx],
                 Y[idx],
                 defense,
@@ -122,14 +131,16 @@ def train(
                 label_gaps=None if gaps is None else gaps[idx],
             )
             t += 1
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch + 1}, step {t}")
-            theta, state = adam_step(theta, grad, state, t, cfg)
-            if not np.all(np.isfinite(theta)):
+            new_theta, state = adam_step(theta, grad, state, t, cfg)
+            if not np.isfinite(new_theta).all():
                 raise TrainingDiverged(f"non-finite parameters at epoch {epoch + 1}, step {t}")
+            theta[...] = new_theta
+            net.b2 = float(theta[-1])
             epoch_loss += loss * len(idx)
         history.append(epoch_loss / n)
-    return vector_to_net(net, theta), history
+    return net, history
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"line 3.*'a'.*bogus"):
             load_csv(p, target_column="target")
 
+    def test_line_numbers_count_physical_lines(self, tmp_path):
+        # The quoted newline makes the first record span lines 2 and 3.
+        p = write(tmp_path, 'a,target\n"1\n",2\n3,4\n5,bogus\n')
+        with pytest.raises(DataError, match=r"line 5, column 'target': cannot parse 'bogus'"):
+            load_csv(p, target_column="target")
+
     def test_missing_target_column(self, tmp_path):
         p = write(tmp_path, "a,b\n1,2\n")
         with pytest.raises(DataError, match="target"):

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regrobust.defenses import DefenseConfig, ansr_batch, batch_loss_grad
+from regrobust import defenses, nn
+from regrobust.defenses import (
+    _PRIMARY_LOSS,
+    DEFENSE_KINDS,
+    DefenseConfig,
+    ansr_batch,
+    batch_loss_grad,
+)
 from regrobust.errors import ConfigError, DimensionError
 from regrobust.losses import pseudo_huber
 from regrobust.nn import (
@@ -13,6 +20,7 @@ from regrobust.nn import (
     batch_backward,
     forward,
     forward_parts,
+    grad_penalty_batch,
     params_to_vector,
     vector_to_net,
 )
@@ -399,3 +407,61 @@ class TestBatchLossGrad:
             batch_loss_grad(
                 net, rng.normal(size=(2, 3)), rng.normal(size=3), DefenseConfig(kind="none")
             )
+
+
+def shared_forward_case(act):
+    """A (net, X, Y, nn_distances, label_gaps, cfg-kwargs) batch where some ANSR gates fire."""
+    rng = np.random.default_rng(77)
+    net = random_net(rng, input_dim=5, hidden_dim=7, output_activation=act)
+    X = rng.normal(size=(9, 5))
+    Y = rng.uniform(0.05, 0.95, size=9) if act == "sigmoid" else rng.normal(size=9)
+    nn_d = rng.uniform(0.1, 1.0, size=9)
+    nn_d[3] = 0.0
+    gaps = np.where(np.arange(9) % 2 == 0, 0.0, 0.02)
+    kw = dict(delta=0.7, sigma=0.4, beta=1.3, lam=1.9, n_samples=12)
+    return net, X, Y, nn_d, gaps, kw
+
+
+class TestSharedForward:
+    """batch_loss_grad validates once and runs forward once for every term."""
+
+    @pytest.mark.parametrize("act", ["identity", "sigmoid"])
+    @pytest.mark.parametrize("kind", DEFENSE_KINDS)
+    def test_equals_public_terms_bit_for_bit(self, kind, act):
+        net, X, Y, nn_d, gaps, kw = shared_forward_case(act)
+        cfg = DefenseConfig(kind=kind, **kw)
+        loss, grad = batch_loss_grad(net, X, Y, cfg, rng=np.random.default_rng(5),
+                                     nn_distances=nn_d, label_gaps=gaps)
+        loss_kind = _PRIMARY_LOSS[kind]
+        values, g = batch_backward(net, X, Y, loss_kind, cfg.delta)
+        total = values.sum()
+        if kind in ("grad_reg", "combined"):
+            pen, pg = grad_penalty_batch(net, X, Y, cfg.sigma, loss_kind, cfg.delta)
+            total += pen.sum()
+            g = g + pg
+        if kind in ("ansr", "combined"):
+            omega, og = ansr_batch(net, X, cfg.beta * nn_d, gaps, cfg.n_samples,
+                                   np.random.default_rng(5))
+            assert np.any(omega > 0)
+            total += cfg.lam * omega.sum()
+            g = g + cfg.lam * og
+        assert loss == total / len(Y)
+        assert np.array_equal(grad, g / len(Y))
+
+    @pytest.mark.parametrize("kind", ["grad_reg", "ansr", "combined"])
+    def test_one_validation_and_one_forward_per_step(self, kind, monkeypatch):
+        # Counted through both bindings: nn's own functions look the names up in nn.
+        calls = {"forward_parts": 0, "_as_batch": 0}
+        for name in calls:
+            original = getattr(nn, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for module in (nn, defenses):
+                monkeypatch.setattr(module, name, counted)
+        net, X, Y, nn_d, gaps, kw = shared_forward_case("identity")
+        batch_loss_grad(net, X, Y, DefenseConfig(kind=kind, **kw), rng=np.random.default_rng(5),
+                        nn_distances=nn_d, label_gaps=gaps)
+        assert calls == {"forward_parts": 1, "_as_batch": 1}

@@ -65,6 +65,23 @@ class TestAdam:
             p, _ = adam_step(np.zeros(1), np.array([g]), AdamState.zeros(1), t=1, cfg=cfg)
             assert abs(p[0]) <= cfg.learning_rate * 1.0001
 
+    @pytest.mark.parametrize("t", [1, 2, 50])
+    def test_pure_and_exact(self, t):
+        rng = np.random.default_rng(t)
+        params, grads = rng.normal(size=40), rng.normal(size=40)
+        m0, v0 = rng.normal(size=40), rng.uniform(0.0, 2.0, size=40)
+        state = AdamState(m=m0.copy(), v=v0.copy())
+        inputs = [a.copy() for a in (params, grads, m0, v0)]
+        cfg = TrainConfig(learning_rate=3e-3)
+        new, s = adam_step(params, grads, state, t, cfg)
+        for before, after in zip(inputs, (params, grads, state.m, state.v)):
+            assert np.array_equal(before, after)
+        b1, b2, lr, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.learning_rate, cfg.adam_eps
+        assert np.array_equal(s.m, b1 * m0 + (1 - b1) * grads)
+        assert np.array_equal(s.v, b2 * v0 + (1 - b2) * grads * grads)
+        m_hat, v_hat = s.m / (1 - b1**t), s.v / (1 - b2**t)
+        assert np.array_equal(new, params - lr * m_hat / (np.sqrt(v_hat) + eps))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             adam_step(np.zeros(2), np.zeros(3), AdamState.zeros(2), t=1, cfg=TrainConfig())

@@ -38,7 +38,7 @@ from .seeding import derive_seed
 from .training import TUNED_PARAMS, random_search
 
 
-def _build_dataset(cfg: ExperimentConfig):
+def _build_dataset(cfg: ExperimentConfig, stats: dict | None = None):
     ds = data_mod.load_csv(
         cfg.dataset.path,
         target_column=cfg.dataset.target_column,
@@ -49,7 +49,7 @@ def _build_dataset(cfg: ExperimentConfig):
     ds = data_mod.split_dataset(ds, cfg.fractions, seed=derive_seed(cfg.seed, "split"))
     norm = data_mod.fit_normalizer(ds)
     ds = data_mod.normalize_dataset(ds, norm)
-    neighbors = data_mod.compute_neighbors(ds, jobs=cfg.jobs)
+    neighbors = data_mod.compute_neighbors(ds, jobs=cfg.jobs, stats=stats)
     return ds, norm, neighbors
 
 
@@ -109,7 +109,8 @@ def _load_or_prepare(cfg: ExperimentConfig, out: Path):
 
 
 def cmd_prepare(cfg: ExperimentConfig, out: Path) -> int:
-    ds, norm, neighbors = _build_dataset(cfg)
+    stats = {}
+    ds, norm, neighbors = _build_dataset(cfg, stats)
     data_mod.save_dataset_cache(out / "dataset_cache.json", ds, norm, neighbors, _provenance(cfg))
     sizes = {name: int((ds.split == i).sum()) for i, name in enumerate(data_mod.SPLIT_NAMES)}
     nn_d, gaps = neighbors.distance, neighbors.label_gap
@@ -117,7 +118,8 @@ def cmd_prepare(cfg: ExperimentConfig, out: Path) -> int:
         f"prepared {ds.name}: {ds.n_rows} rows, {ds.n_features} features, "
         f"splits {sizes}, cache {out / 'dataset_cache.json'}; "
         f"nearest neighbor: median distance {np.median(nn_d):.4g}, "
-        f"median label gap {np.median(gaps):.4g}, {int((nn_d == 0).sum())} rows at distance 0"
+        f"median label gap {np.median(gaps):.4g}, {int((nn_d == 0).sum())} rows at distance 0, "
+        f"{stats['confirmed']} of {len(nn_d)} rows confirmed exactly"
     )
     return 0
 

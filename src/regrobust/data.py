@@ -3,11 +3,11 @@
 Conventions: rows are examples, one named column is the regression target,
 everything else is a feature. Splits are encoded per row as 0/1/2 for
 train/val/test. All distances here are L-infinity in normalized feature
-space. Neighbor search is exact: distances are built in cache-sized
-(rows, n) tiles one feature at a time, the train-to-train search sweeps only
-the upper triangle (the distance is symmetric bit for bit), ties go to the
-lowest index, and memory is bounded by two tile buffers per worker. With
-jobs > 1 the row blocks are split into groups searched in parallel and
+space. Neighbor search is exact: an int16 screen certifies most rows' nearest
+neighbor, and only the others are confirmed in float64 (compute_neighbors).
+Distances are built in cache-sized tiles one feature at a time, ties go to
+the lowest index, and memory is bounded by two tile buffers per worker. With
+jobs > 1 the confirmation is split into groups searched in parallel and
 merged exactly, so the result does not depend on jobs.
 
 Each set-up artifact is made in one pass: the CSV is read once and converted
@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError, DataError, DimensionError, NonFiniteError
 from .parallel import pmap
 
 TRAIN, VAL, TEST = 0, 1, 2
@@ -268,12 +268,13 @@ def normalize_dataset(dataset: Dataset, norm: Normalizer) -> Dataset:
     return replace(dataset, features=apply_normalizer(norm, dataset.features))
 
 
-_TILE_ELEMENTS = 1 << 16  # float64 cells per distance tile: 0.5 MB, cache-resident
+_TILE_BYTES = 1 << 19  # bytes per distance tile: 0.5 MB, cache-resident
+_TOP = {np.dtype(np.int16): np.iinfo(np.int16).max, np.dtype(np.float64): np.inf}  # > any distance
 
 
-def _tile_rows(n_a: int, n_b: int) -> int:
-    """Rows of A per tile against n_b rows of B."""
-    return max(1, min(n_a, _TILE_ELEMENTS // n_b))
+def _tile_rows(n_a: int, n_b: int, dtype) -> int:
+    """Rows of A per tile of dtype against n_b rows of B."""
+    return max(1, min(n_a, _TILE_BYTES // (np.dtype(dtype).itemsize * n_b)))
 
 
 def _linf_tiles(A: np.ndarray, B: np.ndarray, upper: bool = False, start: int = 0,
@@ -281,14 +282,14 @@ def _linf_tiles(A: np.ndarray, B: np.ndarray, upper: bool = False, start: int = 
     """Yield (s, tile) for each row block [s, s + len(tile)) of A[start:stop].
 
     tile[i, j] = max_k |A[s + i, k] - B[c + j, k]| with c = s when upper (the
-    block meets only columns j >= s) and c = 0 otherwise. Each tile is built
-    one feature at a time in two preallocated buffers sized from len(B), and
-    is overwritten by the next one.
+    block meets only columns j >= s) and c = 0 otherwise, in A's dtype. Each
+    tile is built one feature at a time in two preallocated buffers sized
+    from len(B), and is overwritten by the next one.
     """
     stop = len(A) if stop is None else stop
     BT = np.ascontiguousarray(B.T)
-    step = _tile_rows(len(A), len(B))
-    bufs = np.empty((2, step * len(B)))
+    step = _tile_rows(len(A), len(B), A.dtype)
+    bufs = np.empty((2, step * len(B)), dtype=A.dtype)
     for s in range(start, stop, step):
         rows, cols = A[s : min(s + step, stop)], BT[:, s:] if upper else BT
         tile, tmp = (buf[: len(rows) * cols.shape[1]].reshape(len(rows), -1) for buf in bufs)
@@ -301,31 +302,86 @@ def _linf_tiles(A: np.ndarray, B: np.ndarray, upper: bool = False, start: int = 
         yield s, tile
 
 
-def _keep_nearer(dist, idx, d, cand) -> None:
-    """In place: take a candidate only where it is strictly nearer."""
-    better = d < dist
+def _two_smallest(tile: np.ndarray, axis: int) -> tuple:
+    """(smallest, its lowest position, second smallest) along axis, a tie counting twice."""
+    first = tile.min(axis)
+    if axis == 0:  # argmin(0) runs one short search per column; a weighted max is one pass
+        weights = np.arange(len(tile), 0, -1, dtype=np.min_scalar_type(len(tile)))[:, None]
+        pos = len(tile) - ((tile == first) * weights).max(0).astype(np.int64)
+        at = (pos, np.arange(len(pos)))
+    else:
+        pos = tile.argmin(1)
+        at = (np.arange(len(pos)), pos)
+    tile[at] = _TOP[tile.dtype]  # hide the smallest, then put it back
+    second = tile.min(axis)
+    tile[at] = first
+    return first, pos, second
+
+
+def _keep_nearer(held, found) -> None:
+    """In place: merge found (distance, index, second) into held; ties go to the lower index."""
+    (dist, idx, second), (d, cand, d2) = held, found
+    np.minimum(second, np.minimum(np.maximum(dist, d), d2), out=second)
+    better = (d < dist) | ((d == dist) & (cand < idx))
     dist[better] = d[better]
     idx[better] = cand[better]
 
 
 def _nearest_from_blocks(X: np.ndarray, start: int, stop: int) -> tuple:
-    """(distance, index) for all rows of X over the pairs whose lower row is in [start, stop).
+    """(distance, index, second) of each row of X over the pairs with lower row in [start, stop).
 
-    A row that meets no such pair keeps distance inf. Within the group, ties
-    go to the lowest index, as in the whole search.
+    A row that meets no such pair keeps _TOP. Ties go to the lowest index.
     """
-    n = len(X)
-    dist = np.full(n, np.inf)
-    idx = np.zeros(n, dtype=np.int64)
+    n, top = len(X), _TOP[X.dtype]
+    held = (np.full(n, top, X.dtype), np.zeros(n, dtype=np.int64), np.full(n, top, X.dtype))
     for s, tile in _linf_tiles(X, X, upper=True, start=start, stop=stop):
-        r = len(tile)
-        e = s + r
-        tile[np.arange(r), np.arange(r)] = np.inf
+        r, e = len(tile), s + len(tile)
+        tile[np.arange(r), np.arange(r)] = top
         # Later rows' candidates from this block, then this block's own rows.
-        # Earlier blocks hold lower indices, so a tie keeps what is held.
-        _keep_nearer(dist[e:], idx[e:], tile[:, r:].min(0), s + tile[:, r:].argmin(0))
-        _keep_nearer(dist[s:e], idx[s:e], tile.min(1), s + tile.argmin(1))
-    return dist, idx
+        d, j, d2 = _two_smallest(tile[:, r:], 0)
+        _keep_nearer([a[e:] for a in held], (d, s + j, d2))
+        d, j, d2 = _two_smallest(tile, 1)
+        _keep_nearer([a[s:e] for a in held], (d, s + j, d2))
+    return held
+
+
+def _nearest_in(Q: np.ndarray, T: np.ndarray) -> tuple:
+    """(distance, index, second) of each row of Q over the rows of T."""
+    found = (np.empty(len(Q), Q.dtype), np.empty(len(Q), np.int64), np.empty(len(Q), Q.dtype))
+    for s, tile in _linf_tiles(Q, T):
+        for col, v in zip(found, _two_smallest(tile, 1)):
+            col[s : s + len(tile)] = v
+    return found
+
+
+def _quantized(*arrays) -> list:
+    """The arrays on one int16 grid, rint(s * x), s = 16383 / max|x|: differences fit in int16."""
+    peak = max(float(np.abs(A).max(initial=0.0)) for A in arrays)
+    scale = 16383 / peak if 1e-300 < peak < 8e307 else 0.0  # else s or a difference overflows
+    return [np.rint(A * scale).astype(np.int16) for A in arrays]
+
+
+def _confirm(X: np.ndarray, amb: np.ndarray, jobs: int) -> tuple:
+    """(distance, index) in float64 of each row amb's nearest other row; pairs within amb once."""
+    sure = np.setdiff1d(np.arange(len(X)), amb)
+    A, C, m, n = X[amb], X[sure], len(amb), len(X)
+    step = _tile_rows(m, m, A.dtype)
+    work = m * n - m * m / 2  # rows [0, x) meet x*n - x*x/2 pairs; cut k leaves k/jobs above
+    cuts = sorted({min(m, step * round((n - math.sqrt(n * n - 2 * work * k / jobs)) / step))
+                   for k in range(jobs + 1)})
+
+    def search(group):
+        d, j, d2 = _nearest_from_blocks(A, *group)
+        found = (d, amb[j], d2)
+        if len(C):
+            d, j, d2 = _nearest_in(A[slice(*group)], C)
+            _keep_nearer([col[slice(*group)] for col in found], (d, sure[j], d2))
+        return found
+
+    found = pmap(search, list(zip(cuts, cuts[1:])), jobs=jobs)
+    for other in found[1:]:
+        _keep_nearer(found[0], other)
+    return found[0][:2]
 
 
 class Neighbors(NamedTuple):
@@ -336,46 +392,45 @@ class Neighbors(NamedTuple):
     label_gap: np.ndarray  # (n_train,) |target - neighbor's target|
 
 
-def compute_neighbors(dataset: Dataset, jobs: int = 1) -> Neighbors:
+def compute_neighbors(dataset: Dataset, jobs: int = 1, stats: dict | None = None) -> Neighbors:
     """Nearest neighbor among the other train rows, for every train row.
 
-    Expects features to be normalized already; distances are L-inf. The
-    search is exact and symmetric: since d(i, j) equals d(j, i) bit for bit,
-    row block [s, e) is compared only with columns j >= s, and a running
-    column minimum carries each tile's result to the later rows. Ties go to
-    the lowest index. Memory is two (rows, n) tiles per worker.
+    Expects normalized features; distances are L-inf and exact: the lowest
+    index among the nearest rows, and the float64 distance bit for bit.
 
-    The row blocks are cut into up to jobs contiguous groups of about equal
-    upper-triangle area, searched in parallel (pmap). Each pair's distance is
-    computed in exactly one group, by the same operations as in one pass, and
-    a later group only offers higher indices, so merging the groups in order
-    by strictly smaller distance gives the same result for any jobs.
+    Screen: the rows are quantized once to int16 (scale s), and the grid
+    distances D_q are swept over the upper triangle (d(i, j) equals d(j, i)
+    bit for bit, so a row block meets only the columns from its first row
+    on, and column minima carry to later rows), keeping per row the smallest
+    D_q, the lowest index reaching it, and the second smallest. Since
+    |D_q - s*D| <= 1 + 1e-11 (rint, plus float64 rounding), a gap of 3 or
+    more certifies the screened row. Confirm: every other row is searched
+    again in float64 over the pairs that touch it (_confirm), in up to jobs
+    groups (pmap) merged by nearer candidate, then lower index, so jobs
+    cannot change the result. A certified row's distance is recomputed in
+    float64 from the two rows. stats, if given, gets "confirmed": the count.
     """
     rows = dataset.rows(TRAIN)
     n = len(rows)
     if n < 2:
         raise DataError("nearest-neighbor computation needs at least 2 train rows")
-    X = dataset.features[rows]
-    y = dataset.targets[rows]
-    step = _tile_rows(n, n)
-    n_blocks = -(-n // step)
-    jobs = max(1, int(jobs))
-    # The k-th cut leaves k/jobs of the triangle's area above it.
-    cuts = sorted({min(n, step * round(n_blocks * (1 - math.sqrt(1 - k / jobs))))
-                   for k in range(jobs + 1)})
-    groups = list(zip(cuts, cuts[1:]))
-    found = pmap(lambda group: _nearest_from_blocks(X, *group), groups, jobs=len(groups))
-    dist, idx = found[0]
-    for d, cand in found[1:]:
-        _keep_nearer(dist, idx, d, cand)
+    X, y = dataset.features[rows], dataset.targets[rows]
+    d, idx, second = _nearest_from_blocks(_quantized(X)[0], 0, n)
+    amb = np.flatnonzero(second.astype(np.int32) - d < 3)  # not certified
+    dist = np.abs(X - X[idx]).max(1)
+    if len(amb):
+        dist[amb], idx[amb] = _confirm(X, amb, max(1, int(jobs)))
+    if stats is not None:
+        stats["confirmed"] = len(amb)
     return Neighbors(rows[idx], dist, np.abs(y - y[idx]))
 
 
 def nearest_train_distance(dataset: Dataset, X) -> np.ndarray:
     """Exact L-inf distance from each row of X to the closest train row.
 
-    Built from the same tiles as compute_neighbors, row block by row block,
-    so memory stays at two (rows, n_train) buffers.
+    Screened and confirmed as in compute_neighbors, on one grid for X and the
+    train rows; a row not certified is searched in float64 against every
+    train row. Memory stays at two (rows, n_train) tiles. X must be finite.
     """
     rows = dataset.rows(TRAIN)
     if len(rows) < 1:
@@ -383,10 +438,13 @@ def nearest_train_distance(dataset: Dataset, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != dataset.n_features:
         raise DimensionError(f"X has {X.shape[1]} features, dataset has {dataset.n_features}")
-    dist = np.empty(len(X))
-    for s, tile in _linf_tiles(X, dataset.features[rows]):
-        dist[s : s + len(tile)] = tile.min(1)
-    return dist
+    if not np.isfinite(X).all():
+        raise NonFiniteError("nearest_train_distance: X contains NaN or infinity")
+    T = dataset.features[rows]
+    d, j, second = _nearest_in(*_quantized(X, T))
+    amb = np.flatnonzero(second.astype(np.int32) - d < 3)
+    j[amb] = _nearest_in(X[amb], T)[1]
+    return np.abs(X - T[j]).max(1)
 
 
 def save_dataset_cache(path, dataset: Dataset, norm: Normalizer, neighbors: Neighbors,

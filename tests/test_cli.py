@@ -14,6 +14,7 @@ import pytest
 from regrobust import cli
 from regrobust.cli import main
 from regrobust.config import load_experiment_config, section_to_dict
+from regrobust.data import compute_neighbors, load_dataset_cache
 from regrobust.defenses import DefenseConfig
 from regrobust.evaluation import PointRecord
 
@@ -107,6 +108,18 @@ class TestPrepare:
         assert counts == {"train": 304, "val": 101, "test": 101}
         assert {k: len(v) for k, v in doc["neighbors"].items()} == \
             {"index": 304, "distance": 304, "label_gap": 304}
+
+    def test_summary_reports_confirmed_rows(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "b.json", BOSTON_CSV, tmp_path / "out",
+            dataset={"path": BOSTON_CSV, "target_column": "MEDV", "name": "boston"},
+        )
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        ds = load_dataset_cache(tmp_path / "out" / "dataset_cache.json")[0]
+        stats = {}
+        compute_neighbors(ds, stats=stats)
+        assert 0 < stats["confirmed"] < 304
+        assert f", {stats['confirmed']} of 304 rows confirmed exactly" in capsys.readouterr().out
 
     def test_one_job_never_imports_process_pool(self, tmp_path):
         script = ("import sys; from regrobust.cli import main; "

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import regrobust.data as data_mod
 from regrobust.data import (
@@ -25,7 +27,7 @@ from regrobust.data import (
     save_dataset_cache,
     split_dataset,
 )
-from regrobust.errors import ConfigError, DataError, DimensionError
+from regrobust.errors import ConfigError, DataError, DimensionError, NonFiniteError
 
 from conftest import BOSTON_CSV
 
@@ -485,6 +487,23 @@ def assert_neighbors_exact(X, y, jobs=1):
     assert nb.index.tolist() == j.tolist()
     assert np.array_equal(nb.distance, d[np.arange(len(X)), j])
     assert np.array_equal(nb.label_gap, np.abs(y - y[j]))
+    return nb
+
+
+def grid_ambiguous_count(X):
+    """Rows whose two smallest int16-grid distances differ by less than 3, from the full matrix."""
+    peak = np.abs(X).max()
+    q = np.rint(X * (16383 / peak)) if peak > 0 else np.zeros_like(X)
+    d = linf_matrix(q, q)
+    np.fill_diagonal(d, np.inf)
+    two = np.sort(d, axis=1)[:, :2]
+    return int((two[:, 1] - two[:, 0] < 3).sum())
+
+
+def normalized(X):
+    """Z-scored columns, as prepare leaves them; a constant column becomes 0."""
+    std = X.std(axis=0)
+    return (X - X.mean(axis=0)) / np.where(std > 0, std, 1.0)
 
 
 class TestTiledSearchExact:
@@ -540,11 +559,111 @@ class TestTiledSearchExact:
         with pytest.raises(DimensionError):
             nearest_train_distance(ds, np.zeros((1, 3)))
 
-    def test_memory_stays_at_two_tiles(self):
+    def test_outlier_coarsens_the_grid(self):
+        # One 60-sigma cell sets the int16 grid's scale, so its step is about
+        # 0.004 and many nearest/second-nearest gaps fall below three steps.
+        rng = np.random.default_rng(46)
+        X, y = rng.normal(size=(700, 4)), rng.normal(size=700)
+        X[123, 2] = 60.0
+        assert grid_ambiguous_count(X) > 10
+        for jobs in JOBS:
+            assert_neighbors_exact(X, y, jobs)
+
+    def test_near_tie_below_one_screen_step(self):
+        # Row 0 lies between row 1 (the lower index, farther by delta) and row
+        # 2. The 1000 sets the grid, whose step is 1000 / 16383, about 0.061.
+        step = 1000 / 16383
+        for delta in (0.2 * step, 0.5 * step, 0.9 * step, 1.1 * step):
+            X = np.array([[0.0, 0.0], [0.5 + delta, 0.3], [-0.5, 0.1], [1000.0, 0.0]])
+            if delta < 0.3 * step:  # on the grid, rows 1 and 2 tie for row 0
+                q = np.rint(X / step)
+                assert np.abs(q[1] - q[0]).max() == np.abs(q[2] - q[0]).max()
+            for jobs in JOBS:
+                nb = assert_neighbors_exact(X, np.arange(4.0), jobs)
+                assert nb.index[0] == 2
+
+    def test_all_binary_mostly_confirmed(self):
+        rng = np.random.default_rng(47)
+        X, y = rng.integers(0, 2, size=(600, 16)).astype(np.float64), rng.normal(size=600)
+        assert grid_ambiguous_count(X) > 500  # distance 1 ties for nearly every row
+        for jobs in JOBS:
+            assert_neighbors_exact(X, y, jobs)
+        X = normalized(X)  # unequal column gaps: fewer exact ties
+        assert grid_ambiguous_count(X) > 100
+        for jobs in JOBS:
+            assert_neighbors_exact(X, y, jobs)
+
+    def test_constant_columns_and_identical_rows(self):
+        rng = np.random.default_rng(48)
+        X, y = rng.normal(size=(500, 4)), rng.normal(size=500)
+        X[:, 1], X[:, 3] = 0.0, 7.5
+        for jobs in JOBS:
+            assert_neighbors_exact(X, y, jobs)
+            assert_neighbors_exact(np.full((300, 3), 2.5), y[:300], jobs)
+            assert_neighbors_exact(np.zeros((300, 2)), y[:300], jobs)
+
+    def test_extreme_magnitudes(self):
+        # Differences of +-1e308 overflow to inf, so row 0's distances all
+        # tie in float64 although the grid sees row 2 nearer; at 1e-310 the
+        # cells are subnormal. Both go to the float64 search.
+        for scale in (1e308, 1e-310):
+            X = np.array([[-1.0], [1.0], [0.9]]) * scale
+            for jobs in JOBS:
+                with np.errstate(over="ignore"):
+                    assert_neighbors_exact(X, np.zeros(3), jobs)
+
+    @pytest.mark.parametrize("seed", [49, 50, 51])
+    def test_confirmed_count_matches_grid(self, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(400, 5))
+        X[: 200 * (seed - 49)] = rng.integers(0, 3, size=(200 * (seed - 49), 5))  # 0-400 tie-prone
+        ds = Dataset(features=X, targets=np.zeros(400), split=np.full(400, TRAIN))
+        for jobs in JOBS:
+            stats = {}
+            compute_neighbors(ds, jobs=jobs, stats=stats)
+            assert stats == {"confirmed": grid_ambiguous_count(X)}
+
+    def test_nearest_train_distance_queries_outside_train_range(self):
+        # The queries reach 50 while the train rows stay near 0, so the
+        # shared grid is coarse for the train rows.
+        rng = np.random.default_rng(52)
+        ds = Dataset(features=rng.normal(size=(600, 3)), targets=np.zeros(600), split=None)
+        ds = split_dataset(ds, fractions=(0.7, 0.1, 0.2), seed=6)
+        Q = np.concatenate([rng.uniform(-50, 50, size=(200, 3)), rng.normal(size=(300, 3)),
+                            ds.features[ds.rows(TRAIN)][:50] + 1e-9])
+        d = nearest_train_distance(ds, Q)
+        assert np.array_equal(d, linf_matrix(Q, ds.features[ds.rows(TRAIN)]).min(axis=1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nearest_train_distance_rejects_non_finite(self, bad):
+        ds = Dataset(features=np.zeros((3, 2)), targets=np.zeros(3), split=np.full(3, TRAIN))
+        with pytest.raises(NonFiniteError, match="X"):
+            nearest_train_distance(ds, np.array([[0.0, 1.0], [bad, 0.0]]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_property_matches_full_matrix(self, data):
+        n, d = data.draw(st.integers(2, 40)), data.draw(st.integers(1, 5))
+        grid = data.draw(st.lists(st.integers(-3, 3), min_size=n * d, max_size=n * d))
+        jitter = data.draw(st.lists(st.sampled_from([0.0, 0.0, 1e-12, -3e-9, 2e-5, -1e-3]),
+                                    min_size=n * d, max_size=n * d))
+        scale = data.draw(st.sampled_from([1.0, 0.5, 1e-3, 1e3]))
+        X = (np.array(grid, dtype=np.float64) * scale + np.array(jitter)).reshape(n, d)
+        y = np.arange(n, dtype=np.float64)
+        assert_neighbors_exact(X, y)
+        ds = Dataset(features=X, targets=y, split=np.array([TRAIN, TEST] * n)[:n])
+        train = X[ds.rows(TRAIN)]
+        assert np.array_equal(nearest_train_distance(ds, X), linf_matrix(X, train).min(axis=1))
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["normal", "binary"])
+    def test_memory_stays_at_two_tiles(self, binary):
         # A (rows, n, D) broadcast in ~4M-element chunks holds about 33 MB here.
+        # On the all-binary set nearly every row is confirmed in float64, so
+        # the confirmation must stay in tiles too.
         rng = np.random.default_rng(45)
-        ds = Dataset(features=rng.normal(size=(1500, 32)), targets=rng.normal(size=1500),
-                     split=np.full(1500, TRAIN))
+        X = rng.integers(0, 2, size=(1500, 32)).astype(np.float64) if binary \
+            else rng.normal(size=(1500, 32))
+        ds = Dataset(features=X, targets=rng.normal(size=1500), split=np.full(1500, TRAIN))
         tracemalloc.start()
         try:
             compute_neighbors(ds)

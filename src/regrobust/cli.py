@@ -5,7 +5,6 @@ artifacts are deterministic functions of (config, master seed), including
 under --jobs parallelism.
 """
 import argparse
-import ctypes
 import hashlib
 import json
 import sys
@@ -35,7 +34,7 @@ from .evaluation import (
     write_summary_json,
 )
 from .seeding import derive_seed
-from .training import TUNED_PARAMS, random_search
+from .training import TUNED_PARAMS, _reuse_freed_arrays, random_search
 
 
 def _build_dataset(cfg: ExperimentConfig, stats: dict | None = None):
@@ -49,7 +48,7 @@ def _build_dataset(cfg: ExperimentConfig, stats: dict | None = None):
     ds = data_mod.split_dataset(ds, cfg.fractions, seed=derive_seed(cfg.seed, "split"))
     norm = data_mod.fit_normalizer(ds)
     ds = data_mod.normalize_dataset(ds, norm)
-    neighbors = data_mod.compute_neighbors(ds, jobs=cfg.jobs, stats=stats)
+    neighbors = data_mod.compute_neighbors(ds, stats=stats)
     return ds, norm, neighbors
 
 
@@ -332,30 +331,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
             raise ConfigError(f"--attack {sorted(unknown)} not in config (has {sorted(known)})")
         cfg.attacks = [a for a in cfg.attacks if a.kind in set(args.attack)]
     return cfg
-
-
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameter numbers
-_MMAP_THRESHOLD = 32 << 20  # glibc's cap for its own dynamic threshold on 64-bit
-
-
-def _reuse_freed_arrays() -> None:
-    """Let glibc reuse the large temporaries that every training step frees.
-
-    By default glibc maps each one afresh or trims the heap after it, and
-    raises those thresholds only once some large block happens to be freed,
-    so a stage's speed depended on what ran before it. This sets them as
-    glibc's own rule would (trim = 2 x mmap). Linux only.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
 
 
 def main(argv=None) -> int:

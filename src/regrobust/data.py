@@ -4,11 +4,10 @@ Conventions: rows are examples, one named column is the regression target,
 everything else is a feature. Splits are encoded per row as 0/1/2 for
 train/val/test. All distances here are L-infinity in normalized feature
 space. Neighbor search is exact: an int16 screen certifies most rows' nearest
-neighbor, and only the others are confirmed in float64 (compute_neighbors).
-Distances are built in cache-sized tiles one feature at a time, ties go to
-the lowest index, and memory is bounded by two tile buffers per worker. With
-jobs > 1 the confirmation is split into groups searched in parallel and
-merged exactly, so the result does not depend on jobs.
+neighbor, and only the others are confirmed in float64 (compute_neighbors),
+in one pass in this process. Distances are built in cache-sized tiles one
+feature at a time, ties go to the lowest index, and memory is bounded by two
+tile buffers.
 
 Each set-up artifact is made in one pass: the CSV is read once and converted
 one chunk of rows per numpy call (a per-cell loop converts only a chunk with
@@ -32,7 +31,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, NonFiniteError
-from .parallel import pmap
 
 TRAIN, VAL, TEST = 0, 1, 2
 SPLIT_NAMES = ("train", "val", "test")
@@ -272,26 +270,19 @@ _TILE_BYTES = 1 << 19  # bytes per distance tile: 0.5 MB, cache-resident
 _TOP = {np.dtype(np.int16): np.iinfo(np.int16).max, np.dtype(np.float64): np.inf}  # > any distance
 
 
-def _tile_rows(n_a: int, n_b: int, dtype) -> int:
-    """Rows of A per tile of dtype against n_b rows of B."""
-    return max(1, min(n_a, _TILE_BYTES // (np.dtype(dtype).itemsize * n_b)))
-
-
-def _linf_tiles(A: np.ndarray, B: np.ndarray, upper: bool = False, start: int = 0,
-                stop: int | None = None):
-    """Yield (s, tile) for each row block [s, s + len(tile)) of A[start:stop].
+def _linf_tiles(A: np.ndarray, B: np.ndarray, upper: bool = False):
+    """Yield (s, tile) for each row block [s, s + len(tile)) of A.
 
     tile[i, j] = max_k |A[s + i, k] - B[c + j, k]| with c = s when upper (the
     block meets only columns j >= s) and c = 0 otherwise, in A's dtype. Each
     tile is built one feature at a time in two preallocated buffers sized
     from len(B), and is overwritten by the next one.
     """
-    stop = len(A) if stop is None else stop
     BT = np.ascontiguousarray(B.T)
-    step = _tile_rows(len(A), len(B), A.dtype)
+    step = max(1, min(len(A), _TILE_BYTES // (A.itemsize * len(B))))  # rows per tile
     bufs = np.empty((2, step * len(B)), dtype=A.dtype)
-    for s in range(start, stop, step):
-        rows, cols = A[s : min(s + step, stop)], BT[:, s:] if upper else BT
+    for s in range(0, len(A), step):
+        rows, cols = A[s : s + step], BT[:, s:] if upper else BT
         tile, tmp = (buf[: len(rows) * cols.shape[1]].reshape(len(rows), -1) for buf in bufs)
         np.subtract(rows[:, :1], cols[0], out=tile)
         np.abs(tile, out=tile)
@@ -327,14 +318,14 @@ def _keep_nearer(held, found) -> None:
     idx[better] = cand[better]
 
 
-def _nearest_from_blocks(X: np.ndarray, start: int, stop: int) -> tuple:
-    """(distance, index, second) of each row of X over the pairs with lower row in [start, stop).
+def _nearest_from_blocks(X: np.ndarray) -> tuple:
+    """(distance, index, second) of each row of X over the other rows of X.
 
-    A row that meets no such pair keeps _TOP. Ties go to the lowest index.
+    Each pair is met once. Ties go to the lowest index; a lone row keeps _TOP.
     """
     n, top = len(X), _TOP[X.dtype]
     held = (np.full(n, top, X.dtype), np.zeros(n, dtype=np.int64), np.full(n, top, X.dtype))
-    for s, tile in _linf_tiles(X, X, upper=True, start=start, stop=stop):
+    for s, tile in _linf_tiles(X, X, upper=True):
         r, e = len(tile), s + len(tile)
         tile[np.arange(r), np.arange(r)] = top
         # Later rows' candidates from this block, then this block's own rows.
@@ -361,27 +352,16 @@ def _quantized(*arrays) -> list:
     return [np.rint(A * scale).astype(np.int16) for A in arrays]
 
 
-def _confirm(X: np.ndarray, amb: np.ndarray, jobs: int) -> tuple:
+def _confirm(X: np.ndarray, amb: np.ndarray) -> tuple:
     """(distance, index) in float64 of each row amb's nearest other row; pairs within amb once."""
     sure = np.setdiff1d(np.arange(len(X)), amb)
-    A, C, m, n = X[amb], X[sure], len(amb), len(X)
-    step = _tile_rows(m, m, A.dtype)
-    work = m * n - m * m / 2  # rows [0, x) meet x*n - x*x/2 pairs; cut k leaves k/jobs above
-    cuts = sorted({min(m, step * round((n - math.sqrt(n * n - 2 * work * k / jobs)) / step))
-                   for k in range(jobs + 1)})
-
-    def search(group):
-        d, j, d2 = _nearest_from_blocks(A, *group)
-        found = (d, amb[j], d2)
-        if len(C):
-            d, j, d2 = _nearest_in(A[slice(*group)], C)
-            _keep_nearer([col[slice(*group)] for col in found], (d, sure[j], d2))
-        return found
-
-    found = pmap(search, list(zip(cuts, cuts[1:])), jobs=jobs)
-    for other in found[1:]:
-        _keep_nearer(found[0], other)
-    return found[0][:2]
+    A = X[amb]
+    d, j, d2 = _nearest_from_blocks(A)
+    found = (d, amb[j], d2)
+    if len(sure):
+        d, j, d2 = _nearest_in(A, X[sure])
+        _keep_nearer(found, (d, sure[j], d2))
+    return found[:2]
 
 
 class Neighbors(NamedTuple):
@@ -392,7 +372,7 @@ class Neighbors(NamedTuple):
     label_gap: np.ndarray  # (n_train,) |target - neighbor's target|
 
 
-def compute_neighbors(dataset: Dataset, jobs: int = 1, stats: dict | None = None) -> Neighbors:
+def compute_neighbors(dataset: Dataset, stats: dict | None = None) -> Neighbors:
     """Nearest neighbor among the other train rows, for every train row.
 
     Expects normalized features; distances are L-inf and exact: the lowest
@@ -405,21 +385,19 @@ def compute_neighbors(dataset: Dataset, jobs: int = 1, stats: dict | None = None
     D_q, the lowest index reaching it, and the second smallest. Since
     |D_q - s*D| <= 1 + 1e-11 (rint, plus float64 rounding), a gap of 3 or
     more certifies the screened row. Confirm: every other row is searched
-    again in float64 over the pairs that touch it (_confirm), in up to jobs
-    groups (pmap) merged by nearer candidate, then lower index, so jobs
-    cannot change the result. A certified row's distance is recomputed in
-    float64 from the two rows. stats, if given, gets "confirmed": the count.
+    again in float64 over the pairs that touch it, in one pass (_confirm). A
+    certified row's distance is recomputed in float64 from the two rows.
+    stats, if given, gets "confirmed": the count.
     """
     rows = dataset.rows(TRAIN)
-    n = len(rows)
-    if n < 2:
+    if len(rows) < 2:
         raise DataError("nearest-neighbor computation needs at least 2 train rows")
     X, y = dataset.features[rows], dataset.targets[rows]
-    d, idx, second = _nearest_from_blocks(_quantized(X)[0], 0, n)
+    d, idx, second = _nearest_from_blocks(_quantized(X)[0])
     amb = np.flatnonzero(second.astype(np.int32) - d < 3)  # not certified
     dist = np.abs(X - X[idx]).max(1)
     if len(amb):
-        dist[amb], idx[amb] = _confirm(X, amb, max(1, int(jobs)))
+        dist[amb], idx[amb] = _confirm(X, amb)
     if stats is not None:
         stats["confirmed"] = len(amb)
     return Neighbors(rows[idx], dist, np.abs(y - y[idx]))

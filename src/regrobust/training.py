@@ -1,5 +1,7 @@
 """Minibatch Adam training and random-search hyperparameter tuning."""
+import ctypes
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -73,6 +75,30 @@ def adam_step(params, grads, state: AdamState, t: int, cfg: TrainConfig):
     return params - step, AdamState(m=m, v=v)
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameter numbers
+_MMAP_THRESHOLD = 32 << 20  # glibc's cap for its own dynamic threshold on 64-bit
+
+
+def _reuse_freed_arrays() -> None:
+    """Let glibc reuse the large temporaries that every training step frees.
+
+    By default glibc maps each one afresh or trims the heap after it, and
+    raises those thresholds only once some large block happens to be freed,
+    so a stage's speed depended on what ran before it. This sets them as
+    glibc's own rule would (trim = 2 x mmap). Linux only.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+
+
 def train(
     dataset,
     defense: DefenseConfig,
@@ -86,8 +112,10 @@ def train(
     stability perturbations are drawn for every minibatch gradient step.
     Aborts with TrainingDiverged the moment the loss or parameters go
     non-finite. The net is built once: its w1, b1 and w2 are views of theta,
-    which each Adam step overwrites, and b2 is copied from it.
+    which each Adam step overwrites, and b2 is copied from it. glibc is first
+    set to reuse freed arrays, so a library caller trains as fast as the CLI.
     """
+    _reuse_freed_arrays()
     rows = dataset.rows(data_mod.TRAIN)
     if len(rows) < 1:
         raise ConfigError("train split is empty")

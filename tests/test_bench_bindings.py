@@ -7,12 +7,14 @@ one traced benchmark iteration per stage mix on a tiny synthetic config.
 """
 import importlib
 import json
+import pkgutil
 import sys
 import types
 from pathlib import Path
 
 import pytest
 
+import regrobust
 from regrobust.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -42,6 +44,15 @@ def test_binding_resolves(module_name, attr, span):
 def test_pmap_caller_binds_pmap(module_name):
     module = importlib.import_module(module_name)
     assert callable(getattr(module, "pmap", None)), f"{module_name} has no pmap"
+
+
+def test_every_pmap_caller_is_traced():
+    # A module that binds pmap but is not in PMAP_CALLERS runs an untraced
+    # pool, which parallel.pmap_s and worker_busy_frac would leave out.
+    names = (f"regrobust.{m.name}" for m in pkgutil.iter_modules(regrobust.__path__))
+    callers = {name for name in names
+               if name != "regrobust.parallel" and hasattr(importlib.import_module(name), "pmap")}
+    assert callers <= set(tracer.PMAP_CALLERS)
 
 
 def test_cli_stages_are_wrappable():

@@ -121,15 +121,38 @@ class TestPrepare:
         assert 0 < stats["confirmed"] < 304
         assert f", {stats['confirmed']} of 304 rows confirmed exactly" in capsys.readouterr().out
 
-    def test_one_job_never_imports_process_pool(self, tmp_path):
+    @staticmethod
+    def _prepare_without_pool(config, out, jobs) -> str:
+        """stdout of prepare in a fresh process that must never import the process pool."""
         script = ("import sys; from regrobust.cli import main; "
-                  f"assert main(['prepare', '--config', {str(CONFIGS / 'synthetic.json')!r}, "
-                  f"'--out', {str(tmp_path)!r}, '--jobs', '1']) == 0; "
+                  f"assert main(['prepare', '--config', {str(config)!r}, "
+                  f"'--out', {str(out)!r}, '--jobs', '{jobs}']) == 0; "
                   "assert 'concurrent.futures' not in sys.modules, 'pool imported'")
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         proc = subprocess.run([sys.executable, "-c", script], cwd=REPO, env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_one_job_never_imports_process_pool(self, tmp_path):
+        self._prepare_without_pool(CONFIGS / "synthetic.json", tmp_path, 1)
+
+    def test_two_jobs_prepare_never_imports_process_pool(self, tmp_path):
+        # 100 distinct points, 6 copies each: most train rows tie at distance 0
+        # and are confirmed in float64, over two row blocks, in-process.
+        X = np.random.default_rng(3).normal(size=(100, 3))
+        csv_path = tmp_path / "dup.csv"
+        with open(csv_path, "w") as f:
+            f.write("f1,f2,f3,y\n")
+            for row in np.repeat(X, 6, axis=0):
+                f.write(",".join(repr(float(v)) for v in row) + f",{float(row.sum())!r}\n")
+        cfg = write_config(tmp_path / "dup.json", csv_path, tmp_path / "out")
+        out = self._prepare_without_pool(cfg, tmp_path / "jobs2", 2)
+        assert ", 328 of 360 rows confirmed exactly" in out
+        assert main(["prepare", "--config", str(cfg), "--out", str(tmp_path / "jobs1"),
+                     "--jobs", "1"]) == 0
+        assert (tmp_path / "jobs2" / "dataset_cache.json").read_bytes() == \
+            (tmp_path / "jobs1" / "dataset_cache.json").read_bytes()
 
     def test_missing_csv_is_machine_parseable_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", tmp_path / "nope.csv", tmp_path / "out")
@@ -460,8 +483,8 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("name", ["synthetic", "boston"])
     def test_prepare_cache_byte_identical_across_jobs(self, tmp_path, name):
-        # Boston's 304 train rows make two row blocks, so --jobs 3 searches
-        # them in two workers; both caches must equal the tracked one.
+        # The neighbour search runs in-process at any --jobs (Boston confirms
+        # 24 rows, one row block); both caches must equal the tracked one.
         for jobs in (1, 3):
             out = tmp_path / f"jobs{jobs}"
             assert main(["prepare", "--config", str(CONFIGS / f"{name}.json"),

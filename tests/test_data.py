@@ -470,17 +470,14 @@ class TestNeighbors:
         assert np.array_equal(d, [1.0, 0.5])
 
 
-JOBS = (1, 2, 3)
-
-
 def linf_matrix(A, B):
     """Full (len(A), len(B)) L-inf distance matrix in one broadcast: the oracle."""
     return np.abs(A[:, None, :] - B[None, :, :]).max(axis=2)
 
 
-def assert_neighbors_exact(X, y, jobs=1):
+def assert_neighbors_exact(X, y, stats=None):
     ds = Dataset(features=X, targets=y, split=np.full(len(X), TRAIN))
-    nb = compute_neighbors(ds, jobs=jobs)
+    nb = compute_neighbors(ds, stats=stats)
     d = linf_matrix(X, X)
     np.fill_diagonal(d, np.inf)
     j = d.argmin(axis=1)  # lowest index among ties
@@ -507,38 +504,39 @@ def normalized(X):
 
 
 class TestTiledSearchExact:
-    """compute_neighbors and nearest_train_distance against the full matrix, with ==.
-
-    Every compute_neighbors case runs at jobs 1, 2 and 3: the row blocks split
-    into that many groups, searched in worker processes and merged.
-    """
+    """compute_neighbors and nearest_train_distance against the full matrix, with ==."""
 
     def test_many_tiles_continuous(self):
         rng = np.random.default_rng(41)
         X, y = rng.normal(size=(700, 3)), rng.normal(size=700)
-        for jobs in JOBS:
-            assert_neighbors_exact(X, y, jobs)
+        assert_neighbors_exact(X, y)
 
     def test_many_tiles_integer_ties_and_duplicates(self):
         rng = np.random.default_rng(42)
         X = rng.integers(0, 3, size=(650, 2)).astype(np.float64)
         assert len(np.unique(X, axis=0)) < 10  # nearly every row has duplicates
         y = rng.integers(0, 5, size=650).astype(np.float64)
-        for jobs in JOBS:
-            assert_neighbors_exact(X, y, jobs)
+        assert_neighbors_exact(X, y)
 
     def test_one_feature(self):
         rng = np.random.default_rng(43)
         X, y = rng.integers(0, 50, size=(640, 1)).astype(np.float64), rng.normal(size=640)
-        for jobs in JOBS:
-            assert_neighbors_exact(X, y, jobs)
+        assert_neighbors_exact(X, y)
 
     def test_two_rows(self):
-        # One row block, so jobs > 1 leaves a single group.
-        for jobs in JOBS:
-            assert_neighbors_exact(np.array([[0.5, -1.0], [2.0, 3.0]]), np.array([1.0, -2.0]),
-                                   jobs)
-            assert_neighbors_exact(np.array([[1.0], [1.0]]), np.array([0.0, 0.0]), jobs)
+        assert_neighbors_exact(np.array([[0.5, -1.0], [2.0, 3.0]]), np.array([1.0, -2.0]))
+        assert_neighbors_exact(np.array([[1.0], [1.0]]), np.array([0.0, 0.0]))
+
+    @pytest.mark.parametrize("n", [300, 400])
+    def test_shuffled_line_confirms_every_ambiguous_row(self, n):
+        # Evenly spaced points: every inner row's two neighbours tie, so nearly
+        # all rows are confirmed, over several float64 row blocks.
+        X = np.random.default_rng(7).permutation(n)[:, None].astype(np.float64)
+        y = np.arange(n, dtype=np.float64)
+        for Z in (X, normalized(X)):
+            stats = {}
+            assert_neighbors_exact(Z, y, stats)
+            assert stats["confirmed"] > 256
 
     @pytest.mark.parametrize("integer", [False, True], ids=["normal", "integer"])
     def test_nearest_train_distance_many_tiles(self, integer):
@@ -566,8 +564,7 @@ class TestTiledSearchExact:
         X, y = rng.normal(size=(700, 4)), rng.normal(size=700)
         X[123, 2] = 60.0
         assert grid_ambiguous_count(X) > 10
-        for jobs in JOBS:
-            assert_neighbors_exact(X, y, jobs)
+        assert_neighbors_exact(X, y)
 
     def test_near_tie_below_one_screen_step(self):
         # Row 0 lies between row 1 (the lower index, farther by delta) and row
@@ -578,29 +575,25 @@ class TestTiledSearchExact:
             if delta < 0.3 * step:  # on the grid, rows 1 and 2 tie for row 0
                 q = np.rint(X / step)
                 assert np.abs(q[1] - q[0]).max() == np.abs(q[2] - q[0]).max()
-            for jobs in JOBS:
-                nb = assert_neighbors_exact(X, np.arange(4.0), jobs)
-                assert nb.index[0] == 2
+            nb = assert_neighbors_exact(X, np.arange(4.0))
+            assert nb.index[0] == 2
 
     def test_all_binary_mostly_confirmed(self):
         rng = np.random.default_rng(47)
         X, y = rng.integers(0, 2, size=(600, 16)).astype(np.float64), rng.normal(size=600)
         assert grid_ambiguous_count(X) > 500  # distance 1 ties for nearly every row
-        for jobs in JOBS:
-            assert_neighbors_exact(X, y, jobs)
+        assert_neighbors_exact(X, y)
         X = normalized(X)  # unequal column gaps: fewer exact ties
         assert grid_ambiguous_count(X) > 100
-        for jobs in JOBS:
-            assert_neighbors_exact(X, y, jobs)
+        assert_neighbors_exact(X, y)
 
     def test_constant_columns_and_identical_rows(self):
         rng = np.random.default_rng(48)
         X, y = rng.normal(size=(500, 4)), rng.normal(size=500)
         X[:, 1], X[:, 3] = 0.0, 7.5
-        for jobs in JOBS:
-            assert_neighbors_exact(X, y, jobs)
-            assert_neighbors_exact(np.full((300, 3), 2.5), y[:300], jobs)
-            assert_neighbors_exact(np.zeros((300, 2)), y[:300], jobs)
+        assert_neighbors_exact(X, y)
+        assert_neighbors_exact(np.full((300, 3), 2.5), y[:300])
+        assert_neighbors_exact(np.zeros((300, 2)), y[:300])
 
     def test_extreme_magnitudes(self):
         # Differences of +-1e308 overflow to inf, so row 0's distances all
@@ -608,9 +601,8 @@ class TestTiledSearchExact:
         # cells are subnormal. Both go to the float64 search.
         for scale in (1e308, 1e-310):
             X = np.array([[-1.0], [1.0], [0.9]]) * scale
-            for jobs in JOBS:
-                with np.errstate(over="ignore"):
-                    assert_neighbors_exact(X, np.zeros(3), jobs)
+            with np.errstate(over="ignore"):
+                assert_neighbors_exact(X, np.zeros(3))
 
     @pytest.mark.parametrize("seed", [49, 50, 51])
     def test_confirmed_count_matches_grid(self, seed):
@@ -618,10 +610,9 @@ class TestTiledSearchExact:
         X = rng.normal(size=(400, 5))
         X[: 200 * (seed - 49)] = rng.integers(0, 3, size=(200 * (seed - 49), 5))  # 0-400 tie-prone
         ds = Dataset(features=X, targets=np.zeros(400), split=np.full(400, TRAIN))
-        for jobs in JOBS:
-            stats = {}
-            compute_neighbors(ds, jobs=jobs, stats=stats)
-            assert stats == {"confirmed": grid_ambiguous_count(X)}
+        stats = {}
+        compute_neighbors(ds, stats=stats)
+        assert stats == {"confirmed": grid_ambiguous_count(X)}
 
     def test_nearest_train_distance_queries_outside_train_range(self):
         # The queries reach 50 while the train rows stay near 0, so the

@@ -20,7 +20,7 @@ from .config import (
     parse_defense_config,
     section_to_dict,
 )
-from .defenses import DefenseConfig
+from .defenses import KINDS, DefenseConfig
 from .errors import ConfigError, DataError, RegrobustError
 from .evaluation import (
     aggregate,
@@ -34,7 +34,7 @@ from .evaluation import (
     write_summary_json,
 )
 from .seeding import derive_seed
-from .training import TUNED_PARAMS, _reuse_freed_arrays, random_search
+from .training import _reuse_freed_arrays, random_search
 
 
 def _build_dataset(cfg: ExperimentConfig, stats: dict | None = None):
@@ -139,15 +139,15 @@ def _read_tuned(out: Path, kind: str, cfg: ExperimentConfig, provenance: dict):
         raise ConfigError(f"tuned config {path} is not a JSON object; run tune again")
     data_mod.check_provenance(f"{path} was tuned", doc.get("provenance") or {},
                               _tuned_stamp(cfg, provenance), "run tune again")
-    tuned = parse_defense_config(doc.get("config"), f"tuned:{path}", n_samples=cfg.n_samples)
+    tuned = parse_defense_config(doc.get("config"), f"tuned:{path}")
     if tuned.kind != kind:
         raise ConfigError(f"{path} holds a {tuned.kind!r} config; run tune again")
     return tuned
 
 
-def _combined_candidates(out: Path, cfg: ExperimentConfig, provenance: dict):
-    """Warm-start configs for the combined search, merged from the tuned
-    individual defenses when all three are on disk.
+def _combined_candidates(out: Path, cfg: ExperimentConfig, provenance: dict, base: DefenseConfig):
+    """Warm-start configs for the combined search: base with the tuned params
+    of every other kind that has params, when all their tuned configs exist.
 
     The viable corner of the 4-d space (small sigma, small lambda) is a
     sliver under uniform sampling, so the search is seeded with the merged
@@ -155,12 +155,11 @@ def _combined_candidates(out: Path, cfg: ExperimentConfig, provenance: dict):
     penalties over-regularize at their solo strengths). Both still compete
     against the sampled trials on the same validation objective.
     """
-    kinds = ("pseudo_huber", "grad_reg", "ansr")
+    kinds = [kind for kind, (_, params) in KINDS.items() if params and kind != base.kind]
     if not all(_tuned_path(out, kind).exists() for kind in kinds):
         return ()
-    parts = {kind: _read_tuned(out, kind, cfg, provenance) for kind in kinds}
-    merged = DefenseConfig(kind="combined", n_samples=cfg.n_samples,
-                           **{p: getattr(parts[k], p) for k in kinds for p in TUNED_PARAMS[k]})
+    parts = [_read_tuned(out, kind, cfg, provenance) for kind in kinds]
+    merged = replace(base, **{p: getattr(part, p) for part in parts for p in part.params})
     tempered = replace(merged, sigma=merged.sigma / 2, lam=merged.lam / 2)
     return (merged, tempered)
 
@@ -173,18 +172,17 @@ def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
             continue
         tuned_any = True
         kind = entry.config.kind
-        candidates = (_combined_candidates(out, cfg, provenance)
+        candidates = (_combined_candidates(out, cfg, provenance, entry.config)
                       if kind == "combined" else ())
         best, records = random_search(
             ds,
-            kind,
+            entry.config,
             cfg.search,
             seed=derive_seed(cfg.seed, "tune", kind),
             train_cfg=replace(cfg.train, seed=derive_seed(cfg.seed, "tune-train", kind)),
             neighbors=neighbors,
             attack=cfg.tuning_attack,
             candidates=candidates,
-            n_samples=cfg.n_samples,
             jobs=cfg.jobs,
         )
         with open(_tuned_path(out, kind), "w") as f:

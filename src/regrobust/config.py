@@ -5,10 +5,12 @@ The config dataclasses are the schema. Each section (``dataset``, ``train``,
 from its dataclass: a key is a field name (``lam`` is spelled ``"lambda"``),
 its value must match the field's annotation, and a missing key takes the
 field's default; ``search`` holds the fields of ``SearchSpace``, ``objective``
-among them. A key that names no field fails, so a typo never falls back to a
-default unnoticed. Every default matches the standard evaluation protocol, so
-a minimal config only needs the dataset block. Validation errors start with
-the offending field path.
+among them. A defense entry takes ``kind``, ``tune`` and the fields its kind
+reads (``DefenseConfig.params``), but only ``kind`` and ``tune`` when tuned;
+the top level sets ``train.seed`` and ``n_samples``. Any other key fails, so
+a typo never falls back to a default unnoticed. Every default matches the
+standard evaluation protocol, so a minimal config only needs the dataset
+block. Validation errors start with the offending field path.
 """
 import json
 from dataclasses import MISSING, dataclass, field, fields
@@ -82,12 +84,12 @@ def _parse_pair(v, where: str) -> tuple:
     return _floats(v, where)
 
 
-def _section(cls, doc, path: str, extra=(), **defaults):
+def _section(cls, doc, path: str, extra=(), **fixed):
     """Build the config dataclass cls from the JSON object doc.
 
     Reads one key per field of cls. extra names keys the caller reads itself;
-    any other key is an error. A missing key takes defaults[field] if given,
-    else the field's own default.
+    any other key is an error, as is the key of a field in fixed, which the
+    caller sets from the top level. A missing key takes the field's default.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected an object, got {doc!r}")
@@ -95,14 +97,14 @@ def _section(cls, doc, path: str, extra=(), **defaults):
     for key in doc:
         if key not in specs and key not in extra:
             raise ConfigError(f"{path}.{key}: unknown field")
-    kwargs = {}
+        if key in specs and specs[key].name in fixed:
+            raise ConfigError(f"{path}.{key}: unknown field; the top-level {key} sets it")
+    kwargs = dict(fixed)
     for key, f in specs.items():
         where = f"{path}.{key}"
         if key in doc:
             v = doc[key]
             kwargs[f.name] = _parse_pair(v, where) if f.type is tuple else _check(v, f.type, where)
-        elif f.name in defaults:
-            kwargs[f.name] = defaults[f.name]
         elif f.default is MISSING:
             raise ConfigError(f"{where}: required field is missing")
     try:
@@ -111,9 +113,9 @@ def _section(cls, doc, path: str, extra=(), **defaults):
         raise ConfigError(f"{path}: {e}") from e
 
 
-def parse_defense_config(doc, path: str, n_samples: int = 100) -> DefenseConfig:
+def parse_defense_config(doc, path: str) -> DefenseConfig:
     """Build a DefenseConfig from a JSON object like {"kind": ..., "beta": ...}."""
-    return _section(DefenseConfig, doc, path, n_samples=n_samples)
+    return _section(DefenseConfig, doc, path)
 
 
 def section_to_dict(cfg) -> dict:
@@ -160,30 +162,31 @@ def load_experiment_config(path) -> ExperimentConfig:
     if "dataset" not in doc:
         raise ConfigError("config.dataset: required field is missing")
 
-    scalars = {f.name: _check(doc[f.name], f.type, f"config.{f.name}")
-               for f in fields(ExperimentConfig) if f.type in (int, str) and f.name in doc}
-    for key in ("n_seeds", "jobs"):
-        if scalars.get(key, 1) < 1:
+    scalars = {f.name: _check(doc.get(f.name, f.default), f.type, f"config.{f.name}")
+               for f in fields(ExperimentConfig) if f.type in (int, str)}
+    for key in ("n_samples", "n_seeds", "jobs"):
+        if scalars[key] < 1:
             raise ConfigError(f"config.{key}: must be >= 1, got {scalars[key]}")
-    n_samples = scalars.get("n_samples", ExperimentConfig.n_samples)
 
     fractions = doc.get("fractions", ExperimentConfig.fractions)
     if not (isinstance(fractions, (list, tuple)) and len(fractions) == 3):
         raise ConfigError(f"config.fractions: expected 3 numbers, got {fractions!r}")
 
-    train = doc.get("train", {})
-    if isinstance(train, dict) and "seed" in train:
-        raise ConfigError(
-            "train.seed: unknown field; training seeds derive from the top-level seed"
-        )
     def defense_entry(entry, where):
-        cfg = _section(DefenseConfig, entry, where, extra=("tune",), n_samples=n_samples)
-        return DefenseEntry(cfg, _check(entry.get("tune", False), bool, f"{where}.tune"))
+        cfg = _section(DefenseConfig, entry, where, extra=("tune",), n_samples=scalars["n_samples"])
+        tune = _check(entry.get("tune", False), bool, f"{where}.tune")
+        takes = ["kind", "tune"] + ([] if tune else [_JSON_KEYS.get(p, p) for p in cfg.params])
+        for key in entry:
+            if key not in takes:
+                owner = "tune: true" if tune else repr(cfg.kind)
+                raise ConfigError(f"{where}.{key}: unknown field; a {owner} entry takes only "
+                                  f"{', '.join(takes)}")
+        return DefenseEntry(cfg, tune)
 
     return ExperimentConfig(
         dataset=_section(DatasetSpec, doc["dataset"], "dataset"),
         fractions=_floats(fractions, "config.fractions"),
-        train=_section(TrainConfig, train, "train"),
+        train=_section(TrainConfig, doc.get("train", {}), "train", seed=scalars["seed"]),
         search=_section(SearchSpace, doc.get("search", {}), "search"),
         defenses=_entries(doc, "defenses", defense_entry),
         attacks=_entries(doc, "attacks", lambda entry, where: _section(AttackConfig, entry, where)),

@@ -40,24 +40,23 @@ from .nn import (
     grad_penalty_batch,
 )
 
-DEFENSE_KINDS = ("none", "pseudo_huber", "grad_reg", "ansr", "combined")
-
-# Primary fitting loss per defense kind; penalties are added on top of it.
-_PRIMARY_LOSS = {
-    "none": "squared_error",
-    "grad_reg": "squared_error",
-    "ansr": "squared_error",
-    "pseudo_huber": "pseudo_huber",
-    "combined": "pseudo_huber",
+# Each kind's primary loss and the DefenseConfig fields it reads, in search draw
+# order. Reading "sigma" adds the gradient penalty, "lam" the stability penalty.
+KINDS = {
+    "none": ("squared_error", ()),
+    "pseudo_huber": ("pseudo_huber", ("delta",)),
+    "grad_reg": ("squared_error", ("sigma",)),
+    "ansr": ("squared_error", ("beta", "lam")),
+    "combined": ("pseudo_huber", ("delta", "sigma", "beta", "lam")),
 }
+DEFENSE_KINDS = tuple(KINDS)
 
 
 @dataclass(frozen=True)
 class DefenseConfig:
-    """Defense selection plus every tunable knob.
-
-    Fields irrelevant to ``kind`` are ignored by the math but still validated,
-    so a config can be round-tripped through files without surprises.
+    """A defense kind plus its knobs. Every field is validated, but the kind
+    reads only its params (and n_samples, with the stability penalty), and an
+    experiment config's defense entry may set only those params.
     """
 
     kind: str
@@ -86,9 +85,14 @@ class DefenseConfig:
             raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
 
     @property
+    def params(self) -> tuple:
+        """The fields this kind reads besides n_samples, in search draw order."""
+        return KINDS[self.kind][1]
+
+    @property
     def needs_neighbors(self) -> bool:
         """Whether the stability penalty is active: it needs neighbors and an rng."""
-        return self.kind in ("ansr", "combined")
+        return "lam" in self.params
 
 
 def ansr_batch(net: RegressionNet, X, radii, gaps, n_samples: int, rng, fwd=None):
@@ -172,8 +176,8 @@ def batch_loss_grad(
 ):
     """Mean training objective and its mean theta-gradient over a batch.
 
-    The objective is primary_loss + sigma-penalty + lambda-penalty with the
-    terms selected by cfg.kind. nn_distances/label_gaps are required only when
+    The objective is the primary loss plus the sigma- and lambda-penalties,
+    as KINDS[cfg.kind] names them. nn_distances/label_gaps are required only when
     the stability penalty is active; fresh perturbations are drawn from rng on
     every call. X and Y are validated and run forward once, and every term
     reads that forward pass through its fwd keyword.
@@ -182,16 +186,16 @@ def batch_loss_grad(
     Y = _check_targets(X, Y)
     fwd = forward_parts(net, X)
     B = X.shape[0]
-    loss_kind = _PRIMARY_LOSS[cfg.kind]
+    loss_kind, params = KINDS[cfg.kind]
     values, grad_sum = batch_backward(net, X, Y, loss=loss_kind, delta=cfg.delta, fwd=fwd)
     total = values.sum()
 
-    if cfg.kind in ("grad_reg", "combined"):
+    if "sigma" in params:
         penalties, pgrad = grad_penalty_batch(net, X, Y, cfg.sigma, loss_kind, cfg.delta, fwd=fwd)
         total += penalties.sum()
         grad_sum += pgrad
 
-    if cfg.kind in ("ansr", "combined"):
+    if "lam" in params:
         if nn_distances is None or label_gaps is None:
             raise ConfigError("stability penalty needs nn_distances and label_gaps")
         radii = cfg.beta * np.asarray(nn_distances, dtype=np.float64)

@@ -194,25 +194,10 @@ class SearchSpace:
             raise ConfigError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
 
 
-# Which hyperparameters each defense kind actually tunes, in draw order.
-TUNED_PARAMS = {
-    "none": (),
-    "pseudo_huber": ("delta",),
-    "grad_reg": ("sigma",),
-    "ansr": ("beta", "lam"),
-    "combined": ("delta", "sigma", "beta", "lam"),
-}
-
-
-def sample_defense_config(kind: str, space: SearchSpace, rng, n_samples: int = 100) -> DefenseConfig:
-    """Draw one candidate config, sampling only the parameters the kind uses."""
-    if kind not in TUNED_PARAMS:
-        raise ConfigError(f"unknown defense kind {kind!r}")
-    draws = {}
-    for name in TUNED_PARAMS[kind]:
-        lo, hi = getattr(space, name)
-        draws[name] = float(rng.uniform(lo, hi))
-    return DefenseConfig(kind=kind, n_samples=n_samples, **draws)
+def sample_defense_config(base: DefenseConfig, space: SearchSpace, rng) -> DefenseConfig:
+    """base with each of its kind's params drawn uniformly from space, in order."""
+    draws = {name: float(rng.uniform(*getattr(space, name))) for name in base.params}
+    return replace(base, **draws)
 
 
 @dataclass
@@ -236,20 +221,20 @@ def _objective_value(net: RegressionNet, dataset, objective: str, attack: Attack
 
 def random_search(
     dataset,
-    kind: str,
+    base: DefenseConfig,
     space: SearchSpace,
     seed: int,
     train_cfg: TrainConfig,
     neighbors: data_mod.Neighbors | None = None,
     attack: AttackConfig | None = None,
     candidates=(),
-    n_samples: int = 100,
     jobs: int = 1,
 ):
-    """Uniform random search over the defense's hyperparameters.
+    """Uniform random search over the params of base's defense kind.
 
-    Trains one model per trial (independently seeded from the master seed),
-    scores it on the validation split by space.objective, and returns
+    A sampled trial is base with those params drawn, so n_samples comes from
+    base. Trains one model per trial (independently seeded from the master
+    seed), scores it on the validation split by space.objective, and returns
     (best, records) where records logs every trial and best is the record of
     the winning trial. Ties go to the earliest trial. Explicit candidate
     configs, if given, are evaluated before the sampled ones.
@@ -261,7 +246,7 @@ def random_search(
     configs = [(c, "injected") for c in candidates]
     for i in range(int(space.n_trials)):
         rng = np.random.default_rng(derive_seed(seed, "sample", i))
-        configs.append((sample_defense_config(kind, space, rng, n_samples=n_samples), "sampled"))
+        configs.append((sample_defense_config(base, space, rng), "sampled"))
 
     records = [
         TrialRecord(trial=k, source=source, config=config, value=float("nan"),
@@ -282,6 +267,6 @@ def random_search(
 
     finite = [r for r in records if np.isfinite(r.value)]
     if not finite:
-        raise SearchFailed(f"all {len(records)} search trials diverged for kind {kind!r}", records)
+        raise SearchFailed(f"all {len(records)} search trials diverged for kind {base.kind!r}", records)
     best = min(finite, key=lambda r: (r.value, r.trial))
     return best, records

@@ -1,9 +1,16 @@
+import csv
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from regrobust.cli import main as cli_main
 from regrobust.data import Dataset, fit_normalizer, normalize_dataset, split_dataset
+from regrobust.evaluation import read_cells_csv
 from regrobust.nn import initialize, input_gradient
 
+REPO = Path(__file__).resolve().parents[1]
 BOSTON_CSV = "data/boston.csv"
 
 
@@ -68,3 +75,25 @@ def rng():
 @pytest.fixture(scope="session")
 def lin_ds():
     return linear_dataset()
+
+
+@pytest.fixture(scope="session")
+def boston_eval_dir(tmp_path_factory):
+    """The output directory of one evaluate run of the shipped tuned Boston config."""
+    cfg = json.loads((REPO / "configs" / "boston_tuned.json").read_text())
+    out = tmp_path_factory.mktemp("boston_eval")
+    cfg["dataset"]["path"] = str(REPO / "data" / "boston.csv")
+    cfg["out_dir"] = str(out)
+    cfg_path = out / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(["evaluate", "--config", str(cfg_path), "--jobs", "2"]) == 0
+    return out
+
+
+@pytest.fixture(scope="session")
+def boston_eval(boston_eval_dir):
+    """(cells, points) as that run wrote them to cells.csv and points.csv."""
+    cells = read_cells_csv(boston_eval_dir / "cells.csv")
+    with open(boston_eval_dir / "points.csv", newline="") as f:
+        points = list(csv.DictReader(f))
+    return cells, points

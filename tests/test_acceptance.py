@@ -5,7 +5,6 @@ pytest -s) and enforces the same condition with asserts. The Boston tests
 share a single evaluation run of the shipped tuned config, so this module
 takes a few minutes on one core; everything else is seconds.
 """
-import csv
 import filecmp
 import json
 from dataclasses import replace
@@ -18,7 +17,6 @@ from conftest import fd_gradient, safe_case
 from regrobust.attacks import AttackConfig, fgsm, pgd
 from regrobust.cli import main as cli_main
 from regrobust.defenses import DefenseConfig, ansr_batch
-from regrobust.evaluation import read_cells_csv
 from regrobust.losses import loss_value
 from regrobust.nn import (
     RegressionNet,
@@ -284,21 +282,6 @@ def test_penalty_monte_carlo_consistency():
 
 # ---------------------------------------------------------------------------
 # Boston pipeline: one shared evaluation run for the remaining criteria
-
-
-@pytest.fixture(scope="module")
-def boston_eval(tmp_path_factory):
-    cfg = json.loads((REPO / "configs" / "boston_tuned.json").read_text())
-    out = tmp_path_factory.mktemp("boston_eval")
-    cfg["dataset"]["path"] = str(REPO / "data" / "boston.csv")
-    cfg["out_dir"] = str(out)
-    cfg_path = out / "config.json"
-    cfg_path.write_text(json.dumps(cfg))
-    assert cli_main(["evaluate", "--config", str(cfg_path), "--jobs", "2"]) == 0
-    cells = read_cells_csv(out / "cells.csv")
-    with open(out / "points.csv", newline="") as f:
-        points = list(csv.DictReader(f))
-    return cells, points
 
 
 def _mses(cells, defense, attack):

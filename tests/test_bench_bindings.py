@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import regrobust
-from regrobust.cli import main
+from regrobust.cli import _apply_overrides, build_parser, main
+from regrobust.config import load_experiment_config
 
 REPO = Path(__file__).resolve().parents[1]
 TRACER = REPO / "bench" / "tracer.py"
@@ -80,6 +81,19 @@ def bench_run(monkeypatch):
         monkeypatch.setenv(var, "1")  # run.py pins these when it is loaded
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")  # the runner process writes no .pyc
     return _compiled(RUN, "bench_run")
+
+
+def test_workload_configs_load(bench_run, tmp_path):
+    # A key the config parser rejects would fail every run of that workload.
+    for name, workload in bench_run.WORKLOADS.items():
+        work = tmp_path / name
+        work.mkdir()
+        cfg_path = work / "config.json"
+        cfg_path.write_text(json.dumps(workload.make_config(0, work)))
+        args = build_parser().parse_args(
+            [workload.stages[-1], "--config", str(cfg_path), *workload.extra_args])
+        cfg = _apply_overrides(load_experiment_config(cfg_path), args)
+        assert cfg.defenses and cfg.attacks, name
 
 
 def _tiny_config(tune: bool) -> dict:

@@ -174,7 +174,14 @@ class TestPrepare:
             (lambda d: d["attacks"][2].update(sptes=3), "attacks[2].sptes: unknown field"),
             (lambda d: d["defenses"][2].update(norm_p="inf"), "defenses[2].norm_p: unknown field"),
             (lambda d: d["train"].update(seed=3),
-             "train.seed: unknown field; training seeds derive from the top-level seed"),
+             "train.seed: unknown field; the top-level seed sets it"),
+            (lambda d: d.update(n_samples=0), "config.n_samples: must be >= 1, got 0"),
+            (lambda d: d["defenses"][2].update(n_samples=4),
+             "defenses[2].n_samples: unknown field; the top-level n_samples sets it"),
+            (lambda d: d["defenses"][2].update(beta=2.0),
+             "defenses[2].beta: unknown field; a tune: true entry takes only kind, tune"),
+            (lambda d: d["defenses"][1].update({"lambda": 50.0}),
+             "defenses[1].lambda: unknown field; a 'grad_reg' entry takes only kind, tune, sigma"),
             (lambda d: d["search"].update(n_trials=0), "search"),
             (lambda d: d["search"].update(objective="test_mse"),
              "search: objective must be one of"),
@@ -182,6 +189,7 @@ class TestPrepare:
         ],
         ids=["defense-kind", "fractions-str", "fractions-null", "search-str", "search-null",
              "train-epoch", "defense-lam", "attack-sptes", "norm-p", "train-seed",
+             "n-samples-zero", "tuned-n-samples", "tuned-beta", "grad-reg-lambda",
              "search-n-trials", "search-objective", "search-objective-int"],
     )
     def test_invalid_config_names_field(self, workspace, capsys, edit, field):

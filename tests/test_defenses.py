@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from regrobust import defenses, nn
 from regrobust.defenses import (
-    _PRIMARY_LOSS,
     DEFENSE_KINDS,
     DefenseConfig,
     ansr_batch,
@@ -432,7 +431,7 @@ class TestSharedForward:
         cfg = DefenseConfig(kind=kind, **kw)
         loss, grad = batch_loss_grad(net, X, Y, cfg, rng=np.random.default_rng(5),
                                      nn_distances=nn_d, label_gaps=gaps)
-        loss_kind = _PRIMARY_LOSS[kind]
+        loss_kind = "pseudo_huber" if kind in ("pseudo_huber", "combined") else "squared_error"
         values, g = batch_backward(net, X, Y, loss_kind, cfg.delta)
         total = values.sum()
         if kind in ("grad_reg", "combined"):

@@ -201,7 +201,7 @@ class TestSampleDefenseConfig:
         rng = np.random.default_rng(0)
         space = SearchSpace()
         for _ in range(500):
-            c = sample_defense_config("combined", space, rng)
+            c = sample_defense_config(DefenseConfig(kind="combined"), space, rng)
             assert space.delta[0] <= c.delta <= space.delta[1]
             assert space.sigma[0] <= c.sigma <= space.sigma[1]
             assert space.beta[0] <= c.beta <= space.beta[1]
@@ -209,21 +209,21 @@ class TestSampleDefenseConfig:
 
     def test_only_relevant_params_drawn(self):
         rng = np.random.default_rng(0)
-        c = sample_defense_config("pseudo_huber", SearchSpace(), rng)
-        base = DefenseConfig(kind="pseudo_huber")
+        base = DefenseConfig(kind="pseudo_huber", n_samples=7)
+        c = sample_defense_config(base, SearchSpace(), rng)
         assert c.sigma == base.sigma and c.beta == base.beta and c.lam == base.lam
+        assert c.n_samples == base.n_samples
         assert c.delta != base.delta
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            sample_defense_config("magic", SearchSpace(), np.random.default_rng(0))
+
+PSEUDO_HUBER = DefenseConfig(kind="pseudo_huber")
 
 
 class TestRandomSearch:
     def test_single_trial_returns_it_and_logs(self, lin_ds):
         space = SearchSpace(n_trials=1, objective="val_mse_clean")
         cfg = TrainConfig(learning_rate=0.01, epochs=60, seed=0)
-        best, records = random_search(lin_ds, "pseudo_huber", space, seed=3, train_cfg=cfg)
+        best, records = random_search(lin_ds, PSEUDO_HUBER, space, seed=3, train_cfg=cfg)
         assert len(records) == 1
         assert records[0] is best
         assert np.isfinite(records[0].value)
@@ -232,8 +232,8 @@ class TestRandomSearch:
     def test_log_is_complete_and_deterministic(self, lin_ds):
         space = SearchSpace(n_trials=3, objective="val_mse_clean")
         cfg = TrainConfig(learning_rate=0.01, epochs=40, seed=0)
-        _, r1 = random_search(lin_ds, "pseudo_huber", space, 7, cfg)
-        _, r2 = random_search(lin_ds, "pseudo_huber", space, 7, cfg)
+        _, r1 = random_search(lin_ds, PSEUDO_HUBER, space, 7, cfg)
+        _, r2 = random_search(lin_ds, PSEUDO_HUBER, space, 7, cfg)
         assert [r.value for r in r1] == [r.value for r in r2]
         assert [r.config for r in r1] == [r.config for r in r2]
         assert [r.trial for r in r1] == [0, 1, 2]
@@ -241,7 +241,7 @@ class TestRandomSearch:
     def test_argmin_selected(self, lin_ds):
         space = SearchSpace(n_trials=4, objective="val_mse_clean")
         cfg = TrainConfig(learning_rate=0.01, epochs=40, seed=0)
-        best, records = random_search(lin_ds, "pseudo_huber", space, 11, cfg)
+        best, records = random_search(lin_ds, PSEUDO_HUBER, space, 11, cfg)
         vals = [r.value for r in records]
         assert best is records[int(np.argmin(vals))]
 
@@ -249,7 +249,7 @@ class TestRandomSearch:
         space = SearchSpace(n_trials=1, objective="val_mse_clean")
         cfg = TrainConfig(learning_rate=0.01, epochs=40, seed=0)
         cand = DefenseConfig(kind="pseudo_huber", delta=2.5)
-        _, records = random_search(lin_ds, "pseudo_huber", space, 5, cfg, candidates=[cand])
+        _, records = random_search(lin_ds, PSEUDO_HUBER, space, 5, cfg, candidates=[cand])
         assert len(records) == 2
         assert records[0].source == "injected" and records[0].config == cand
         assert records[1].source == "sampled"
@@ -273,14 +273,13 @@ class TestRandomSearch:
         for objective in ("val_mse_pgd", "val_mse_clean"):
             best, _ = random_search(
                 ds,
-                "ansr",
+                DefenseConfig(kind="ansr", n_samples=16),
                 SearchSpace(n_trials=1, objective=objective),
                 seed=5,
                 train_cfg=cfg,
                 neighbors=nbrs,
                 attack=attack,
                 candidates=(weak, strong),
-                n_samples=16,
             )
             picks[objective] = best.config.lam
         assert picks["val_mse_pgd"] == strong.lam
@@ -290,17 +289,18 @@ class TestRandomSearch:
         space = SearchSpace(n_trials=2, objective="val_mse_clean")
         cfg = TrainConfig(learning_rate=1e160, epochs=2, seed=0)
         with pytest.raises(SearchFailed) as exc_info:
-            random_search(lin_ds, "pseudo_huber", space, 1, cfg)
+            random_search(lin_ds, PSEUDO_HUBER, space, 1, cfg)
         assert len(exc_info.value.trials) == 2
         assert all(np.isnan(r.value) for r in exc_info.value.trials)
 
     def test_bad_objective_rejected(self, lin_ds):
         with pytest.raises(ConfigError, match="objective must be one of"):
-            random_search(lin_ds, "ansr", SearchSpace(objective="test_mse"), 0, TrainConfig())
+            random_search(lin_ds, DefenseConfig(kind="ansr"), SearchSpace(objective="test_mse"), 0,
+                          TrainConfig())
 
     def test_jobs_do_not_change_results(self, lin_ds):
         space = SearchSpace(n_trials=3, objective="val_mse_clean")
         cfg = TrainConfig(learning_rate=0.01, epochs=30, seed=0)
-        _, serial = random_search(lin_ds, "pseudo_huber", space, 13, cfg, jobs=1)
-        _, par = random_search(lin_ds, "pseudo_huber", space, 13, cfg, jobs=2)
+        _, serial = random_search(lin_ds, PSEUDO_HUBER, space, 13, cfg, jobs=1)
+        _, par = random_search(lin_ds, PSEUDO_HUBER, space, 13, cfg, jobs=2)
         assert [r.value for r in serial] == [r.value for r in par]

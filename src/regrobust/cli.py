@@ -16,8 +16,9 @@ import numpy as np
 from . import data as data_mod
 from .config import (
     ExperimentConfig,
+    defense_to_dict,
     load_experiment_config,
-    parse_defense_config,
+    read_defense_entry,
     section_to_dict,
 )
 from .defenses import KINDS, DefenseConfig
@@ -80,8 +81,9 @@ def _tuned_stamp(cfg: ExperimentConfig, provenance: dict) -> dict:
 
     The data provenance, then every train field but the seed (training seeds
     derive from the top-level seed, which the provenance holds), the search
-    fields (ranges, n_trials, objective), the attack the objective uses
-    (null for val_mse_clean), and n_samples, keyed by their config path.
+    fields (n_trials, objective), the attack the objective uses (null for
+    val_mse_clean), and n_samples, keyed by their config path. Code
+    constants, such as Adam's and the search ranges, are not stamped.
     """
     train = section_to_dict(cfg.train)
     del train["seed"]
@@ -139,10 +141,15 @@ def _read_tuned(out: Path, kind: str, cfg: ExperimentConfig, provenance: dict):
         raise ConfigError(f"tuned config {path} is not a JSON object; run tune again")
     data_mod.check_provenance(f"{path} was tuned", doc.get("provenance") or {},
                               _tuned_stamp(cfg, provenance), "run tune again")
-    tuned = parse_defense_config(doc.get("config"), f"tuned:{path}")
-    if tuned.kind != kind:
-        raise ConfigError(f"{path} holds a {tuned.kind!r} config; run tune again")
-    return tuned
+    try:
+        entry = read_defense_entry(doc.get("config"), f"{path}: config", cfg.n_samples)
+    except ConfigError as e:
+        raise ConfigError(f"{e}; run tune again") from e
+    if entry.tune:
+        raise ConfigError(f"{path}: config.tune: a tuned config is fixed; run tune again")
+    if entry.config.kind != kind:
+        raise ConfigError(f"{path} holds a {entry.config.kind!r} config; run tune again")
+    return entry.config
 
 
 def _combined_candidates(out: Path, cfg: ExperimentConfig, provenance: dict, base: DefenseConfig):
@@ -193,7 +200,7 @@ def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
                     "best_value": best.value,
                     "best_trial": best.trial,
                     "n_trials": len(records),
-                    "config": section_to_dict(best.config),
+                    "config": defense_to_dict(best.config),
                     "provenance": _tuned_stamp(cfg, provenance),
                 },
                 f,
@@ -208,7 +215,7 @@ def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
                         {
                             "trial": r.trial,
                             "source": r.source,
-                            "config": section_to_dict(r.config),
+                            "config": defense_to_dict(r.config),
                             "value": None if r.value != r.value else r.value,
                             "train_seed": r.train_seed,
                         },

@@ -4,16 +4,18 @@ The config dataclasses are the schema. Each section (``dataset``, ``train``,
 ``search``, every ``defenses`` and ``attacks`` entry) is read field by field
 from its dataclass: a key is a field name (``lam`` is spelled ``"lambda"``),
 its value must match the field's annotation, and a missing key takes the
-field's default; ``search`` holds the fields of ``SearchSpace``, ``objective``
-among them. A defense entry takes ``kind``, ``tune`` and the fields its kind
-reads (``DefenseConfig.params``), but only ``kind`` and ``tune`` when tuned;
-the top level sets ``train.seed`` and ``n_samples``. Any other key fails, so
-a typo never falls back to a default unnoticed. Every default matches the
-standard evaluation protocol, so a minimal config only needs the dataset
-block. Validation errors start with the offending field path.
+field's default. A defense entry takes ``kind``, ``tune`` and the fields its
+kind reads (``DefenseConfig.params``), but only ``kind`` and ``tune`` when
+tuned; ``read_defense_entry`` reads this form here and in ``tuned_*.json``,
+and ``defense_to_dict`` writes it. The top level sets ``train.seed`` and
+``n_samples``. Any other key fails, so a typo never falls back to a default
+unnoticed. Every default matches the standard evaluation protocol, so a
+minimal config only needs the dataset block. Validation errors start with
+the offending field path.
 """
 import json
 from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 
 from .attacks import DEFAULT_PGD, AttackConfig
 from .defenses import DefenseConfig
@@ -71,19 +73,6 @@ def _check(v, typ, where: str):
     return v
 
 
-def _floats(values, where: str) -> tuple:
-    try:
-        return tuple(float(v) for v in values)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{where}: expected numbers, got {values!r}") from e
-
-
-def _parse_pair(v, where: str) -> tuple:
-    if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise ConfigError(f"{where}: expected [lo, hi], got {v!r}")
-    return _floats(v, where)
-
-
 def _section(cls, doc, path: str, extra=(), **fixed):
     """Build the config dataclass cls from the JSON object doc.
 
@@ -103,8 +92,7 @@ def _section(cls, doc, path: str, extra=(), **fixed):
     for key, f in specs.items():
         where = f"{path}.{key}"
         if key in doc:
-            v = doc[key]
-            kwargs[f.name] = _parse_pair(v, where) if f.type is tuple else _check(v, f.type, where)
+            kwargs[f.name] = _check(doc[key], f.type, where)
         elif f.default is MISSING:
             raise ConfigError(f"{where}: required field is missing")
     try:
@@ -113,18 +101,31 @@ def _section(cls, doc, path: str, extra=(), **fixed):
         raise ConfigError(f"{path}: {e}") from e
 
 
-def parse_defense_config(doc, path: str) -> DefenseConfig:
-    """Build a DefenseConfig from a JSON object like {"kind": ..., "beta": ...}."""
-    return _section(DefenseConfig, doc, path)
+def read_defense_entry(doc, path: str, n_samples: int) -> DefenseEntry:
+    """A defense entry from its JSON object, with n_samples from the top level.
+
+    It holds kind, an optional tune and, unless tune is true, exactly the
+    fields its kind reads; any other key fails, naming itself.
+    """
+    cfg = _section(DefenseConfig, doc, path, extra=("tune",), n_samples=n_samples)
+    tune = _check(doc.get("tune", False), bool, f"{path}.tune")
+    takes = ["kind", "tune"] + ([] if tune else [_JSON_KEYS.get(p, p) for p in cfg.params])
+    for key in doc:
+        if key not in takes:
+            owner = "tune: true" if tune else repr(cfg.kind)
+            raise ConfigError(f"{path}.{key}: unknown field; a {owner} entry takes only "
+                              f"{', '.join(takes)}")
+    return DefenseEntry(cfg, tune)
+
+
+def defense_to_dict(cfg: DefenseConfig) -> dict:
+    """A defense as the JSON object of a fixed entry: kind and the fields it reads."""
+    return {"kind": cfg.kind, **{_JSON_KEYS.get(p, p): getattr(cfg, p) for p in cfg.params}}
 
 
 def section_to_dict(cfg) -> dict:
-    """A config dataclass as its JSON object: JSON keys, tuples as lists."""
-    doc = {}
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        doc[_JSON_KEYS.get(f.name, f.name)] = list(v) if isinstance(v, tuple) else v
-    return doc
+    """A config dataclass as its JSON object, keyed by JSON key."""
+    return {_JSON_KEYS.get(f.name, f.name): getattr(cfg, f.name) for f in fields(cfg)}
 
 
 def _entries(doc, key: str, parse) -> list:
@@ -171,24 +172,18 @@ def load_experiment_config(path) -> ExperimentConfig:
     fractions = doc.get("fractions", ExperimentConfig.fractions)
     if not (isinstance(fractions, (list, tuple)) and len(fractions) == 3):
         raise ConfigError(f"config.fractions: expected 3 numbers, got {fractions!r}")
-
-    def defense_entry(entry, where):
-        cfg = _section(DefenseConfig, entry, where, extra=("tune",), n_samples=scalars["n_samples"])
-        tune = _check(entry.get("tune", False), bool, f"{where}.tune")
-        takes = ["kind", "tune"] + ([] if tune else [_JSON_KEYS.get(p, p) for p in cfg.params])
-        for key in entry:
-            if key not in takes:
-                owner = "tune: true" if tune else repr(cfg.kind)
-                raise ConfigError(f"{where}.{key}: unknown field; a {owner} entry takes only "
-                                  f"{', '.join(takes)}")
-        return DefenseEntry(cfg, tune)
+    try:
+        fractions = tuple(float(v) for v in fractions)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"config.fractions: expected numbers, got {fractions!r}") from e
 
     return ExperimentConfig(
         dataset=_section(DatasetSpec, doc["dataset"], "dataset"),
-        fractions=_floats(fractions, "config.fractions"),
+        fractions=fractions,
         train=_section(TrainConfig, doc.get("train", {}), "train", seed=scalars["seed"]),
         search=_section(SearchSpace, doc.get("search", {}), "search"),
-        defenses=_entries(doc, "defenses", defense_entry),
+        defenses=_entries(doc, "defenses",
+                          partial(read_defense_entry, n_samples=scalars["n_samples"])),
         attacks=_entries(doc, "attacks", lambda entry, where: _section(AttackConfig, entry, where)),
         **scalars,
     )

@@ -140,8 +140,9 @@ def ansr_batch(net: RegressionNet, X, radii, gaps, n_samples: int, rng, fwd=None
     z0, a0, _, y0, act1_0, _ = fwd
     # z(x + r*u) = z0 + r*(u @ w1^T); the buffer becomes the post-ReLU values in place.
     ap = U @ net.w1.T  # (B*S, H)
+    for rows in (ap.reshape(B, -1), U.reshape(B, -1)):  # U then holds the offsets r_i * u
+        rows *= radii[:, None]  # one contiguous row per radius: cheaper than a 3-d broadcast
     ap3 = ap.reshape(B, S, -1)
-    ap3 *= radii[:, None, None]
     ap3 += z0[:, None, :]
     np.maximum(ap, 0.0, out=ap)
     yp, act1_p, _ = _output_head(net, ap @ net.w2 + net.b2)
@@ -158,7 +159,6 @@ def ansr_batch(net: RegressionNet, X, radii, gaps, n_samples: int, rng, fwd=None
     row = idx // S
     # np.take along axis 0 gathers the same values as fancy indexing, faster at small D.
     XPg = np.take(U, idx, axis=0)
-    XPg *= radii[row, None]
     XPg += np.take(X, row, axis=0)  # the gated perturbed inputs x_i + r_i * u, (G, D)
     cp = np.take(coef.ravel() * act1_p, idx)  # (G,) weight on each gated perturbed jacobian
     grad_sum = _param_grad(net, X, a0, c0) - _param_grad(net, XPg, np.take(ap, idx, axis=0), cp)

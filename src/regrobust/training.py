@@ -15,6 +15,7 @@ from .parallel import pmap
 from .seeding import derive_seed
 
 OBJECTIVES = ("val_mse_clean", "val_mse_pgd")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 
 
 @dataclass(frozen=True)
@@ -22,9 +23,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 32
     epochs: int = 200
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     hidden_dim: int | None = None  # None: hidden layer as wide as the input
 
@@ -35,10 +33,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if int(self.epochs) < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ConfigError("adam betas must lie in [0, 1)")
-        if not self.adam_eps > 0:
-            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
+        if self.hidden_dim is not None and int(self.hidden_dim) < 1:
+            raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
 
 
 @dataclass
@@ -62,15 +58,15 @@ def adam_step(params, grads, state: AdamState, t: int, cfg: TrainConfig):
     if t < 1:
         raise ConfigError(f"adam step index must be >= 1, got {t}")
     # In place on fresh arrays only, in the formula's operation order: the same bits.
-    m = cfg.adam_beta1 * state.m
-    m += (1.0 - cfg.adam_beta1) * grads
-    v = (1.0 - cfg.adam_beta2) * grads
+    m = ADAM_BETA1 * state.m
+    m += (1.0 - ADAM_BETA1) * grads
+    v = (1.0 - ADAM_BETA2) * grads
     v *= grads
-    v += cfg.adam_beta2 * state.v
-    step = cfg.learning_rate * (m / (1.0 - cfg.adam_beta1**t))  # lr * m_hat
-    denom = v / (1.0 - cfg.adam_beta2**t)  # v_hat
+    v += ADAM_BETA2 * state.v
+    step = cfg.learning_rate * (m / (1.0 - ADAM_BETA1**t))  # lr * m_hat
+    denom = v / (1.0 - ADAM_BETA2**t)  # v_hat
     np.sqrt(denom, out=denom)
-    denom += cfg.adam_eps
+    denom += ADAM_EPS
     step /= denom
     return params - step, AdamState(m=m, v=v)
 
@@ -171,32 +167,29 @@ def train(
     return net, history
 
 
+# The uniform interval each defense hyperparameter is drawn from.
+SEARCH_RANGES = {"delta": (0.01, 16.0), "sigma": (0.01, 16.0),
+                 "beta": (0.5, 8.0), "lam": (0.1, 10.0)}
+
+
 @dataclass(frozen=True)
 class SearchSpace:
-    """Uniform sampling intervals for each defense hyperparameter, the trial
-    count and the validation objective the trials are scored by."""
+    """The trial count and the validation objective the trials are scored by;
+    each trial draws its params from SEARCH_RANGES."""
 
-    delta: tuple = (0.01, 16.0)
-    sigma: tuple = (0.01, 16.0)
-    beta: tuple = (0.5, 8.0)
-    lam: tuple = (0.1, 10.0)
     n_trials: int = 20
     objective: str = "val_mse_pgd"  # one of OBJECTIVES
 
     def __post_init__(self):
-        for name in ("delta", "sigma", "beta", "lam"):
-            lo, hi = getattr(self, name)
-            if not (np.isfinite(lo) and np.isfinite(hi) and 0 < lo <= hi):
-                raise ConfigError(f"search range for {name} must satisfy 0 < lo <= hi, got {lo}, {hi}")
         if int(self.n_trials) < 1:
             raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
 
 
-def sample_defense_config(base: DefenseConfig, space: SearchSpace, rng) -> DefenseConfig:
-    """base with each of its kind's params drawn uniformly from space, in order."""
-    draws = {name: float(rng.uniform(*getattr(space, name))) for name in base.params}
+def sample_defense_config(base: DefenseConfig, rng) -> DefenseConfig:
+    """base with each of its kind's params drawn uniformly from SEARCH_RANGES, in order."""
+    draws = {name: float(rng.uniform(*SEARCH_RANGES[name])) for name in base.params}
     return replace(base, **draws)
 
 
@@ -246,7 +239,7 @@ def random_search(
     configs = [(c, "injected") for c in candidates]
     for i in range(int(space.n_trials)):
         rng = np.random.default_rng(derive_seed(seed, "sample", i))
-        configs.append((sample_defense_config(base, space, rng), "sampled"))
+        configs.append((sample_defense_config(base, rng), "sampled"))
 
     records = [
         TrialRecord(trial=k, source=source, config=config, value=float("nan"),

@@ -13,9 +13,14 @@ import pytest
 
 from regrobust import cli
 from regrobust.cli import main
-from regrobust.config import load_experiment_config, section_to_dict
+from regrobust.config import (
+    _JSON_KEYS,
+    defense_to_dict,
+    load_experiment_config,
+    read_defense_entry,
+)
 from regrobust.data import compute_neighbors, load_dataset_cache
-from regrobust.defenses import DefenseConfig
+from regrobust.defenses import KINDS, DefenseConfig
 from regrobust.evaluation import PointRecord
 
 from conftest import BOSTON_CSV
@@ -167,8 +172,8 @@ class TestPrepare:
             (lambda d: d["defenses"][0].update(kind="voodoo"), "defenses[0]"),
             (lambda d: d.update(fractions=[0.6, "x", 0.2]), "config.fractions"),
             (lambda d: d.update(fractions=[0.6, None, 0.2]), "config.fractions"),
-            (lambda d: d["search"].update(beta=["x", 1]), "search.beta"),
-            (lambda d: d["search"].update(beta=[None, 1]), "search.beta"),
+            (lambda d: d["search"].update(n_trials="x"), "search.n_trials: expected int"),
+            (lambda d: d["search"].update(n_trials=None), "search.n_trials: expected int"),
             (lambda d: d["train"].update(epoch=5), "train.epoch: unknown field"),
             (lambda d: d["defenses"][1].update(lam=2), "defenses[1].lam: unknown field"),
             (lambda d: d["attacks"][2].update(sptes=3), "attacks[2].sptes: unknown field"),
@@ -186,11 +191,15 @@ class TestPrepare:
             (lambda d: d["search"].update(objective="test_mse"),
              "search: objective must be one of"),
             (lambda d: d["search"].update(objective=3), "search.objective: expected str"),
+            (lambda d: d["train"].update(hidden_dim=0), "train: hidden_dim must be >= 1, got 0"),
+            (lambda d: d["train"].update(hidden_dim=-1),
+             "train: hidden_dim must be >= 1, got -1"),
         ],
         ids=["defense-kind", "fractions-str", "fractions-null", "search-str", "search-null",
              "train-epoch", "defense-lam", "attack-sptes", "norm-p", "train-seed",
              "n-samples-zero", "tuned-n-samples", "tuned-beta", "grad-reg-lambda",
-             "search-n-trials", "search-objective", "search-objective-int"],
+             "search-n-trials", "search-objective", "search-objective-int", "hidden-dim-zero",
+             "hidden-dim-negative"],
     )
     def test_invalid_config_names_field(self, workspace, capsys, edit, field):
         tmp, cfg = workspace
@@ -208,6 +217,17 @@ class TestPrepare:
 def test_shipped_config_loads_strictly(path):
     cfg = load_experiment_config(path)
     assert cfg.defenses and cfg.attacks
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_defense_to_dict_round_trips_through_reader(kind):
+    cfg = DefenseConfig(kind=kind, delta=2.5, sigma=0.25, lam=3.5, beta=1.25, n_samples=7)
+    doc = defense_to_dict(cfg)
+    assert list(doc) == ["kind", *(_JSON_KEYS.get(p, p) for p in cfg.params)]
+    entry = read_defense_entry(doc, "defense", n_samples=7)
+    assert entry.tune is False
+    assert defense_to_dict(entry.config) == doc
+    assert all(getattr(entry.config, p) == getattr(cfg, p) for p in (*cfg.params, "n_samples"))
 
 
 class TestStaleCache:
@@ -258,6 +278,12 @@ class TestStaleCache:
         assert main(["evaluate", "--config", str(cfg), "--seed", "4"]) == 1
 
 
+def _edit_tuned_config(text, edit):
+    """A tuned file's text with its config replaced by edit(config)."""
+    doc = json.loads(text)
+    return json.dumps({**doc, "config": edit(doc["config"])})
+
+
 class TestStaleTuned:
     def test_evaluate_rejects_tuned_config_of_other_seed(self, workspace, capsys):
         tmp, cfg = workspace
@@ -302,8 +328,8 @@ class TestStaleTuned:
         out = tmp / "out"
         tuned = {k: json.loads((out / f"tuned_{k}.json").read_text())["config"]
                  for k in ("pseudo_huber", "grad_reg", "ansr")}
-        merged = section_to_dict(DefenseConfig(
-            kind="combined", n_samples=8, delta=tuned["pseudo_huber"]["delta"],
+        merged = defense_to_dict(DefenseConfig(
+            kind="combined", delta=tuned["pseudo_huber"]["delta"],
             sigma=tuned["grad_reg"]["sigma"], beta=tuned["ansr"]["beta"],
             lam=tuned["ansr"]["lambda"]))
         tempered = {**merged, "sigma": merged["sigma"] / 2, "lambda": merged["lambda"] / 2}
@@ -315,12 +341,12 @@ class TestStaleTuned:
         "edit,field",
         [
             (lambda doc: doc["train"].update(epochs=7), "train.epochs=5"),
-            (lambda doc: doc["search"].update(beta=[1.0, 2.0]), "search.beta=[0.5, 8.0]"),
+            (lambda doc: doc["search"].update(n_trials=3), "search.n_trials=2"),
             (lambda doc: doc.update(n_samples=4), "n_samples=8"),
             (lambda doc: doc["attacks"][2].update(rho=0.3),
              "search.attack={'epsilon': 0.025, 'kind': 'pgd', 'rho': 0.1, 'steps': 5}"),
         ],
-        ids=["train-epochs", "search-beta", "n-samples", "tuning-attack-rho"],
+        ids=["train-epochs", "search-n-trials", "n-samples", "tuning-attack-rho"],
     )
     def test_evaluate_rejects_tuned_config_of_other_settings(self, workspace, capsys, edit,
                                                               field):
@@ -342,9 +368,16 @@ class TestStaleTuned:
         [
             (lambda text: text[: len(text) // 2], "cannot read tuned config"),
             (lambda text: f"[{text}]", "is not a JSON object"),
-            (lambda text: text.replace('"ansr"', '"grad_reg"'), "holds a 'grad_reg' config"),
+            (lambda text: _edit_tuned_config(text, lambda c: {"kind": "grad_reg", "sigma": 0.3}),
+             "holds a 'grad_reg' config"),
+            (lambda text: _edit_tuned_config(text, lambda c: {"kind": "ansr", "tune": True}),
+             "config.tune: a tuned config is fixed"),
+            (lambda text: _edit_tuned_config(text, lambda c: {**c, "sigma": 5.0}),
+             "config.sigma: unknown field; a 'ansr' entry takes only kind, tune, beta, lambda"),
+            (lambda text: _edit_tuned_config(text, lambda c: {**c, "n_samples": 8}),
+             "config.n_samples: unknown field; the top-level n_samples sets it"),
         ],
-        ids=["truncated", "list", "other-kind"],
+        ids=["truncated", "list", "other-kind", "tune-true", "unread-sigma", "unread-n-samples"],
     )
     def test_evaluate_rejects_corrupt_tuned_file(self, workspace, capsys, corrupt, message):
         tmp, cfg = workspace

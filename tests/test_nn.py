@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from regrobust.errors import ConfigError, DimensionError, NonFiniteError
 from regrobust.nn import (
     RegressionNet,
+    _param_grad,
     batch_backward,
     forward,
     grad_penalty_batch,
@@ -143,6 +144,24 @@ class TestBackward:
 
             assert max_rel_err(fd_gradient(f_theta, theta0), d_theta) < 1e-4
             assert max_rel_err(fd_gradient(f_x, x), d_x) < 1e-4
+
+    @pytest.mark.parametrize("n,d,h", [(1, 3, 2), (32, 13, 13), (317, 13, 5), (64, 64, 64)])
+    def test_param_grad_adds_rows_in_order(self, n, d, h):
+        # The column sums must equal a row-by-row loop bit for bit, so a faster
+        # reduction that reorders the additions cannot slip in.
+        rng = np.random.default_rng(n + d + h)
+        net = random_net(rng, input_dim=d, hidden_dim=h)
+        net.b1 = rng.normal(size=h)
+        X = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.8)
+        a = np.maximum(X @ net.w1.T + net.b1, 0.0)
+        g_u = rng.normal(size=n) * (rng.random(n) < 0.8)  # zeros of both signs, mixed signs
+        d_b1, d_w2 = np.zeros(h), np.zeros(h)
+        for i in range(n):
+            d_b1 += (a[i] > 0.0) * net.w2 * g_u[i]
+            d_w2 += a[i] * g_u[i]
+        dz = (a > 0.0) * net.w2 * g_u[:, None]
+        expected = np.concatenate([(dz.T @ X).ravel(), d_b1, d_w2, [g_u.sum()]])
+        assert _param_grad(net, X, a, g_u).tobytes() == expected.tobytes()
 
     def test_rejects_nonfinite_target(self, rng):
         net = random_net(rng)

@@ -15,7 +15,9 @@ from regrobust.data import (
 from regrobust.defenses import DefenseConfig
 from regrobust.errors import ConfigError, DataError, DimensionError, SearchFailed, TrainingDiverged
 from regrobust.nn import forward, params_to_vector
+from regrobust import training
 from regrobust.training import (
+    SEARCH_RANGES,
     AdamState,
     SearchSpace,
     TrainConfig,
@@ -76,7 +78,8 @@ class TestAdam:
         new, s = adam_step(params, grads, state, t, cfg)
         for before, after in zip(inputs, (params, grads, state.m, state.v)):
             assert np.array_equal(before, after)
-        b1, b2, lr, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.learning_rate, cfg.adam_eps
+        b1, b2, eps = training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS
+        lr = cfg.learning_rate
         assert np.array_equal(s.m, b1 * m0 + (1 - b1) * grads)
         assert np.array_equal(s.v, b2 * v0 + (1 - b2) * grads * grads)
         m_hat, v_hat = s.m / (1 - b1**t), s.v / (1 - b2**t)
@@ -94,8 +97,8 @@ class TestAdam:
 class TestTrainConfig:
     @pytest.mark.parametrize(
         "kw",
-        [{"learning_rate": 0.0}, {"batch_size": 0}, {"epochs": 0},
-         {"adam_beta1": 1.0}, {"adam_eps": 0.0}],
+        [{"learning_rate": 0.0}, {"batch_size": 0}, {"epochs": 0}, {"hidden_dim": 0},
+         {"hidden_dim": -1}],
     )
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ConfigError):
@@ -180,37 +183,21 @@ class TestTrain:
 
 class TestSearchSpace:
     def test_defaults(self):
-        s = SearchSpace()
-        assert s.delta == (0.01, 16.0)
-        assert s.sigma == (0.01, 16.0)
-        assert s.beta == (0.5, 8.0)
-        assert s.lam == (0.1, 10.0)
-        assert s.n_trials == 20
-
-    def test_bad_range_rejected(self):
-        with pytest.raises(ConfigError):
-            SearchSpace(beta=(2.0, 1.0))
-        with pytest.raises(ConfigError):
-            SearchSpace(delta=(0.0, 1.0))
-        with pytest.raises(ConfigError):
-            SearchSpace(n_trials=0)
+        assert SearchSpace().n_trials == 20
 
 
 class TestSampleDefenseConfig:
     def test_draws_stay_in_ranges(self):
         rng = np.random.default_rng(0)
-        space = SearchSpace()
         for _ in range(500):
-            c = sample_defense_config(DefenseConfig(kind="combined"), space, rng)
-            assert space.delta[0] <= c.delta <= space.delta[1]
-            assert space.sigma[0] <= c.sigma <= space.sigma[1]
-            assert space.beta[0] <= c.beta <= space.beta[1]
-            assert space.lam[0] <= c.lam <= space.lam[1]
+            c = sample_defense_config(DefenseConfig(kind="combined"), rng)
+            for name, (lo, hi) in SEARCH_RANGES.items():
+                assert lo <= getattr(c, name) <= hi
 
     def test_only_relevant_params_drawn(self):
         rng = np.random.default_rng(0)
         base = DefenseConfig(kind="pseudo_huber", n_samples=7)
-        c = sample_defense_config(base, SearchSpace(), rng)
+        c = sample_defense_config(base, rng)
         assert c.sigma == base.sigma and c.beta == base.beta and c.lam == base.lam
         assert c.n_samples == base.n_samples
         assert c.delta != base.delta

@@ -186,7 +186,7 @@ def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
             entry.config,
             cfg.search,
             seed=derive_seed(cfg.seed, "tune", kind),
-            train_cfg=replace(cfg.train, seed=derive_seed(cfg.seed, "tune-train", kind)),
+            train_cfg=cfg.train,
             neighbors=neighbors,
             attack=cfg.tuning_attack,
             candidates=candidates,
@@ -210,19 +210,10 @@ def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
             f.write("\n")
         with open(out / f"trials_{kind}.jsonl", "w") as f:
             for r in records:
-                f.write(
-                    json.dumps(
-                        {
-                            "trial": r.trial,
-                            "source": r.source,
-                            "config": defense_to_dict(r.config),
-                            "value": None if r.value != r.value else r.value,
-                            "train_seed": r.train_seed,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+                f.write(json.dumps({"trial": r.trial, "source": r.source,
+                                    "config": defense_to_dict(r.config),
+                                    "value": None if r.value != r.value else r.value,
+                                    "train_seed": r.train_seed}, sort_keys=True) + "\n")
         print(f"tuned {kind}: best {cfg.search.objective}={best.value:.6g} "
               f"(trial {best.trial}/{len(records)}) -> {_tuned_path(out, kind)}")
     if not tuned_any:

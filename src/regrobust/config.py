@@ -7,11 +7,12 @@ its value must match the field's annotation, and a missing key takes the
 field's default. A defense entry takes ``kind``, ``tune`` and the fields its
 kind reads (``DefenseConfig.params``), but only ``kind`` and ``tune`` when
 tuned; ``read_defense_entry`` reads this form here and in ``tuned_*.json``,
-and ``defense_to_dict`` writes it. The top level sets ``train.seed`` and
-``n_samples``. Any other key fails, so a typo never falls back to a default
-unnoticed. Every default matches the standard evaluation protocol, so a
-minimal config only needs the dataset block. Validation errors start with
-the offending field path.
+and ``defense_to_dict`` writes it. An attack entry takes ``kind`` and the
+fields its kind reads (``AttackConfig.params``). The top level sets
+``train.seed`` and ``n_samples``. Any other key fails, so a typo never falls
+back to a default unnoticed. Every default matches the standard evaluation
+protocol, so a minimal config only needs the dataset block. Validation
+errors start with the offending field path.
 """
 import json
 from dataclasses import MISSING, dataclass, field, fields
@@ -101,6 +102,14 @@ def _section(cls, doc, path: str, extra=(), **fixed):
         raise ConfigError(f"{path}: {e}") from e
 
 
+def _takes_only(doc, path: str, takes, owner: str) -> None:
+    """Fail on the first key of the entry doc that is not in takes, naming it."""
+    for key in doc:
+        if key not in takes:
+            raise ConfigError(f"{path}.{key}: unknown field; a {owner} entry takes only "
+                              f"{', '.join(takes)}")
+
+
 def read_defense_entry(doc, path: str, n_samples: int) -> DefenseEntry:
     """A defense entry from its JSON object, with n_samples from the top level.
 
@@ -110,12 +119,15 @@ def read_defense_entry(doc, path: str, n_samples: int) -> DefenseEntry:
     cfg = _section(DefenseConfig, doc, path, extra=("tune",), n_samples=n_samples)
     tune = _check(doc.get("tune", False), bool, f"{path}.tune")
     takes = ["kind", "tune"] + ([] if tune else [_JSON_KEYS.get(p, p) for p in cfg.params])
-    for key in doc:
-        if key not in takes:
-            owner = "tune: true" if tune else repr(cfg.kind)
-            raise ConfigError(f"{path}.{key}: unknown field; a {owner} entry takes only "
-                              f"{', '.join(takes)}")
+    _takes_only(doc, path, takes, "tune: true" if tune else repr(cfg.kind))
     return DefenseEntry(cfg, tune)
+
+
+def read_attack_entry(doc, path: str) -> AttackConfig:
+    """An attack entry: kind and exactly the fields its kind reads."""
+    cfg = _section(AttackConfig, doc, path)
+    _takes_only(doc, path, ["kind", *cfg.params], repr(cfg.kind))
+    return cfg
 
 
 def defense_to_dict(cfg: DefenseConfig) -> dict:
@@ -184,6 +196,6 @@ def load_experiment_config(path) -> ExperimentConfig:
         search=_section(SearchSpace, doc.get("search", {}), "search"),
         defenses=_entries(doc, "defenses",
                           partial(read_defense_entry, n_samples=scalars["n_samples"])),
-        attacks=_entries(doc, "attacks", lambda entry, where: _section(AttackConfig, entry, where)),
+        attacks=_entries(doc, "attacks", read_attack_entry),
         **scalars,
     )

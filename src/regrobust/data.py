@@ -480,17 +480,17 @@ def _features_from_block(block, n: int, d: int) -> np.ndarray:
 
 
 def check_provenance(what: str, stamped: dict, provenance: dict, remedy: str) -> None:
-    """Raise a ConfigError naming the first field of provenance the stamp differs in.
+    """Raise a ConfigError unless the stamp equals provenance, naming the first
+    field that differs: a field of provenance, then a stamped field it lacks.
 
     what says where the stamp came from ("dataset cache ... was prepared"),
     remedy what to run to rebuild it.
     """
-    for field, want in provenance.items():
-        if stamped.get(field) != want:
-            raise ConfigError(
-                f"{what} with {field}={stamped.get(field)!r} but this run has "
-                f"{field}={want!r}; {remedy}"
-            )
+    for field in [*provenance, *(k for k in stamped if k not in provenance)]:
+        if field not in stamped or field not in provenance or stamped[field] != provenance[field]:
+            have, want = (f"{field}={d[field]!r}" if field in d else f"no {field}"
+                          for d in (stamped, provenance))
+            raise ConfigError(f"{what} with {have} but this run has {want}; {remedy}")
 
 
 def load_dataset_cache(path, provenance: dict | None = None):
@@ -500,9 +500,9 @@ def load_dataset_cache(path, provenance: dict | None = None):
     len(feature_names)], and its base64 must be valid and decode to exactly
     8 * N * D bytes; the array returned is a writable native float64 copy.
     The neighbor columns must hold exactly one entry per train row, with
-    finite, non-negative distances and gaps. If provenance is given, every
-    field of it must equal the cache's stamp; otherwise a ConfigError names
-    the first field that differs.
+    finite, non-negative distances and gaps. If provenance is given, the
+    cache's stamp must equal it; otherwise a ConfigError names the first
+    field that differs.
     """
     try:
         with open(path) as f:
@@ -534,6 +534,7 @@ def load_dataset_cache(path, provenance: dict | None = None):
         raise DataError(f"malformed dataset cache {path}: {e}; run prepare again") from e
     except OSError as e:
         raise DataError(f"cannot read dataset cache {path}: {e}") from e
-    check_provenance(f"dataset cache {path} was prepared", doc.get("provenance") or {},
-                     provenance or {}, "run prepare again")
+    if provenance is not None:
+        check_provenance(f"dataset cache {path} was prepared", doc.get("provenance") or {},
+                         provenance, "run prepare again")
     return dataset, norm, neighbors

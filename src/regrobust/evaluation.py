@@ -103,15 +103,8 @@ def evaluate_cell(dataset, defense: DefenseConfig, attack: AttackConfig, models:
     out = []
     for i, net in models:
         adv = apply_attack(net, Xt, Yt, attack)
-        out.append(
-            CellRecord(
-                dataset=dataset.name,
-                defense=defense.kind,
-                attack=attack.kind,
-                seed=i,
-                test_mse=mse(Yt, forward(net, adv)),
-            )
-        )
+        out.append(CellRecord(dataset.name, defense.kind, attack.kind, seed=i,
+                              test_mse=mse(Yt, forward(net, adv))))
     return out
 
 
@@ -124,16 +117,7 @@ def aggregate(cells) -> list:
     for key in sorted(groups):
         vals = groups[key]
         std = float(np.std(vals, ddof=1)) if len(vals) > 1 else None
-        out.append(
-            AggregateRecord(
-                dataset=key[0],
-                defense=key[1],
-                attack=key[2],
-                n_seeds=len(vals),
-                mean=float(np.mean(vals)),
-                std=std,
-            )
-        )
+        out.append(AggregateRecord(*key, n_seeds=len(vals), mean=float(np.mean(vals)), std=std))
     return out
 
 

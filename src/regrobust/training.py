@@ -219,23 +219,20 @@ def random_search(
     seed: int,
     train_cfg: TrainConfig,
     neighbors: data_mod.Neighbors | None = None,
-    attack: AttackConfig | None = None,
+    attack: AttackConfig = DEFAULT_PGD,
     candidates=(),
     jobs: int = 1,
 ):
     """Uniform random search over the params of base's defense kind.
 
     A sampled trial is base with those params drawn, so n_samples comes from
-    base. Trains one model per trial (independently seeded from the master
-    seed), scores it on the validation split by space.objective, and returns
-    (best, records) where records logs every trial and best is the record of
-    the winning trial. Ties go to the earliest trial. Explicit candidate
-    configs, if given, are evaluated before the sampled ones.
+    base. Trains one model per trial (seeded from seed, so train_cfg's own
+    seed is not read), scores it on the validation split by space.objective,
+    and returns (best, records) where records logs every trial and best is
+    the record of the winning trial. Ties go to the earliest trial. Explicit
+    candidate configs, if given, are evaluated before the sampled ones.
     Raises SearchFailed (carrying the log) if every trial diverged.
     """
-    if attack is None:
-        attack = DEFAULT_PGD
-
     configs = [(c, "injected") for c in candidates]
     for i in range(int(space.n_trials)):
         rng = np.random.default_rng(derive_seed(seed, "sample", i))

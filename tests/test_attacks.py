@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regrobust import attacks
 from regrobust.attacks import (
     DEFAULT_FGSM,
     DEFAULT_PGD,
@@ -12,7 +13,7 @@ from regrobust.attacks import (
     pgd,
 )
 from regrobust.errors import ConfigError
-from regrobust.nn import RegressionNet, forward, input_gradient
+from regrobust.nn import ACTIVATIONS, RegressionNet, forward, input_gradient
 
 from conftest import random_net
 
@@ -94,6 +95,21 @@ class TestFgsm:
         for i in range(5):
             assert np.array_equal(batch[i], fgsm(net, X[i], Y[i], 0.1))
 
+    @pytest.mark.parametrize("head", ACTIVATIONS)
+    def test_equals_closed_form_bit_for_bit(self, head):
+        # fgsm runs the shared clipped loop; its one clipped step must be the
+        # unclipped X + eps * sign(gradient) exactly, zeros and signed zeros included.
+        rng = np.random.default_rng(4242)
+        for _ in range(200):
+            d = int(rng.integers(1, 6))
+            net = random_net(rng, input_dim=d, output_activation=head)
+            X = rng.normal(size=(int(rng.integers(1, 9)), d))
+            X[rng.random(X.shape) < 0.1] = rng.choice([0.0, -0.0])
+            Y = rng.normal(size=len(X))
+            eps = float(rng.choice([1e-3, 0.1, 0.7, 3.0]))
+            expected = X + eps * np.sign(input_gradient(net, X, Y))
+            assert fgsm(net, X, Y, eps).tobytes() == expected.tobytes()
+
 
 class TestPgd:
     def test_single_step_full_epsilon_equals_fgsm(self, rng):
@@ -164,6 +180,16 @@ class TestApplyAttack:
             apply_attack(net, X, Y, DEFAULT_FGSM), fgsm(net, X, Y, DEFAULT_FGSM.epsilon)
         )
         assert np.array_equal(apply_attack(net, X, Y, DEFAULT_PGD), pgd(net, X, Y, DEFAULT_PGD))
+
+    @pytest.mark.parametrize("cfg,calls", [(AttackConfig(kind="none"), 0), (DEFAULT_FGSM, 1),
+                                           (DEFAULT_PGD, DEFAULT_PGD.steps)])
+    def test_input_gradient_calls_per_attack(self, rng, monkeypatch, cfg, calls):
+        seen = []
+        monkeypatch.setattr(attacks, "input_gradient",
+                            lambda *a: seen.append(1) or input_gradient(*a))
+        net = random_net(rng, input_dim=3)
+        apply_attack(net, rng.normal(size=(4, 3)), rng.normal(size=4), cfg)
+        assert len(seen) == calls
 
     def test_attack_monotonicity_on_average(self):
         # On a fixed random net and test set, the 10-step attack should do at

@@ -177,6 +177,10 @@ class TestPrepare:
             (lambda d: d["train"].update(epoch=5), "train.epoch: unknown field"),
             (lambda d: d["defenses"][1].update(lam=2), "defenses[1].lam: unknown field"),
             (lambda d: d["attacks"][2].update(sptes=3), "attacks[2].sptes: unknown field"),
+            (lambda d: d["attacks"][1].update(rho=5.0, steps=3),
+             "attacks[1].rho: unknown field; a 'fgsm' entry takes only kind, epsilon"),
+            (lambda d: d["attacks"][0].update(epsilon=9.0),
+             "attacks[0].epsilon: unknown field; a 'none' entry takes only kind"),
             (lambda d: d["defenses"][2].update(norm_p="inf"), "defenses[2].norm_p: unknown field"),
             (lambda d: d["train"].update(seed=3),
              "train.seed: unknown field; the top-level seed sets it"),
@@ -196,10 +200,10 @@ class TestPrepare:
              "train: hidden_dim must be >= 1, got -1"),
         ],
         ids=["defense-kind", "fractions-str", "fractions-null", "search-str", "search-null",
-             "train-epoch", "defense-lam", "attack-sptes", "norm-p", "train-seed",
-             "n-samples-zero", "tuned-n-samples", "tuned-beta", "grad-reg-lambda",
-             "search-n-trials", "search-objective", "search-objective-int", "hidden-dim-zero",
-             "hidden-dim-negative"],
+             "train-epoch", "defense-lam", "attack-sptes", "fgsm-rho", "none-epsilon",
+             "norm-p", "train-seed", "n-samples-zero", "tuned-n-samples", "tuned-beta",
+             "grad-reg-lambda", "search-n-trials", "search-objective", "search-objective-int",
+             "hidden-dim-zero", "hidden-dim-negative"],
     )
     def test_invalid_config_names_field(self, workspace, capsys, edit, field):
         tmp, cfg = workspace
@@ -253,6 +257,20 @@ class TestStaleCache:
             err = json.loads(capsys.readouterr().err.strip())
             assert err["error"] == "ConfigError"
             assert f"prepared with {field}=" in err["message"]
+
+    def test_tune_rejects_cache_with_extra_stamp_key(self, workspace, capsys):
+        tmp, cfg = workspace
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        cache = tmp / "out" / "dataset_cache.json"
+        doc = json.loads(cache.read_text())
+        doc["provenance"]["dataset.encoding"] = "latin-1"
+        cache.write_text(json.dumps(doc))
+        assert main(["tune", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert ("prepared with dataset.encoding='latin-1' but this run has no "
+                "dataset.encoding; run prepare again") in err["message"]
+        assert not (tmp / "out" / "tuned_ansr.json").exists()
 
     def test_csv_hash_streamed_over_blocks_is_whole_file_sha256(self, tmp_path):
         csv_path = tmp_path / "big.csv"
@@ -361,6 +379,23 @@ class TestStaleTuned:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ConfigError"
         assert f"tuned_ansr.json was tuned with {field} but this run has" in err["message"]
+        assert not (tmp / "out" / "cells.csv").exists()
+
+    def test_evaluate_rejects_tuned_file_with_extra_stamp_key(self, workspace, capsys):
+        tmp, cfg = workspace
+        doc = json.loads(cfg.read_text())
+        doc["train"]["epochs"] = 5
+        cfg.write_text(json.dumps(doc))
+        assert main(["tune", "--config", str(cfg)]) == 0
+        tuned = tmp / "out" / "tuned_ansr.json"
+        doc = json.loads(tuned.read_text())
+        doc["provenance"]["train.adam_beta1"] = 0.5
+        tuned.write_text(json.dumps(doc))
+        assert main(["evaluate", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert ("tuned_ansr.json was tuned with train.adam_beta1=0.5 but this run has no "
+                "train.adam_beta1; run tune again") in err["message"]
         assert not (tmp / "out" / "cells.csv").exists()
 
     @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ from .config import (
     section_to_dict,
 )
 from .defenses import KINDS, DefenseConfig
-from .errors import ConfigError, DataError, RegrobustError
+from .errors import ConfigError, DataError, RegrobustError, SearchFailed
 from .evaluation import (
     aggregate,
     evaluate_cell,
@@ -171,28 +171,38 @@ def _combined_candidates(out: Path, cfg: ExperimentConfig, provenance: dict, bas
     return (merged, tempered)
 
 
+def _write_trials(path: Path, records) -> None:
+    """The trial log as JSON lines, one per trial; a diverged trial's value is null."""
+    with open(path, "w") as f:
+        for r in records:
+            f.write(json.dumps({"trial": r.trial, "source": r.source,
+                                "config": defense_to_dict(r.config),
+                                "value": None if r.value != r.value else r.value,
+                                "train_seed": r.train_seed}, sort_keys=True) + "\n")
+
+
 def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
     ds, neighbors, provenance = _load_or_prepare(cfg, out)
-    tuned_any = False
-    for entry in cfg.defenses:
-        if not entry.tune:
-            continue
-        tuned_any = True
+    entries = [e for e in cfg.defenses if e.tune]
+    if not entries:
+        print("nothing to tune: no defense entry has tune=true")
+    for entry in entries:
         kind = entry.config.kind
         candidates = (_combined_candidates(out, cfg, provenance, entry.config)
                       if kind == "combined" else ())
-        best, records = random_search(
-            ds,
-            entry.config,
-            cfg.search,
-            seed=derive_seed(cfg.seed, "tune", kind),
-            train_cfg=cfg.train,
-            neighbors=neighbors,
-            attack=cfg.tuning_attack,
-            candidates=candidates,
-            jobs=cfg.jobs,
-        )
-        with open(_tuned_path(out, kind), "w") as f:
+        trials, tuned = out / f"trials_{kind}.jsonl", _tuned_path(out, kind)
+        try:
+            best, records = random_search(
+                ds, entry.config, cfg.search, seed=derive_seed(cfg.seed, "tune", kind),
+                train_cfg=cfg.train, neighbors=neighbors, attack=cfg.tuning_attack,
+                candidates=candidates, jobs=cfg.jobs)
+        except SearchFailed as e:
+            # Keep this run's log, and no tuned config that no trial of it chose.
+            _write_trials(trials, e.trials)
+            tuned.unlink(missing_ok=True)
+            raise
+        _write_trials(trials, records)
+        with open(tuned, "w") as f:
             json.dump(
                 {
                     "kind": kind,
@@ -208,35 +218,16 @@ def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
                 sort_keys=True,
             )
             f.write("\n")
-        with open(out / f"trials_{kind}.jsonl", "w") as f:
-            for r in records:
-                f.write(json.dumps({"trial": r.trial, "source": r.source,
-                                    "config": defense_to_dict(r.config),
-                                    "value": None if r.value != r.value else r.value,
-                                    "train_seed": r.train_seed}, sort_keys=True) + "\n")
         print(f"tuned {kind}: best {cfg.search.objective}={best.value:.6g} "
-              f"(trial {best.trial}/{len(records)}) -> {_tuned_path(out, kind)}")
-    if not tuned_any:
-        print("nothing to tune: no defense entry has tune=true")
+              f"(trial {best.trial}/{len(records)}) -> {tuned}")
     return 0
-
-
-def _resolve_defense(entry, out: Path, cfg: ExperimentConfig, provenance: dict):
-    if not entry.tune:
-        return entry.config
-    path = _tuned_path(out, entry.config.kind)
-    if not path.exists():
-        raise ConfigError(
-            f"defense {entry.config.kind!r} has tune=true but {path} does not exist; "
-            f"run the tune command first"
-        )
-    return _read_tuned(out, entry.config.kind, cfg, provenance)
 
 
 def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     ds, neighbors, provenance = _load_or_prepare(cfg, out)
     # Every tuned config is read and checked before any model is trained.
-    defenses = [_resolve_defense(e, out, cfg, provenance) for e in cfg.defenses]
+    defenses = [_read_tuned(out, e.config.kind, cfg, provenance) if e.tune else e.config
+                for e in cfg.defenses]
     test_nn = data_mod.nearest_train_distance(ds, ds.features[ds.rows(data_mod.TEST)])
     cells = []
     points = []
@@ -252,17 +243,20 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
             print(f"evaluated {defense.kind}: {len(cfg.attacks)} attack(s) x {cfg.n_seeds} seed(s)")
     finally:
         # A failed run still writes what finished, so a long run is not lost to
-        # one bad cell, and all three artifacts come from this run.
-        if cells:
-            write_cells_csv(out / "cells.csv", cells)
-            write_points_csv(out / "points.csv", points)
-            write_summary_json(out / "summary.json", aggregate(cells))
+        # one bad cell, and all three artifacts come from this run: with no
+        # finished cell they hold no rows, so no earlier run's numbers survive.
+        write_cells_csv(out / "cells.csv", cells)
+        write_points_csv(out / "points.csv", points)
+        write_summary_json(out / "summary.json", aggregate(cells))
     print(f"wrote {out / 'cells.csv'}, {out / 'points.csv'}, {out / 'summary.json'}")
     return 0
 
 
 def cmd_report(cfg: ExperimentConfig, out: Path) -> int:
-    cells = read_cells_csv(out / "cells.csv")
+    path = out / "cells.csv"
+    cells = read_cells_csv(path)
+    if not cells:
+        raise DataError(f"{path} holds no cells; run evaluate again")
     aggregates = aggregate(cells)
     write_summary_json(out / "summary.json", aggregates)
     print(format_summary_table(aggregates))

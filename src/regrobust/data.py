@@ -3,11 +3,12 @@
 Conventions: rows are examples, one named column is the regression target,
 everything else is a feature. Splits are encoded per row as 0/1/2 for
 train/val/test. All distances here are L-infinity in normalized feature
-space. Neighbor search is exact: an int16 screen certifies most rows' nearest
-neighbor, and only the others are confirmed in float64 (compute_neighbors),
-in one pass in this process. Distances are built in cache-sized tiles one
-feature at a time, ties go to the lowest index, and memory is bounded by two
-tile buffers.
+space. Nearest-row search is exact and has one float64 sweep (_nearest_in):
+the test rows' distances to the train rows go straight through it, and
+compute_neighbors screens the train rows on an int16 grid first, so the sweep
+confirms only the rows the screen leaves uncertain. Distances are built in
+cache-sized tiles one feature at a time, ties go to the lowest index, and
+memory is bounded by two tile buffers.
 
 Each set-up artifact is made in one pass: the CSV is read once and converted
 one chunk of rows per numpy call (a per-cell loop converts only a chunk with
@@ -336,32 +337,26 @@ def _nearest_from_blocks(X: np.ndarray) -> tuple:
     return held
 
 
-def _nearest_in(Q: np.ndarray, T: np.ndarray) -> tuple:
-    """(distance, index, second) of each row of Q over the rows of T."""
-    found = (np.empty(len(Q), Q.dtype), np.empty(len(Q), np.int64), np.empty(len(Q), Q.dtype))
+def _nearest_in(Q: np.ndarray, T: np.ndarray, own=None) -> tuple:
+    """(distance, lowest index) in float64 of each row of Q over the rows of T.
+
+    When own is given, Q[i] is T[own[i]], and that row is skipped.
+    """
+    dist, idx = np.empty(len(Q)), np.empty(len(Q), dtype=np.int64)
     for s, tile in _linf_tiles(Q, T):
-        for col, v in zip(found, _two_smallest(tile, 1)):
-            col[s : s + len(tile)] = v
-    return found
+        e, r = s + len(tile), np.arange(len(tile))
+        if own is not None:
+            tile[r, own[s:e]] = np.inf
+        idx[s:e] = j = tile.argmin(1)
+        dist[s:e] = tile[r, j]
+    return dist, idx
 
 
-def _quantized(*arrays) -> list:
-    """The arrays on one int16 grid, rint(s * x), s = 16383 / max|x|: differences fit in int16."""
-    peak = max(float(np.abs(A).max(initial=0.0)) for A in arrays)
+def _quantized(A: np.ndarray) -> np.ndarray:
+    """A on an int16 grid, rint(s * x), s = 16383 / max|x|: differences fit in int16."""
+    peak = float(np.abs(A).max(initial=0.0))
     scale = 16383 / peak if 1e-300 < peak < 8e307 else 0.0  # else s or a difference overflows
-    return [np.rint(A * scale).astype(np.int16) for A in arrays]
-
-
-def _confirm(X: np.ndarray, amb: np.ndarray) -> tuple:
-    """(distance, index) in float64 of each row amb's nearest other row; pairs within amb once."""
-    sure = np.setdiff1d(np.arange(len(X)), amb)
-    A = X[amb]
-    d, j, d2 = _nearest_from_blocks(A)
-    found = (d, amb[j], d2)
-    if len(sure):
-        d, j, d2 = _nearest_in(A, X[sure])
-        _keep_nearer(found, (d, sure[j], d2))
-    return found[:2]
+    return np.rint(A * scale).astype(np.int16)
 
 
 class Neighbors(NamedTuple):
@@ -385,19 +380,20 @@ def compute_neighbors(dataset: Dataset, stats: dict | None = None) -> Neighbors:
     D_q, the lowest index reaching it, and the second smallest. Since
     |D_q - s*D| <= 1 + 1e-11 (rint, plus float64 rounding), a gap of 3 or
     more certifies the screened row. Confirm: every other row is searched
-    again in float64 over the pairs that touch it, in one pass (_confirm). A
-    certified row's distance is recomputed in float64 from the two rows.
+    again in float64 over all train rows but itself (_nearest_in), and keeps
+    the tile's distance. A certified row's distance is recomputed in float64
+    from the two rows.
     stats, if given, gets "confirmed": the count.
     """
     rows = dataset.rows(TRAIN)
     if len(rows) < 2:
         raise DataError("nearest-neighbor computation needs at least 2 train rows")
     X, y = dataset.features[rows], dataset.targets[rows]
-    d, idx, second = _nearest_from_blocks(_quantized(X)[0])
+    d, idx, second = _nearest_from_blocks(_quantized(X))
     amb = np.flatnonzero(second.astype(np.int32) - d < 3)  # not certified
     dist = np.abs(X - X[idx]).max(1)
     if len(amb):
-        dist[amb], idx[amb] = _confirm(X, amb)
+        dist[amb], idx[amb] = _nearest_in(X[amb], X, amb)
     if stats is not None:
         stats["confirmed"] = len(amb)
     return Neighbors(rows[idx], dist, np.abs(y - y[idx]))
@@ -406,9 +402,9 @@ def compute_neighbors(dataset: Dataset, stats: dict | None = None) -> Neighbors:
 def nearest_train_distance(dataset: Dataset, X) -> np.ndarray:
     """Exact L-inf distance from each row of X to the closest train row.
 
-    Screened and confirmed as in compute_neighbors, on one grid for X and the
-    train rows; a row not certified is searched in float64 against every
-    train row. Memory stays at two (rows, n_train) tiles. X must be finite.
+    One float64 sweep against every train row, with no int16 screen: the
+    distance is the tile's, bit for bit. Memory stays at two (rows, n_train)
+    tiles. X must be finite.
     """
     rows = dataset.rows(TRAIN)
     if len(rows) < 1:
@@ -418,11 +414,7 @@ def nearest_train_distance(dataset: Dataset, X) -> np.ndarray:
         raise DimensionError(f"X has {X.shape[1]} features, dataset has {dataset.n_features}")
     if not np.isfinite(X).all():
         raise NonFiniteError("nearest_train_distance: X contains NaN or infinity")
-    T = dataset.features[rows]
-    d, j, second = _nearest_in(*_quantized(X, T))
-    amb = np.flatnonzero(second.astype(np.int32) - d < 3)
-    j[amb] = _nearest_in(X[amb], T)[1]
-    return np.abs(X - T[j]).max(1)
+    return _nearest_in(X, dataset.features[rows])[0]
 
 
 def save_dataset_cache(path, dataset: Dataset, norm: Normalizer, neighbors: Neighbors,

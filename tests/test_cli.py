@@ -21,7 +21,7 @@ from regrobust.config import (
 )
 from regrobust.data import compute_neighbors, load_dataset_cache
 from regrobust.defenses import KINDS, DefenseConfig
-from regrobust.evaluation import PointRecord
+from regrobust.evaluation import CellRecord, PointRecord
 
 from conftest import BOSTON_CSV
 
@@ -483,6 +483,26 @@ class TestTuneEvaluateReport:
         assert main(["report", "--config", str(cfg)]) == 0
         assert "defense" in capsys.readouterr().out
 
+    def test_failed_tune_writes_its_log_and_drops_the_tuned_config(self, workspace, capsys):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        assert main(["tune", "--config", str(cfg)]) == 0
+        assert (out / "tuned_ansr.json").exists()
+        # Every trial now diverges.
+        doc = json.loads(cfg.read_text())
+        doc["train"]["learning_rate"] = 1e160
+        cfg.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["tune", "--config", str(cfg)]) == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "SearchFailed"
+        assert not (out / "tuned_ansr.json").exists()
+        lines = (out / "trials_ansr.jsonl").read_text().splitlines()
+        trials = [json.loads(line) for line in lines]
+        assert [t["trial"] for t in trials] == [0, 1]
+        assert all(t["value"] is None for t in trials)
+        assert main(["evaluate", "--config", str(cfg)]) == 1
+        assert "run tune again" in json.loads(capsys.readouterr().err.strip())["message"]
+
     def test_evaluate_without_tuned_file_errors(self, workspace, capsys):
         tmp, cfg = workspace
         assert main(["prepare", "--config", str(cfg)]) == 0
@@ -530,6 +550,27 @@ class TestTuneEvaluateReport:
             [",".join(f.name for f in fields(PointRecord))]
         summary = json.loads((out / "summary.json").read_text())
         assert [(c["defense"], c["attack"]) for c in summary["cells"]] == [("none", "fgsm")]
+
+    def test_evaluate_with_no_finished_cell_leaves_no_stale_artifacts(self, workspace, capsys):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        doc = json.loads(cfg.read_text())
+        doc["defenses"] = [{"kind": "grad_reg", "sigma": 0.3}]
+        cfg.write_text(json.dumps(doc))
+        assert main(["evaluate", "--config", str(cfg)]) == 0
+        assert main(["report", "--config", str(cfg)]) == 0
+        # Now the only defense diverges at once, so no cell finishes.
+        doc["defenses"][0]["sigma"] = 1e308
+        cfg.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg)]) == 1
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "TrainingDiverged"
+        for name, cls in (("cells.csv", CellRecord), ("points.csv", PointRecord)):
+            assert (out / name).read_text().splitlines() == [",".join(f.name for f in fields(cls))]
+        assert json.loads((out / "summary.json").read_text()) == {"cells": []}
+        assert main(["report", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "DataError" and str(out / "cells.csv") in err["message"]
 
     def test_report_without_cells_errors(self, workspace, capsys):
         tmp, cfg = workspace

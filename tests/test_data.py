@@ -646,18 +646,23 @@ class TestTiledSearchExact:
         train = X[ds.rows(TRAIN)]
         assert np.array_equal(nearest_train_distance(ds, X), linf_matrix(X, train).min(axis=1))
 
-    @pytest.mark.parametrize("binary", [False, True], ids=["normal", "binary"])
-    def test_memory_stays_at_two_tiles(self, binary):
+    @pytest.mark.parametrize("case", ["normal", "binary", "queries"])
+    def test_memory_stays_at_two_tiles(self, case):
         # A (rows, n, D) broadcast in ~4M-element chunks holds about 33 MB here.
         # On the all-binary set nearly every row is confirmed in float64, so
-        # the confirmation must stay in tiles too.
+        # the confirmation must stay in tiles too, and so must the float64
+        # sweep of 1,500 queries against the train rows.
         rng = np.random.default_rng(45)
-        X = rng.integers(0, 2, size=(1500, 32)).astype(np.float64) if binary \
+        X = rng.integers(0, 2, size=(1500, 32)).astype(np.float64) if case == "binary" \
             else rng.normal(size=(1500, 32))
         ds = Dataset(features=X, targets=rng.normal(size=1500), split=np.full(1500, TRAIN))
+        Q = rng.normal(size=(1500, 32))
         tracemalloc.start()
         try:
-            compute_neighbors(ds)
+            if case == "queries":
+                nearest_train_distance(ds, Q)
+            else:
+                compute_neighbors(ds)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -224,6 +224,9 @@ def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
+    # A run that fails before the try below leaves none of an earlier run's artifacts.
+    for name in ("cells.csv", "points.csv", "summary.json"):
+        (out / name).unlink(missing_ok=True)
     ds, neighbors, provenance = _load_or_prepare(cfg, out)
     # Every tuned config is read and checked before any model is trained.
     defenses = [_read_tuned(out, e.config.kind, cfg, provenance) if e.tune else e.config

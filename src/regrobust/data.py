@@ -10,15 +10,18 @@ confirms only the rows the screen leaves uncertain. Distances are built in
 cache-sized tiles one feature at a time, ties go to the lowest index, and
 memory is bounded by two tile buffers.
 
-Each set-up artifact is made in one pass: the CSV is read once and converted
-one chunk of rows per numpy call (a per-cell loop converts only a chunk with
-missing or malformed cells), and the dataset cache is written with the C JSON
+Set-up holds each array once. The CSV is parsed by numpy's C reader first;
+a file it cannot take whole, with every cell finite, is read again on the
+per-cell path, the reference for every value and message, which converts one
+chunk of rows per numpy call (a per-cell loop converts only a chunk with
+missing or malformed cells). The dataset cache is written with the C JSON
 encoder in exactly the bytes of json.dump(doc, sort_keys=True).
 
 The dataset cache is one JSON document. Its only (N, D) block, the features,
 is stored as the base64 of its little-endian float64 bytes, so it is written
 and read at C speed, takes about half the bytes of decimal text and keeps
-every bit. Neighbors are three arrays aligned with the train rows
+every bit; it is encoded from the array's buffer and decoded into the
+result in blocks. Neighbors are three arrays aligned with the train rows
 (``Neighbors``), and the cache stores them as the same three JSON columns.
 """
 import base64
@@ -26,6 +29,7 @@ import csv
 import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -82,6 +86,7 @@ class Dataset:
 
 
 _CHUNK_ROWS = 256  # CSV rows converted per numpy call
+_B64_BLOCK = 3 << 14  # bytes of features per base64 piece (48 KB; 64 KB of text)
 
 
 def _convert_chunk(path, header: list, chunk: list, missing_lines: list) -> np.ndarray:
@@ -145,11 +150,14 @@ def load_csv(
     recognized NA marker, and infinite cells, are always an error naming the
     line and column.
 
-    The file is read once, one chunk of _CHUNK_ROWS rows at a time. A chunk
-    is converted in one numpy call, and only a chunk with a ragged row or a
-    missing, malformed or infinite cell goes through the per-cell loop, which
-    applies the same syntax and builds the messages (_convert_chunk). The
-    missing cells are then the NaN cells of the result.
+    After the header, numpy's C reader parses the rows with float()'s syntax
+    and bits, skipping only empty lines, as the csv module does; its array
+    is kept if it has a column per name and every cell is finite. Any other
+    file is read again from the top, _CHUNK_ROWS rows at a time: a chunk is
+    converted in one numpy call, and only a chunk with a ragged row or a
+    missing, malformed or infinite cell goes through the per-cell loop,
+    which builds the messages (_convert_chunk). The missing cells are then
+    the NaN cells of the result.
     """
     if missing not in MISSING_POLICIES:
         raise ConfigError(f"missing policy must be one of {MISSING_POLICIES}, got {missing!r}")
@@ -166,13 +174,23 @@ def load_csv(
                 raise DataError(
                     f"{path}: target column {target_column!r} not found; columns are {header}"
                 )
-            records = ((reader.line_num, row) for row in reader if row)
-            blocks = [np.empty((0, len(header)))]
-            while chunk := list(itertools.islice(records, _CHUNK_ROWS)):
-                blocks.append(_convert_chunk(path, header, chunk, missing_lines))
+            try:
+                with warnings.catch_warnings():  # a header-only file warns of "no data"
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    values = np.loadtxt(f, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+            except ValueError:
+                values = None
+            if values is None or values.shape[1] != len(header) or not np.isfinite(values).all():
+                f.seek(0)
+                reader = csv.reader(f)
+                next(reader)
+                records = ((reader.line_num, row) for row in reader if row)
+                blocks = [np.empty((0, len(header)))]
+                while chunk := list(itertools.islice(records, _CHUNK_ROWS)):
+                    blocks.append(_convert_chunk(path, header, chunk, missing_lines))
+                values = np.concatenate(blocks)
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e
-    values = np.concatenate(blocks)
 
     if missing_lines and missing == "error":
         lines = sorted(set(missing_lines))
@@ -268,7 +286,7 @@ def normalize_dataset(dataset: Dataset, norm: Normalizer) -> Dataset:
 
 
 _TILE_BYTES = 1 << 19  # bytes per distance tile: 0.5 MB, cache-resident
-_TOP = {np.dtype(np.int16): np.iinfo(np.int16).max, np.dtype(np.float64): np.inf}  # > any distance
+_TOP = np.iinfo(np.int16).max  # > any int16 grid distance
 
 
 def _linf_tiles(A: np.ndarray, B: np.ndarray, upper: bool = False):
@@ -304,7 +322,7 @@ def _two_smallest(tile: np.ndarray, axis: int) -> tuple:
     else:
         pos = tile.argmin(1)
         at = (np.arange(len(pos)), pos)
-    tile[at] = _TOP[tile.dtype]  # hide the smallest, then put it back
+    tile[at] = _TOP  # hide the smallest, then put it back
     second = tile.min(axis)
     tile[at] = first
     return first, pos, second
@@ -324,11 +342,11 @@ def _nearest_from_blocks(X: np.ndarray) -> tuple:
 
     Each pair is met once. Ties go to the lowest index; a lone row keeps _TOP.
     """
-    n, top = len(X), _TOP[X.dtype]
-    held = (np.full(n, top, X.dtype), np.zeros(n, dtype=np.int64), np.full(n, top, X.dtype))
+    n = len(X)
+    held = (np.full(n, _TOP, X.dtype), np.zeros(n, dtype=np.int64), np.full(n, _TOP, X.dtype))
     for s, tile in _linf_tiles(X, X, upper=True):
         r, e = len(tile), s + len(tile)
-        tile[np.arange(r), np.arange(r)] = top
+        tile[np.arange(r), np.arange(r)] = _TOP
         # Later rows' candidates from this block, then this block's own rows.
         d, j, d2 = _two_smallest(tile[:, r:], 0)
         _keep_nearer([a[e:] for a in held], (d, s + j, d2))
@@ -431,8 +449,9 @@ def save_dataset_cache(path, dataset: Dataset, norm: Normalizer, neighbors: Neig
 
     The bytes are those of json.dump(doc, f, sort_keys=True) plus a newline,
     but each piece is made by json.dumps, which uses the C encoder (json.dump
-    always runs the pure-Python one), and the base64 string goes straight to
-    the file, so the whole document never exists as one string.
+    always runs the pure-Python one), and the base64 is encoded from the
+    array's buffer _B64_BLOCK bytes (a multiple of 3) at a time, so neither
+    the document nor the base64 ever exists as one string.
     """
     if dataset.split is None:
         raise DataError("cannot cache a dataset without split assignment")
@@ -455,20 +474,33 @@ def save_dataset_cache(path, dataset: Dataset, norm: Normalizer, neighbors: Neig
                 f.write(json.dumps(doc[key], sort_keys=True))
                 continue
             f.write('{"base64": "')
-            f.write(base64.b64encode(dataset.features.astype("<f8").tobytes()).decode("ascii"))
+            raw = np.ascontiguousarray(dataset.features, dtype="<f8").view(np.uint8).reshape(-1)
+            for at in range(0, len(raw), _B64_BLOCK):
+                f.write(base64.b64encode(raw[at : at + _B64_BLOCK]).decode("ascii"))
             f.write(f'", "dtype": "<f8", "shape": {json.dumps(list(dataset.features.shape))}}}')
         f.write("}\n")
 
 
 def _features_from_block(block, n: int, d: int) -> np.ndarray:
-    """The (n, d) float64 array of a cache's features block, as a writable copy."""
+    """The (n, d) float64 array of a cache's features block, newly allocated.
+
+    The base64 must be as long as the padded encoding of 8 * n * d bytes. It
+    is decoded into the result _B64_BLOCK bytes at a time with validate=True,
+    and each block must fill its bytes, so padding before the end fails.
+    """
     if not isinstance(block, dict) or block.get("dtype") != "<f8" \
             or block.get("shape") != [n, d]:
         raise ValueError(f"features must be a '<f8' block of shape [{n}, {d}]")
-    raw = base64.b64decode(block["base64"], validate=True)
-    if len(raw) != 8 * n * d:
-        raise ValueError(f"features block holds {len(raw)} bytes, expected {8 * n * d}")
-    return np.frombuffer(raw, dtype="<f8").reshape(n, d).astype(np.float64)
+    out = np.empty((n, d), dtype="<f8")
+    text, raw = block["base64"], out.view(np.uint8).reshape(-1)
+    if len(text) != (chars := -(-len(raw) // 3) * 4):
+        raise ValueError(f"features base64 has {len(text)} characters, not {chars}")
+    for at in range(0, len(raw), _B64_BLOCK):
+        piece = base64.b64decode(text[at // 3 * 4 : (at + _B64_BLOCK) // 3 * 4], validate=True)
+        if len(piece) != len(slot := raw[at : at + _B64_BLOCK]):
+            raise ValueError(f"features base64 at byte {at} decodes to {len(piece)} bytes")
+        slot[:] = np.frombuffer(piece, np.uint8)
+    return out
 
 
 def check_provenance(what: str, stamped: dict, provenance: dict, remedy: str) -> None:
@@ -490,7 +522,7 @@ def load_dataset_cache(path, provenance: dict | None = None):
 
     The features block must say dtype "<f8" and shape [len(targets),
     len(feature_names)], and its base64 must be valid and decode to exactly
-    8 * N * D bytes; the array returned is a writable native float64 copy.
+    8 * N * D bytes, which fill a new writable native float64 array.
     The neighbor columns must hold exactly one entry per train row, with
     finite, non-negative distances and gaps. If provenance is given, the
     cache's stamp must equal it; otherwise a ConfigError names the first

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from regrobust import cli
+from regrobust import data as data_mod
 from regrobust.cli import main
 from regrobust.config import (
     _JSON_KEYS,
@@ -138,6 +139,25 @@ class TestPrepare:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
+
+    def test_cache_bytes_equal_on_both_csv_paths(self, tmp_path, monkeypatch):
+        # A 600 x 16 CSV read by numpy's C reader alone, then with it disabled.
+        values = np.random.default_rng(6).normal(size=(600, 17))
+        csv_path = tmp_path / "g.csv"
+        np.savetxt(csv_path, values, delimiter=",", fmt="%.17g", comments="",
+                   header=",".join([f"f{j}" for j in range(16)] + ["y"]))
+        cfg = write_config(tmp_path / "g.json", csv_path, tmp_path / "out")
+        def disabled(*args, **kwargs):
+            raise ValueError("disabled")
+
+        caches = []
+        for name, owner, attr in (("c", data_mod, "_convert_chunk"), ("per-cell", np, "loadtxt")):
+            with monkeypatch.context() as m:
+                m.setattr(owner, attr, disabled)
+                assert main(["prepare", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+            caches.append((tmp_path / name / "dataset_cache.json").read_bytes())
+        assert caches[0] == caches[1]
+        assert json.loads(caches[0])["features"]["shape"] == [600, 16]
 
     def test_one_job_never_imports_process_pool(self, tmp_path):
         self._prepare_without_pool(CONFIGS / "synthetic.json", tmp_path, 1)
@@ -568,6 +588,21 @@ class TestTuneEvaluateReport:
         for name, cls in (("cells.csv", CellRecord), ("points.csv", PointRecord)):
             assert (out / name).read_text().splitlines() == [",".join(f.name for f in fields(cls))]
         assert json.loads((out / "summary.json").read_text()) == {"cells": []}
+        assert main(["report", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "DataError" and str(out / "cells.csv") in err["message"]
+
+    def test_evaluate_failing_before_training_leaves_no_stale_artifacts(self, workspace, capsys):
+        tmp, cfg = workspace
+        out = tmp / "out"
+        assert main(["tune", "--config", str(cfg)]) == 0
+        assert main(["evaluate", "--config", str(cfg), "--attack", "fgsm"]) == 0
+        (out / "tuned_ansr.json").unlink()
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg), "--attack", "fgsm"]) == 1
+        assert "run tune again" in json.loads(capsys.readouterr().err.strip())["message"]
+        for name in ("cells.csv", "points.csv", "summary.json"):
+            assert not (out / name).exists()
         assert main(["report", "--config", str(cfg)]) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "DataError" and str(out / "cells.csv") in err["message"]

@@ -4,6 +4,9 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +20,8 @@ from regrobust.data import (
     TRAIN,
     VAL,
     Dataset,
+    Neighbors,
+    Normalizer,
     apply_normalizer,
     compute_neighbors,
     fit_normalizer,
@@ -265,6 +270,85 @@ class TestStreamedParse:
         kept = np.delete(values, 1900 - 2, axis=0)
         assert loaded[0].features.tobytes() == kept[:, :32].tobytes()
         assert loaded[0].targets.tobytes() == kept[:, 32].tobytes()
+
+
+def refuse_c_reader(*args, **kwargs):
+    raise ValueError("C reader disabled")
+
+
+@pytest.fixture
+def per_cell_only(monkeypatch):
+    """load_csv with numpy's C reader disabled: every file takes the per-cell path."""
+    monkeypatch.setattr(np, "loadtxt", refuse_c_reader)
+
+
+@pytest.mark.usefixtures("per_cell_only")
+class TestLoadCsvPerCell(TestLoadCsv):
+    """Every TestLoadCsv case again on the per-cell path alone."""
+
+
+@pytest.mark.usefixtures("per_cell_only")
+class TestStreamedParsePerCell(TestStreamedParse):
+    """Every TestStreamedParse case again on the per-cell path alone."""
+
+
+@pytest.mark.parametrize("raw", CSV_CELLS, ids=repr)
+def test_per_cell_path_matches_per_cell_float(tmp_path, raw, per_cell_only):
+    test_load_csv_matches_per_cell_float(tmp_path, raw)
+
+
+def outcome(p):
+    """load_csv's features, targets and names as bytes and a tuple, or its DataError's message."""
+    try:
+        ds = load_csv(p, target_column="target")
+    except DataError as e:
+        return str(e)
+    return ds.features.tobytes(), ds.targets.tobytes(), ds.feature_names
+
+
+class TestCReader:
+    """Files at the edges of numpy's C reader end as on the per-cell path."""
+
+    def test_finite_file_never_reaches_per_cell_path(self, tmp_path):
+        values = np.random.default_rng(10).normal(size=(300, 3))
+        with mock.patch.object(data_mod, "_convert_chunk", side_effect=AssertionError):
+            ds = load_csv(write_grid(tmp_path, values), target_column="target")
+        assert ds.features.tobytes() == values[:, :2].tobytes()
+
+    @pytest.mark.parametrize("text,want", [
+        ("a,b,target\n1,2,3\n   \n4,5,6\n", "line 3 has 1 cells, expected 3"),
+        ("a,b,target\r\n1,2,3\r\n4,5,6\r\n", [[1, 2, 3], [4, 5, 6]]),
+        ("a,b,target\n1,2,3\n4,5,6", [[1, 2, 3], [4, 5, 6]]),
+        ("a,b,target\n1,2,3,\n4,5,6,\n", "line 2 has 4 cells, expected 3"),
+        ("a,b,target\n1,2,3\n#4,5,6\n", "line 3, column 'a': cannot parse '#4' as a number"),
+        ("a,b,target\n1,2,3\n\n4,5,6\n", [[1, 2, 3], [4, 5, 6]]),
+        ("a,b,target\n", "no usable rows after applying missing policy 'error'"),
+    ], ids=["whitespace-line", "crlf", "no-final-newline", "trailing-delimiter", "hash-row",
+            "empty-line", "header-only"])
+    def test_edge_file_matches_per_cell_path(self, tmp_path, monkeypatch, text, want):
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode())
+        if isinstance(want, str):
+            want = f"{p}: {want}"
+        else:
+            grid = np.array(want, dtype=np.float64)
+            want = (grid[:, :2].tobytes(), grid[:, 2].tobytes(), ("a", "b"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt's "input contained no data" must not escape
+            fast = outcome(p)
+        monkeypatch.setattr(np, "loadtxt", refuse_c_reader)
+        assert fast == outcome(p) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=30),
+           st.sampled_from(["%r", "%.17g", "%.6g"]))
+    def test_finite_doubles_keep_float_bits(self, tmp_path_factory, values, fmt):
+        cells = [fmt % v for v in values]
+        p = tmp_path_factory.mktemp("doubles") / "d.csv"
+        p.write_text("a,target\n" + "".join(f"{c},{i}\n" for i, c in enumerate(cells)))
+        with mock.patch.object(data_mod, "_convert_chunk", side_effect=AssertionError):
+            ds = load_csv(p, target_column="target")
+        assert ds.features[:, 0].tobytes() == np.array([float(c) for c in cells]).tobytes()
 
 
 class TestSplit:
@@ -784,3 +868,81 @@ class TestCache:
         norm = fit_normalizer(ds)
         with pytest.raises(DataError):
             save_dataset_cache(tmp_path / "c.json", ds, norm, {})
+
+    @staticmethod
+    def _wide():
+        """A split 4000 x 64 set with neighbor columns for its 2,400 train rows."""
+        rng = np.random.default_rng(34)
+        ds = Dataset(features=rng.normal(size=(4000, 64)), targets=rng.normal(size=4000),
+                     split=np.repeat([TRAIN, VAL, TEST], [2400, 800, 800]))
+        nb = Neighbors(np.arange(2400), *np.abs(rng.normal(size=(2, 2400))))
+        return ds, Normalizer(np.zeros(64), np.ones(64)), nb
+
+    def test_save_never_copies_the_features(self, tmp_path):
+        # Encoding a copy of the whole block, then its bytes, base64 and str
+        # peaked at about 6.5 MB here; streamed in blocks, about 1.1 MB.
+        ds, norm, nb = self._wide()
+        p = tmp_path / "cache.json"
+        tracemalloc.start()
+        try:
+            save_dataset_cache(p, ds, norm, nb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.features.nbytes
+        doc = json.loads(p.read_text())
+        assert doc["features"]["base64"] == base64.b64encode(ds.features.tobytes()).decode()
+
+    def test_load_decodes_into_the_result(self, tmp_path):
+        # Decoding the whole base64 and then copying it peaked at twice the
+        # features; in blocks, the features plus under 4 blocks of transients.
+        ds, norm, nb = self._wide()
+        p = tmp_path / "cache.json"
+        save_dataset_cache(p, ds, norm, nb)
+        block = json.loads(p.read_text())["features"]
+        tracemalloc.start()
+        try:
+            features = data_mod._features_from_block(block, 4000, 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.features.nbytes + 5 * data_mod._B64_BLOCK
+        assert features.flags.writeable and features.tobytes() == ds.features.tobytes()
+        assert load_dataset_cache(p)[0].features.tobytes() == ds.features.tobytes()
+
+    @pytest.mark.parametrize("d", [3, 2], ids=["unpadded", "padded"])
+    @pytest.mark.parametrize("at", [64, 100, -8], ids=["block-end", "mid-block", "last-block"])
+    def test_padding_inside_the_base64_rejected(self, tmp_path, monkeypatch, d, at):
+        # "==" put in at character at keeps the length; a block that ends
+        # there is valid base64 alone, but the whole string is not. At d=2
+        # the string ends in "==", which becomes "AA", so that the padding
+        # moves inside and the decoded bytes still add up to 640.
+        monkeypatch.setattr(data_mod, "_B64_BLOCK", 48)  # 64 characters per block
+        ds, norm, nb = self._prepared()
+        ds = replace(ds, features=ds.features[:, :d], feature_names=ds.feature_names[:d])
+        p = tmp_path / "cache.json"
+        save_dataset_cache(p, ds, norm, nb)
+        doc = json.loads(p.read_text())
+        text = doc["features"]["base64"]
+        assert text.endswith("==") == (d == 2)
+        at %= len(text)
+        text = text[: at - 2] + "==" + text[at:]
+        if d == 2:
+            text = text[:-2] + "AA"
+        doc["features"]["base64"] = text
+        p.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="malformed .*run prepare again") as err:
+            load_dataset_cache(p)
+        if at == 64:
+            assert "features base64 at byte 0 decodes to 46 bytes" in str(err.value)
+
+    @pytest.mark.parametrize("tail", ["A", "AAAA", "AAA="])
+    def test_base64_past_the_features_rejected(self, tmp_path, tail):
+        ds, norm, nb = self._prepared()
+        p = tmp_path / "cache.json"
+        save_dataset_cache(p, ds, norm, nb)
+        doc = json.loads(p.read_text())
+        doc["features"]["base64"] += tail
+        p.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="malformed .*characters, not 1280"):
+            load_dataset_cache(p)

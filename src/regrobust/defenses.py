@@ -33,6 +33,7 @@ from .nn import (
     RegressionNet,
     _as_batch,
     _check_targets,
+    _clean_terms,
     _output_head,
     _param_grad,
     batch_backward,
@@ -180,18 +181,21 @@ def batch_loss_grad(
     as KINDS[cfg.kind] names them. nn_distances/label_gaps are required only when
     the stability penalty is active; fresh perturbations are drawn from rng on
     every call. X and Y are validated and run forward once, and every term
-    reads that forward pass through its fwd keyword.
+    reads that forward pass through its fwd keyword; the primary loss and the
+    gradient penalty read one nn._clean_terms through their terms keyword.
     """
     X, _ = _as_batch(net, X)
     Y = _check_targets(X, Y)
     fwd = forward_parts(net, X)
     B = X.shape[0]
     loss_kind, params = KINDS[cfg.kind]
-    values, grad_sum = batch_backward(net, X, Y, loss=loss_kind, delta=cfg.delta, fwd=fwd)
+    terms = _clean_terms(net, Y, fwd, loss_kind, cfg.delta)
+    values, grad_sum = batch_backward(net, X, Y, loss_kind, cfg.delta, fwd=fwd, terms=terms)
     total = values.sum()
 
     if "sigma" in params:
-        penalties, pgrad = grad_penalty_batch(net, X, Y, cfg.sigma, loss_kind, cfg.delta, fwd=fwd)
+        penalties, pgrad = grad_penalty_batch(net, X, Y, cfg.sigma, loss_kind, cfg.delta,
+                                              fwd=fwd, terms=terms)
         total += penalties.sum()
         grad_sum += pgrad
 

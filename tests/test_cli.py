@@ -30,10 +30,12 @@ REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
 
 
-def write_synthetic_csv(path, n=80, seed=0):
+def write_synthetic_csv(path, n=80, seed=0, bounded=False):
     rng = np.random.default_rng(seed)
     X = rng.uniform(-2, 2, size=(n, 2))
     y = 1.5 * X[:, 0] - 0.8 * X[:, 1] + 0.1 * rng.normal(size=n)
+    if bounded:
+        y = 1.0 / (1.0 + np.exp(-y))  # squashed into [0, 1]
     with open(path, "w") as f:
         f.write("f1,f2,y\n")
         for i in range(n):
@@ -513,7 +515,8 @@ class TestTuneEvaluateReport:
         doc["train"]["learning_rate"] = 1e160
         cfg.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert main(["tune", "--config", str(cfg)]) == 1
+        with pytest.warns(RuntimeWarning):
+            assert main(["tune", "--config", str(cfg)]) == 1
         assert json.loads(capsys.readouterr().err.strip())["error"] == "SearchFailed"
         assert not (out / "tuned_ansr.json").exists()
         lines = (out / "trials_ansr.jsonl").read_text().splitlines()
@@ -561,7 +564,8 @@ class TestTuneEvaluateReport:
         doc["defenses"][1]["sigma"] = 1e308
         cfg.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert main(["evaluate", "--config", str(cfg), "--attack", "fgsm"]) == 1
+        with pytest.warns(RuntimeWarning):
+            assert main(["evaluate", "--config", str(cfg), "--attack", "fgsm"]) == 1
         assert json.loads(capsys.readouterr().err.strip())["error"] == "TrainingDiverged"
         with open(out / "cells.csv", newline="") as f:
             assert [(c["defense"], c["attack"]) for c in csv.DictReader(f)] == \
@@ -583,7 +587,8 @@ class TestTuneEvaluateReport:
         doc["defenses"][0]["sigma"] = 1e308
         cfg.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert main(["evaluate", "--config", str(cfg)]) == 1
+        with pytest.warns(RuntimeWarning):
+            assert main(["evaluate", "--config", str(cfg)]) == 1
         assert json.loads(capsys.readouterr().err.strip())["error"] == "TrainingDiverged"
         for name, cls in (("cells.csv", CellRecord), ("points.csv", PointRecord)):
             assert (out / name).read_text().splitlines() == [",".join(f.name for f in fields(cls))]
@@ -631,6 +636,30 @@ class TestDeterminism:
         tmp, cfg = workspace
         a = self._run(tmp, cfg, tmp / "o1", jobs=1)
         b = self._run(tmp, cfg, tmp / "o2", jobs=2)
+        assert a == b
+
+    def test_sigmoid_head_byte_identical_across_jobs(self, tmp_path):
+        # No tracked config trains the sigmoid head; this runs every kind through it.
+        csv_path = tmp_path / "bounded.csv"
+        write_synthetic_csv(csv_path, bounded=True)
+        cfg = write_config(
+            tmp_path / "exp.json", csv_path, tmp_path / "out",
+            dataset={"path": str(csv_path), "target_column": "y", "name": "bounded",
+                     "target_bounded_01": True},
+            train={"learning_rate": 0.02, "epochs": 4, "batch_size": 16},
+            defenses=[
+                {"kind": "none"},
+                {"kind": "pseudo_huber", "delta": 0.3},
+                {"kind": "grad_reg", "sigma": 0.3},
+                {"kind": "ansr", "tune": True},
+                {"kind": "combined", "delta": 0.3, "sigma": 0.1, "beta": 0.5, "lambda": 2.0},
+            ],
+        )
+        a = self._run(tmp_path, cfg, tmp_path / "o1", jobs=1)
+        b = self._run(tmp_path, cfg, tmp_path / "o2", jobs=2)
+        assert json.loads(a["dataset_cache.json"])["target_bounded_01"] is True
+        with open(tmp_path / "o1" / "cells.csv", newline="") as f:
+            assert {c["defense"] for c in csv.DictReader(f)} == set(KINDS)
         assert a == b
 
     @pytest.mark.parametrize("name", ["synthetic", "boston"])

@@ -13,7 +13,7 @@ from regrobust.defenses import (
     batch_loss_grad,
 )
 from regrobust.errors import ConfigError, DimensionError
-from regrobust.losses import pseudo_huber
+from regrobust.losses import loss_terms, loss_value, pseudo_huber
 from regrobust.nn import (
     RegressionNet,
     batch_backward,
@@ -72,6 +72,38 @@ class TestPseudoHuber:
     def test_monotone_in_magnitude(self, a1, a2, delta):
         lo, hi = sorted([a1, a2])
         assert pseudo_huber(lo, delta) <= pseudo_huber(hi, delta) + 1e-12
+
+
+class TestLossTerms:
+    """loss_terms equals the textbook formulas bit for bit."""
+
+    # Written over arrays: numpy's vector pow can round an ulp away from the scalar one.
+    a = np.array([0.0, -0.0, 5e-324, -5e-324, 1e150, -1e150, 0.37, -2.5])
+
+    def test_squared_error(self):
+        values, d1, d2 = loss_terms("squared_error", self.a)
+        assert values.tobytes() == (self.a * self.a).tobytes()
+        assert d1.tobytes() == (2.0 * self.a).tobytes()
+        assert type(d2) is float and d2 == 2.0
+
+    @pytest.mark.parametrize("delta", [1e-3, 1.0, 5.23, 1e3])
+    def test_pseudo_huber(self, delta):
+        a = self.a
+        values, d1, d2 = loss_terms("pseudo_huber", a, delta)
+        assert values.tobytes() == (delta**2 * (np.sqrt(1.0 + (a / delta) ** 2) - 1.0)).tobytes()
+        assert d1.tobytes() == (a / np.sqrt(1.0 + (a / delta) ** 2)).tobytes()
+        assert d2.tobytes() == ((1.0 + (a / delta) ** 2) ** -1.5).tobytes()
+
+    @pytest.mark.parametrize("kind", ["squared_error", "pseudo_huber"])
+    def test_scalar_value_is_a_python_float(self, kind):
+        assert type(loss_value(kind, 1.5, 0.5)) is float
+        assert type(loss_value(kind, np.float64(-0.25))) is float
+        assert type(pseudo_huber(1.5, 0.5)) is float
+        assert loss_value(kind, np.array([1.5]), 0.5).shape == (1,)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigError, match="unknown loss kind"):
+            loss_terms("absolute", 1.0)
 
 
 class TestDefenseConfig:
@@ -422,7 +454,8 @@ def shared_forward_case(act):
 
 
 class TestSharedForward:
-    """batch_loss_grad validates once and runs forward once for every term."""
+    """batch_loss_grad validates once, runs forward once and builds the clean
+    batch's loss terms once for every term."""
 
     @pytest.mark.parametrize("act", ["identity", "sigmoid"])
     @pytest.mark.parametrize("kind", DEFENSE_KINDS)
@@ -450,7 +483,7 @@ class TestSharedForward:
     @pytest.mark.parametrize("kind", ["grad_reg", "ansr", "combined"])
     def test_one_validation_and_one_forward_per_step(self, kind, monkeypatch):
         # Counted through both bindings: nn's own functions look the names up in nn.
-        calls = {"forward_parts": 0, "_as_batch": 0}
+        calls = {"forward_parts": 0, "_as_batch": 0, "_clean_terms": 0}
         for name in calls:
             original = getattr(nn, name)
 
@@ -463,4 +496,4 @@ class TestSharedForward:
         net, X, Y, nn_d, gaps, kw = shared_forward_case("identity")
         batch_loss_grad(net, X, Y, DefenseConfig(kind=kind, **kw), rng=np.random.default_rng(5),
                         nn_distances=nn_d, label_gaps=gaps)
-        assert calls == {"forward_parts": 1, "_as_batch": 1}
+        assert calls == {"forward_parts": 1, "_as_batch": 1, "_clean_terms": 1}

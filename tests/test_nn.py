@@ -162,6 +162,7 @@ class TestBackward:
         dz = (a > 0.0) * net.w2 * g_u[:, None]
         expected = np.concatenate([(dz.T @ X).ravel(), d_b1, d_w2, [g_u.sum()]])
         assert _param_grad(net, X, a, g_u).tobytes() == expected.tobytes()
+        assert _param_grad(net, X, a, g_u, dz=dz).tobytes() == expected.tobytes()
 
     def test_rejects_nonfinite_target(self, rng):
         net = random_net(rng)
@@ -169,6 +170,16 @@ class TestBackward:
             batch_backward(net, np.zeros((1, 3)), [np.inf])
         with pytest.raises(NonFiniteError):
             input_gradient(net, np.zeros(3), np.inf)
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize(
+        "fn,extra", [(batch_backward, ()), (input_gradient, ()), (grad_penalty_batch, (0.1,))],
+        ids=["batch_backward", "input_gradient", "grad_penalty_batch"],
+    )
+    def test_every_pseudo_huber_term_rejects_bad_delta(self, fn, extra, delta):
+        X, Y = np.array([[1.0, 2.0], [-0.5, 0.3]]), [0.2, -0.1]
+        with pytest.raises(ConfigError, match="pseudo-Huber delta must be positive"):
+            fn(small_net(), X, Y, *extra, loss="pseudo_huber", delta=delta)
 
 
 class TestGradPenalty:

@@ -166,7 +166,8 @@ class TestTrain:
 
     def test_divergence_aborts_with_step_info(self, lin_ds):
         cfg = TrainConfig(learning_rate=1e160, epochs=5, seed=0)
-        with pytest.raises(TrainingDiverged, match=r"epoch \d+, step \d+"):
+        with (pytest.warns(RuntimeWarning),
+              pytest.raises(TrainingDiverged, match=r"epoch \d+, step \d+")):
             train(lin_ds, DefenseConfig(kind="none"), cfg)
 
     def test_sigmoid_output_for_bounded_targets(self):
@@ -275,7 +276,7 @@ class TestRandomSearch:
     def test_all_diverged_raises_with_log(self, lin_ds):
         space = SearchSpace(n_trials=2, objective="val_mse_clean")
         cfg = TrainConfig(learning_rate=1e160, epochs=2, seed=0)
-        with pytest.raises(SearchFailed) as exc_info:
+        with pytest.warns(RuntimeWarning), pytest.raises(SearchFailed) as exc_info:
             random_search(lin_ds, PSEUDO_HUBER, space, 1, cfg)
         assert len(exc_info.value.trials) == 2
         assert all(np.isnan(r.value) for r in exc_info.value.trials)

@@ -311,18 +311,14 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         cfg.jobs = int(args.jobs)
-    if args.defense is not None:
-        known = {e.config.kind for e in cfg.defenses}
-        unknown = set(args.defense) - known
-        if unknown:
-            raise ConfigError(f"--defense {sorted(unknown)} not in config (has {sorted(known)})")
-        cfg.defenses = [e for e in cfg.defenses if e.config.kind in set(args.defense)]
-    if args.attack is not None:
-        known = {a.kind for a in cfg.attacks}
-        unknown = set(args.attack) - known
-        if unknown:
-            raise ConfigError(f"--attack {sorted(unknown)} not in config (has {sorted(known)})")
-        cfg.attacks = [a for a in cfg.attacks if a.kind in set(args.attack)]
+    for flag in ("defense", "attack"):
+        wanted = getattr(args, flag)
+        if wanted is None:
+            continue
+        kinds = {getattr(e, "config", e).kind: e for e in getattr(cfg, flag + "s")}
+        if unknown := set(wanted) - set(kinds):
+            raise ConfigError(f"--{flag} {sorted(unknown)} not in config (has {sorted(kinds)})")
+        setattr(cfg, flag + "s", [e for k, e in kinds.items() if k in set(wanted)])
     return cfg
 
 

@@ -10,11 +10,10 @@ confirms only the rows the screen leaves uncertain. Distances are built in
 cache-sized tiles one feature at a time, ties go to the lowest index, and
 memory is bounded by two tile buffers.
 
-Set-up holds each array once. The CSV is parsed by numpy's C reader first;
-a file it cannot take whole, with every cell finite, is read again on the
-per-cell path, the reference for every value and message, which converts one
-chunk of rows per numpy call (a per-cell loop converts only a chunk with
-missing or malformed cells). The dataset cache is written with the C JSON
+Set-up holds each array once. The CSV is read once, one chunk of lines at
+a time: numpy's C reader converts every chunk, and a chunk it cannot take,
+with every cell finite, goes through the per-cell loop, the reference for
+every value and message. The dataset cache is written with the C JSON
 encoder in exactly the bytes of json.dump(doc, sort_keys=True).
 
 The dataset cache is one JSON document. Its only (N, D) block, the features,
@@ -85,28 +84,19 @@ class Dataset:
         return np.flatnonzero(self.split == which)
 
 
-_CHUNK_ROWS = 256  # CSV rows converted per numpy call
+_CHUNK_ROWS = 256  # CSV lines per C-reader call
 _B64_BLOCK = 3 << 14  # bytes of features per base64 piece (48 KB; 64 KB of text)
 
 
 def _convert_chunk(path, header: list, chunk: list, missing_lines: list) -> np.ndarray:
     """The (line_no, row) records of chunk as one (len(chunk), width) float64 block.
 
-    One numpy call converts a chunk whose rows all have width cells and whose
-    cells are all finite numbers; for str cells numpy calls Python's float(),
-    so the accepted syntax and the bits are those of the per-cell loop. Any
-    other chunk goes through that loop, which reads a cell as
-    float(cell.strip()), stores a missing cell (an NA marker or NaN) as NaN
-    and appends its line to missing_lines, and rejects a ragged row, a
-    malformed cell or an infinite one, naming its line.
+    Cell by cell: a cell is read as float(cell.strip()), a missing cell (an
+    NA marker or NaN) is stored as NaN and its line appended to missing_lines,
+    and a ragged row, a malformed cell or an infinite one is rejected, naming
+    its line.
     """
     width = len(header)
-    try:
-        block = np.array([row for _, row in chunk], dtype=np.float64)
-        if block.shape == (len(chunk), width) and np.isfinite(block).all():
-            return block
-    except ValueError:
-        pass
     block = np.empty((len(chunk), width))
     for i, (line_no, row) in enumerate(chunk):
         if len(row) != width:
@@ -150,14 +140,14 @@ def load_csv(
     recognized NA marker, and infinite cells, are always an error naming the
     line and column.
 
-    After the header, numpy's C reader parses the rows with float()'s syntax
-    and bits, skipping only empty lines, as the csv module does; its array
-    is kept if it has a column per name and every cell is finite. Any other
-    file is read again from the top, _CHUNK_ROWS rows at a time: a chunk is
-    converted in one numpy call, and only a chunk with a ragged row or a
-    missing, malformed or infinite cell goes through the per-cell loop,
-    which builds the messages (_convert_chunk). The missing cells are then
-    the NaN cells of the result.
+    The file is read once. After the header, numpy's C reader parses each
+    chunk of _CHUNK_ROWS lines with float()'s syntax and bits, skipping only
+    empty lines, as the csv module does; its block is kept if it has a column
+    per name and every cell is finite. Any other chunk is read again from its
+    lines by the csv module, which finishes a quoted record running past the
+    chunk from the file, and goes through the per-cell loop, the reference
+    for every value and message (_convert_chunk); line numbers stay physical.
+    The missing cells are then the NaN cells of the result.
     """
     if missing not in MISSING_POLICIES:
         raise ConfigError(f"missing policy must be one of {MISSING_POLICIES}, got {missing!r}")
@@ -174,21 +164,35 @@ def load_csv(
                 raise DataError(
                     f"{path}: target column {target_column!r} not found; columns are {header}"
                 )
-            try:
-                with warnings.catch_warnings():  # a header-only file warns of "no data"
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    values = np.loadtxt(f, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
-            except ValueError:
-                values = None
-            if values is None or values.shape[1] != len(header) or not np.isfinite(values).all():
-                f.seek(0)
-                reader = csv.reader(f)
-                next(reader)
-                records = ((reader.line_num, row) for row in reader if row)
-                blocks = [np.empty((0, len(header)))]
-                while chunk := list(itertools.islice(records, _CHUNK_ROWS)):
-                    blocks.append(_convert_chunk(path, header, chunk, missing_lines))
-                values = np.concatenate(blocks)
+            width = len(header)
+            offset, values, n = reader.line_num, np.empty((0, width)), 0
+            while raw := list(itertools.islice(f, _CHUNK_ROWS)):
+                try:
+                    with warnings.catch_warnings():  # a chunk of empty lines warns of "no data"
+                        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                        block = np.loadtxt(raw, delimiter=",", comments=None, ndmin=2,
+                                           dtype=np.float64)
+                except ValueError:
+                    block = None
+                if block is not None and block.shape[1] == width and np.isfinite(block).all():
+                    offset += len(raw)
+                else:
+                    reader, chunk = csv.reader(itertools.chain(raw, f)), []
+                    for row in reader:
+                        if row:
+                            chunk.append((offset + reader.line_num, row))
+                        if reader.line_num >= len(raw):
+                            break
+                    offset += reader.line_num
+                    block = _convert_chunk(path, header, chunk, missing_lines)
+                # Grown in place (no view of it exists yet): blocks joined at the end would
+                # leave their space too broken up for the feature copy, +1.5 MB RSS on 4000 x 65.
+                if n + len(block) > len(values):
+                    values.resize((max(2 * n, n + len(block)), width), refcheck=False)
+                values[n : n + len(block)] = block
+                n += len(block)
+                del raw, block  # freed before the next chunk is read
+            values.resize((n, width), refcheck=False)
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e
 

@@ -9,8 +9,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-LOSS_KINDS = ("squared_error", "pseudo_huber")
-
 
 def loss_terms(kind: str, a, delta: float = 1.0):
     """(value, d/da, d^2/da^2) of the loss at residual a.

@@ -195,17 +195,17 @@ def _param_grad(net: RegressionNet, X, a, g_u, dz=None) -> np.ndarray:
 def _clean_terms(net: RegressionNet, Y, fwd, loss: str, delta: float):
     """Everything the loss gradients read of the clean batch, built once.
 
-    fwd is forward_parts(net, X). Returns (values, l1, l2, g_u, mw2, dz):
-    the loss and its first two derivatives at the residuals Y - yhat, the
-    weight g_u = d loss/d u on each row's pre-output, the hidden-layer factor
-    mw2 = relu'(z) * w2 (N, H), and dz = mw2 * g_u[:, None], so that
-    dz @ w1 is d loss/d x.
+    fwd is forward_parts(net, X). Returns (values, l1, l2, g_u, dz): the
+    loss and its first two derivatives at the residuals Y - yhat, the weight
+    g_u = d loss/d u on each row's pre-output, and the hidden-layer adjoint
+    dz = relu'(z) * w2 * g_u[:, None] (N, H), so that dz @ w1 is d loss/d x.
     """
     z, _, _, yhat, act1, _ = fwd
     values, l1, l2 = loss_terms(loss, Y - yhat, delta)
     g_u = -l1 * act1  # (N,)
-    mw2 = (z > 0.0) * net.w2
-    return values, l1, l2, g_u, mw2, mw2 * g_u[:, None]
+    dz = (z > 0.0) * net.w2
+    dz *= g_u[:, None]
+    return values, l1, l2, g_u, dz
 
 
 def batch_backward(net: RegressionNet, X, Y, loss: str = "squared_error", delta: float = 1.0,
@@ -223,7 +223,7 @@ def batch_backward(net: RegressionNet, X, Y, loss: str = "squared_error", delta:
         fwd = forward_parts(net, X)
     if terms is None:
         terms = _clean_terms(net, Y, fwd, loss, delta)
-    values, _, _, g_u, _, dz = terms
+    values, _, _, g_u, dz = terms
     return np.asarray(values, dtype=np.float64), _param_grad(net, X, fwd[1], g_u, dz)
 
 
@@ -235,7 +235,7 @@ def input_gradient(net: RegressionNet, X, Y, loss: str = "squared_error", delta:
     """
     X2, single = _as_batch(net, X)
     Y = _check_targets(X2, Y)
-    grads = _clean_terms(net, Y, forward_parts(net, X2), loss, delta)[5] @ net.w1  # (N, D)
+    grads = _clean_terms(net, Y, forward_parts(net, X2), loss, delta)[4] @ net.w1  # (N, D)
     return grads[0] if single else grads
 
 
@@ -255,7 +255,8 @@ def grad_penalty_batch(net: RegressionNet, X, Y, sigma: float, loss: str = "squa
     if terms is None:
         terms = _clean_terms(net, Y, fwd, loss, delta)
     z, a, _, _, act1, act2 = fwd
-    _, l1, l2, g_u, mw2, dz = terms
+    _, l1, l2, g_u, dz = terms
+    mw2 = (z > 0.0) * net.w2  # relu'(z) * w2 (N, H)
     # d g_u / d u with the loss evaluated at resid = y - act(u).
     k = l2 * act1 * act1 - l1 * act2  # (N,)
     d_x = dz @ net.w1  # (N, D)

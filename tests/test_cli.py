@@ -552,6 +552,12 @@ class TestTuneEvaluateReport:
         err = json.loads(capsys.readouterr().err.strip())
         assert "magic" in err["message"]
 
+    def test_unknown_attack_filter_rejected(self, workspace, capsys):
+        tmp, cfg = workspace
+        assert main(["evaluate", "--config", str(cfg), "--attack", "magic"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == "--attack ['magic'] not in config (has ['fgsm', 'none', 'pgd'])"
+
     def test_failed_evaluate_leaves_no_stale_points(self, workspace, capsys):
         tmp, cfg = workspace
         out = tmp / "out"

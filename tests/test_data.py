@@ -272,6 +272,56 @@ class TestStreamedParse:
         assert loaded[0].targets.tobytes() == kept[:, 32].tobytes()
 
 
+class TestSinglePass:
+    """Each data line is converted once, and a record keeps its physical line numbers."""
+
+    N = 3 * data_mod._CHUNK_ROWS + 5
+    LATE = 2 * data_mod._CHUNK_ROWS + 40  # a line number in the third chunk
+    BOUNDARY = data_mod._CHUNK_ROWS + 2  # the second chunk's first line
+    CALLS = 1  # chunks that reach the per-cell loop
+
+    def grid(self):
+        return np.random.default_rng(11).normal(size=(self.N, 3))
+
+    def expected_lines(self):
+        """The line numbers handed to the per-cell loop, in order."""
+        third = 2 * data_mod._CHUNK_ROWS + 2
+        return list(range(third, third + data_mod._CHUNK_ROWS))
+
+    def test_one_pass_converts_only_the_rejected_chunk(self, tmp_path):
+        values = self.grid()
+        p = write_grid(tmp_path, values, {self.LATE: "1,NA,3"})
+        with mock.patch.object(data_mod, "_convert_chunk", wraps=data_mod._convert_chunk) as conv, \
+                mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as c_reader:
+            ds = load_csv(p, target_column="target", missing="drop_rows")
+        assert conv.call_count == self.CALLS
+        assert [ln for call in conv.call_args_list for ln, _ in call.args[2]] \
+            == self.expected_lines()
+        assert c_reader.call_count == 4
+        assert all(isinstance(call.args[0], list) and len(call.args[0]) <= data_mod._CHUNK_ROWS
+                   for call in c_reader.call_args_list)
+        kept = np.delete(values, self.LATE - 2, axis=0)
+        assert ds.features.tobytes() == kept[:, :2].tobytes()
+        assert ds.targets.tobytes() == kept[:, 2].tobytes()
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_quoted_newline_across_chunk_boundary(self, tmp_path, shift):
+        values = self.grid()
+        start = self.BOUNDARY + shift
+        p = write_grid(tmp_path, values, {start: '1,"1.5\n",3'})
+        values[start - 2] = [1.0, 1.5, 3.0]
+        ds = load_csv(p, target_column="target")
+        assert ds.features.tobytes() == values[:, :2].tobytes()
+        assert ds.targets.tobytes() == values[:, 2].tobytes()
+
+        # The record took two physical lines, so a later record sits one line further.
+        p = write_grid(tmp_path, values, {start: '1,"1.5\n",3', start + 3: "1,bogus,3"})
+        with pytest.raises(DataError) as err:
+            load_csv(p, target_column="target")
+        assert str(err.value) == (f"{p}: line {start + 4}, column 'b': "
+                                  f"cannot parse 'bogus' as a number")
+
+
 def refuse_c_reader(*args, **kwargs):
     raise ValueError("C reader disabled")
 
@@ -290,6 +340,16 @@ class TestLoadCsvPerCell(TestLoadCsv):
 @pytest.mark.usefixtures("per_cell_only")
 class TestStreamedParsePerCell(TestStreamedParse):
     """Every TestStreamedParse case again on the per-cell path alone."""
+
+
+@pytest.mark.usefixtures("per_cell_only")
+class TestSinglePassPerCell(TestSinglePass):
+    """Every TestSinglePass case again on the per-cell path alone: each chunk, once."""
+
+    CALLS = 4
+
+    def expected_lines(self):
+        return list(range(2, self.N + 2))
 
 
 @pytest.mark.parametrize("raw", CSV_CELLS, ids=repr)
@@ -323,8 +383,9 @@ class TestCReader:
         ("a,b,target\n1,2,3\n#4,5,6\n", "line 3, column 'a': cannot parse '#4' as a number"),
         ("a,b,target\n1,2,3\n\n4,5,6\n", [[1, 2, 3], [4, 5, 6]]),
         ("a,b,target\n", "no usable rows after applying missing policy 'error'"),
+        ("a,b,target\n\n\r\n", "no usable rows after applying missing policy 'error'"),
     ], ids=["whitespace-line", "crlf", "no-final-newline", "trailing-delimiter", "hash-row",
-            "empty-line", "header-only"])
+            "empty-line", "header-only", "empty-lines-only"])
     def test_edge_file_matches_per_cell_path(self, tmp_path, monkeypatch, text, want):
         p = tmp_path / "d.csv"
         p.write_bytes(text.encode())

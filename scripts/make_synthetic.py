@@ -22,7 +22,7 @@ def write_csv(path: Path, n_rows: int, seed: int) -> None:
     lines = ["f1,f2,target"]
     for i in range(n_rows):
         lines.append(f"{float(x[i, 0])!r},{float(x[i, 1])!r},{float(y[i])!r}")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_config(path: Path, csv_path: Path, out_dir: str) -> None:
@@ -48,7 +48,7 @@ def write_config(path: Path, csv_path: Path, out_dir: str) -> None:
         "n_seeds": 3,
         "jobs": 1,
     }
-    path.write_text(json.dumps(cfg, indent=2) + "\n")
+    path.write_text(json.dumps(cfg, indent=2) + "\n", encoding="utf-8")
 
 
 def main() -> None:

@@ -133,7 +133,7 @@ def _read_tuned(out: Path, kind: str, cfg: ExperimentConfig, provenance: dict):
     """The tuned config of one defense kind, checked against this run's tuned stamp."""
     path = _tuned_path(out, kind)
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except (OSError, ValueError) as e:
         raise ConfigError(f"cannot read tuned config {path}: {e}; run tune again") from e
@@ -173,7 +173,7 @@ def _combined_candidates(out: Path, cfg: ExperimentConfig, provenance: dict, bas
 
 def _write_trials(path: Path, records) -> None:
     """The trial log as JSON lines, one per trial; a diverged trial's value is null."""
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         for r in records:
             f.write(json.dumps({"trial": r.trial, "source": r.source,
                                 "config": defense_to_dict(r.config),
@@ -202,7 +202,7 @@ def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
             tuned.unlink(missing_ok=True)
             raise
         _write_trials(trials, records)
-        with open(tuned, "w") as f:
+        with open(tuned, "w", encoding="utf-8") as f:
             json.dump(
                 {
                     "kind": kind,

@@ -161,12 +161,12 @@ _TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.init)
 
 def load_experiment_config(path) -> ExperimentConfig:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise ConfigError(f"config {path} is not valid UTF-8 JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path}: top level must be an object")
     for key in doc:

@@ -131,14 +131,15 @@ def load_csv(
     target_bounded_01: bool = False,
     missing: str = "error",
 ) -> Dataset:
-    """Read a headered numeric CSV into a Dataset (split unassigned).
+    """Read a headered numeric UTF-8 CSV into a Dataset (split unassigned).
 
-    missing controls cells matching the usual NA markers: "error" rejects the
-    file naming the offending lines, "drop_rows" removes those rows, and
-    "drop_columns" removes feature columns containing any missing value (rows
-    whose target is missing are dropped). Cells that are neither numeric nor a
-    recognized NA marker, and infinite cells, are always an error naming the
-    line and column.
+    A leading byte-order mark is dropped, and the header names, stripped, must
+    be unique and non-empty. missing controls cells matching the usual NA
+    markers: "error" rejects the file naming the offending lines, "drop_rows"
+    removes those rows, and "drop_columns" removes feature columns containing
+    any missing value (rows whose target is missing are dropped). Cells that
+    are neither numeric nor a recognized NA marker, and infinite cells, are
+    always an error naming the line and column.
 
     The file is read once. After the header, numpy's C reader parses each
     chunk of _CHUNK_ROWS lines with float()'s syntax and bits, skipping only
@@ -153,13 +154,17 @@ def load_csv(
         raise ConfigError(f"missing policy must be one of {MISSING_POLICIES}, got {missing!r}")
     missing_lines = []
     try:
-        with open(path, newline="") as f:
+        with open(path, newline="", encoding="utf-8-sig") as f:
             reader = csv.reader(f)
             try:
                 header = next(reader)
             except StopIteration:
                 raise DataError(f"{path}: file is empty") from None
             header = [h.strip() for h in header]
+            for i, h in enumerate(header):
+                if not h or h in header[:i]:
+                    raise DataError(f"{path}: header name {h!r} is "
+                                    f"{'repeated' if h else 'empty'}; columns are {header}")
             if target_column not in header:
                 raise DataError(
                     f"{path}: target column {target_column!r} not found; columns are {header}"
@@ -195,6 +200,8 @@ def load_csv(
             values.resize((n, width), refcheck=False)
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path} is not UTF-8 text: {e}") from e
 
     if missing_lines and missing == "error":
         lines = sorted(set(missing_lines))
@@ -471,7 +478,7 @@ def save_dataset_cache(path, dataset: Dataset, norm: Normalizer, neighbors: Neig
     }
     if provenance is not None:
         doc["provenance"] = provenance
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         for i, key in enumerate(sorted(doc)):
             f.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
             if key != "features":
@@ -533,7 +540,7 @@ def load_dataset_cache(path, provenance: dict | None = None):
     field that differs.
     """
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             doc = json.load(f)
         split = np.array([SPLIT_NAMES.index(s) for s in doc["split"]], dtype=np.int64)
         dataset = Dataset(

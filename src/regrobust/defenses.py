@@ -32,7 +32,6 @@ from .errors import ConfigError, DimensionError, NonFiniteError
 from .nn import (
     RegressionNet,
     _as_batch,
-    _check_targets,
     _clean_terms,
     _output_head,
     _param_grad,
@@ -115,7 +114,7 @@ def ansr_batch(net: RegressionNet, X, radii, gaps, n_samples: int, rng, fwd=None
     the true penalty is exactly zero; the gate enforces that explicitly
     because equal values routed through different matmul shapes can round
     one ulp apart. The row's samples are still drawn to keep the stream
-    aligned. fwd is as in nn.batch_backward.
+    aligned. fwd, if given, is forward_parts(net, X) of a validated X.
     """
     if rng is None:
         raise ConfigError("the stability penalty draws random perturbations and needs an rng")
@@ -180,22 +179,18 @@ def batch_loss_grad(
     The objective is the primary loss plus the sigma- and lambda-penalties,
     as KINDS[cfg.kind] names them. nn_distances/label_gaps are required only when
     the stability penalty is active; fresh perturbations are drawn from rng on
-    every call. X and Y are validated and run forward once, and every term
-    reads that forward pass through its fwd keyword; the primary loss and the
-    gradient penalty read one nn._clean_terms through their terms keyword.
+    every call. X and Y are validated and run forward once, by one
+    nn._clean_terms: the primary loss and the gradient penalty read it through
+    their terms keyword, and the stability penalty reads its fwd field.
     """
-    X, _ = _as_batch(net, X)
-    Y = _check_targets(X, Y)
-    fwd = forward_parts(net, X)
-    B = X.shape[0]
     loss_kind, params = KINDS[cfg.kind]
-    terms = _clean_terms(net, Y, fwd, loss_kind, cfg.delta)
-    values, grad_sum = batch_backward(net, X, Y, loss_kind, cfg.delta, fwd=fwd, terms=terms)
+    terms = _clean_terms(net, X, Y, loss_kind, cfg.delta)
+    X, Y, fwd = terms[:3]
+    values, grad_sum = batch_backward(net, X, Y, terms=terms)
     total = values.sum()
 
     if "sigma" in params:
-        penalties, pgrad = grad_penalty_batch(net, X, Y, cfg.sigma, loss_kind, cfg.delta,
-                                              fwd=fwd, terms=terms)
+        penalties, pgrad = grad_penalty_batch(net, X, Y, cfg.sigma, terms=terms)
         total += penalties.sum()
         grad_sum += pgrad
 
@@ -207,5 +202,5 @@ def batch_loss_grad(
         total += cfg.lam * omega.sum()
         grad_sum += cfg.lam * ograd
 
-    grad_sum /= B
-    return total / B, grad_sum
+    grad_sum /= len(X)
+    return total / len(X), grad_sum

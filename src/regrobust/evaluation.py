@@ -160,7 +160,7 @@ def perturbation_profile(dataset, defense: DefenseConfig, attack: AttackConfig, 
 def _write_records(path, cls, records) -> None:
     """A CSV of records of the dataclass cls: its field names, then one row each."""
     names = [f.name for f in fields(cls)]
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)  # floats are written with repr, so they round-trip exactly
         w.writerow(names)
         w.writerows(map(attrgetter(*names), records))
@@ -177,7 +177,7 @@ def write_points_csv(path, points) -> None:
 def read_cells_csv(path) -> list:
     specs = fields(CellRecord)
     try:
-        with open(path, newline="") as f:
+        with open(path, newline="", encoding="utf-8") as f:
             cells = [CellRecord(**{s.name: s.type(r[s.name]) for s in specs})
                      for r in csv.DictReader(f)]
     except (KeyError, TypeError, ValueError) as e:
@@ -201,7 +201,7 @@ def write_summary_json(path, aggregates) -> None:
             for a in aggregates
         ]
     }
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
 

@@ -7,11 +7,12 @@ optimizer is laid out as
 
 and every parameter gradient is returned in that layout, built by one
 contraction (_param_grad) over the cached forward intermediates. Every loss
-gradient (batch_backward, grad_penalty_batch, input_gradient) reads the clean
-batch's loss derivatives and hidden-layer adjoint from one _clean_terms, which
-a training step builds once for all its terms. ReLU'(0) is
-taken to be 0, and all analytic gradients are exact for the piecewise-linear
-network, which is what the finite-difference test suites check against.
+gradient (batch_backward, grad_penalty_batch, input_gradient) reads one clean
+batch from _clean_terms: the validated inputs and targets, their forward pass,
+the loss derivatives and the hidden-layer adjoint. A training step builds it
+once for all its terms. ReLU'(0) is taken to be 0, and all analytic gradients
+are exact for the piecewise-linear network, which is what the
+finite-difference test suites check against.
 The identity head's derivatives are the scalars 1.0 and 0.0, which give the
 same bits as arrays of ones and zeros without allocating them.
 """
@@ -163,15 +164,6 @@ def forward(net: RegressionNet, x):
     return float(yhat[0]) if single else yhat
 
 
-def _check_targets(X: np.ndarray, Y) -> np.ndarray:
-    Y = np.atleast_1d(np.asarray(Y, dtype=np.float64))
-    if Y.shape != (X.shape[0],):
-        raise DimensionError(f"targets must have shape ({X.shape[0]},), got {Y.shape}")
-    if not np.isfinite(Y).all():
-        raise NonFiniteError("targets contain NaN or infinity")
-    return Y
-
-
 def _param_grad(net: RegressionNet, X, a, g_u, dz=None) -> np.ndarray:
     """sum_i g_u[i] * d u(x_i) / d theta from cached intermediates, packed.
 
@@ -192,70 +184,67 @@ def _param_grad(net: RegressionNet, X, a, g_u, dz=None) -> np.ndarray:
     return grad
 
 
-def _clean_terms(net: RegressionNet, Y, fwd, loss: str, delta: float):
-    """Everything the loss gradients read of the clean batch, built once.
+def _clean_terms(net: RegressionNet, X, Y, loss: str, delta: float):
+    """One step's clean batch: validated once, run forward once.
 
-    fwd is forward_parts(net, X). Returns (values, l1, l2, g_u, dz): the
-    loss and its first two derivatives at the residuals Y - yhat, the weight
-    g_u = d loss/d u on each row's pre-output, and the hidden-layer adjoint
-    dz = relu'(z) * w2 * g_u[:, None] (N, H), so that dz @ w1 is d loss/d x.
+    X is a (N, D) batch or one (D,) point and Y its (N,) targets. Returns
+    (X, Y, fwd, values, l1, l2, g_u, dz): X as a (N, D) float64 matrix, Y as
+    (N,) float64, fwd = forward_parts(net, X), the loss and its first two
+    derivatives at the residuals Y - yhat, the weight g_u = d loss/d u on each
+    row's pre-output, and the hidden-layer adjoint dz = relu'(z) * w2 *
+    g_u[:, None] (N, H), so that dz @ w1 is d loss/d x.
     """
+    X, _ = _as_batch(net, X)
+    Y = np.atleast_1d(np.asarray(Y, dtype=np.float64))
+    if Y.shape != (X.shape[0],):
+        raise DimensionError(f"targets must have shape ({X.shape[0]},), got {Y.shape}")
+    if not np.isfinite(Y).all():
+        raise NonFiniteError("targets contain NaN or infinity")
+    fwd = forward_parts(net, X)
     z, _, _, yhat, act1, _ = fwd
     values, l1, l2 = loss_terms(loss, Y - yhat, delta)
     g_u = -l1 * act1  # (N,)
     dz = (z > 0.0) * net.w2
     dz *= g_u[:, None]
-    return values, l1, l2, g_u, dz
+    return X, Y, fwd, values, l1, l2, g_u, dz
 
 
 def batch_backward(net: RegressionNet, X, Y, loss: str = "squared_error", delta: float = 1.0,
-                   fwd=None, terms=None):
+                   terms=None):
     """Per-point loss values and the summed parameter gradient over a batch.
 
-    Returns (values (N,), grad_sum (n_params,)). fwd, if given, is
-    forward_parts(net, X) of an already validated X and Y, used instead of
-    validating and running the forward pass again; terms, if given, is
-    _clean_terms(net, Y, fwd, loss, delta), used instead of building it again.
+    Returns (values (N,), grad_sum (n_params,)). terms, if given, is
+    _clean_terms(net, X, Y, loss, delta), read instead of validating X and Y
+    and building the clean batch again.
     """
-    if fwd is None:
-        X, _ = _as_batch(net, X)
-        Y = _check_targets(X, Y)
-        fwd = forward_parts(net, X)
     if terms is None:
-        terms = _clean_terms(net, Y, fwd, loss, delta)
-    values, _, _, g_u, dz = terms
+        terms = _clean_terms(net, X, Y, loss, delta)
+    X, _, fwd, values, _, _, g_u, dz = terms
     return np.asarray(values, dtype=np.float64), _param_grad(net, X, fwd[1], g_u, dz)
 
 
 def input_gradient(net: RegressionNet, X, Y, loss: str = "squared_error", delta: float = 1.0):
-    """Gradient of loss(y - f(x)) with respect to x, per row.
+    """Gradient of loss(y - f(x)) with respect to x, per row; (D,) for one point.
 
     The default squared error is the attack objective's gradient regardless
     of which loss the network was trained with.
     """
-    X2, single = _as_batch(net, X)
-    Y = _check_targets(X2, Y)
-    grads = _clean_terms(net, Y, forward_parts(net, X2), loss, delta)[4] @ net.w1  # (N, D)
-    return grads[0] if single else grads
+    grads = _clean_terms(net, X, Y, loss, delta)[-1] @ net.w1  # (N, D)
+    return grads[0] if np.ndim(X) == 1 else grads
 
 
 def grad_penalty_batch(net: RegressionNet, X, Y, sigma: float, loss: str = "squared_error",
-                       delta: float = 1.0, fwd=None, terms=None):
+                       delta: float = 1.0, terms=None):
     """Input-gradient L1 penalty sigma * ||d loss/d x||_1 and its theta-gradient.
 
     The theta-gradient treats the ReLU activation pattern and the signs of
     d loss/d x as locally constant, which is exact almost everywhere for the
-    piecewise-linear network. fwd and terms are as in batch_backward. Returns
+    piecewise-linear network. terms is as in batch_backward. Returns
     (penalties (N,), grad_sum (n_params,)).
     """
-    if fwd is None:
-        X, _ = _as_batch(net, X)
-        Y = _check_targets(X, Y)
-        fwd = forward_parts(net, X)
     if terms is None:
-        terms = _clean_terms(net, Y, fwd, loss, delta)
-    z, a, _, _, act1, act2 = fwd
-    _, l1, l2, g_u, dz = terms
+        terms = _clean_terms(net, X, Y, loss, delta)
+    X, _, (z, a, _, _, act1, act2), _, l1, l2, g_u, dz = terms
     mw2 = (z > 0.0) * net.w2  # relu'(z) * w2 (N, H)
     # d g_u / d u with the loss evaluated at resid = y - act(u).
     k = l2 * act1 * act1 - l1 * act2  # (N,)

@@ -21,8 +21,8 @@ def blas_function(*names):
     Found in /proc/self/maps (Linux) and opened with RTLD_NOLOAD: nothing is loaded.
     """
     try:
-        with open("/proc/self/maps") as f:
-            paths = sorted({line.split(None, 5)[-1].strip() for line in f if "openblas" in line})
+        with open("/proc/self/maps", "rb") as f:  # bytes: a mapped path need not be UTF-8
+            paths = sorted({line.split(None, 5)[-1].strip() for line in f if b"openblas" in line})
         libs = [ctypes.CDLL(path, mode=os.RTLD_NOLOAD) for path in paths]
     except (OSError, AttributeError):
         return None

@@ -188,6 +188,17 @@ class TestPrepare:
         assert err["error"] == "DataError"
         assert "nope.csv" in err["message"]
 
+    @pytest.mark.parametrize("target,error", [("syn.csv", "DataError"),
+                                              ("exp.json", "ConfigError")])
+    def test_file_not_utf8_is_machine_parseable_error(self, workspace, capsys, target, error):
+        tmp, cfg = workspace
+        with open(tmp / target, "ab") as f:
+            f.write(b"0.5,caf\xe9,1\n" if target.endswith(".csv") else b" \xe9")
+        assert main(["prepare", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == error
+        assert str(tmp / target) in err["message"] and "UTF-8" in err["message"]
+
     @pytest.mark.parametrize(
         "edit,field",
         [
@@ -684,3 +695,20 @@ class TestDeterminism:
         a = self._run(tmp, cfg, tmp / "s1", jobs=1, seed=1)
         b = self._run(tmp, cfg, tmp / "s2", jobs=1, seed=2)
         assert a["cells.csv"] != b["cells.csv"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_every_text_file_is_opened_as_utf8(workspace, jobs):
+    # Each stage runs in a fresh process in which an open() that falls back to
+    # the locale's encoding is an error; at jobs=2 the forked workers run too.
+    tmp, cfg = workspace
+    cfg = write_config(cfg, tmp / "syn.csv", tmp / "out",
+                       train={"learning_rate": 0.02, "epochs": 2, "batch_size": 16})
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    for stage in ("prepare", "tune", "evaluate", "report"):
+        script = ("import sys; from regrobust.cli import main; "
+                  f"sys.exit(main([{stage!r}, '--config', {str(cfg)!r}, '--jobs', '{jobs}']))")
+        proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                               "-W", "error::EncodingWarning", "-c", script],
+                              cwd=REPO, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

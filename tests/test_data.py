@@ -69,6 +69,37 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="target"):
             load_csv(p, target_column="y")
 
+    @pytest.mark.parametrize("header,features,targets", [
+        ("y,a,b", [[2.0, 3.0], [5.0, 6.0]], [1.0, 4.0]),
+        ("a,b,y", [[1.0, 2.0], [4.0, 5.0]], [3.0, 6.0]),
+    ])
+    def test_utf8_byte_order_mark_is_dropped(self, tmp_path, header, features, targets):
+        # Spreadsheet "CSV UTF-8" exports start with U+FEFF.
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + f"{header}\n1,2,3\n4,5,6\n".encode())
+        ds = load_csv(p, target_column="y")
+        assert ds.feature_names == ("a", "b")
+        assert np.array_equal(ds.features, features) and np.array_equal(ds.targets, targets)
+
+    @pytest.mark.parametrize("line", [b"caf\xe9,3\n", b"1,2\n" * 300 + b"4\xe9,5\n"],
+                             ids=["first-chunk", "late-chunk"])
+    def test_not_utf8_names_the_file(self, tmp_path, line):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"a,y\n1,2\n" + line)
+        with pytest.raises(DataError, match=r"latin1\.csv is not UTF-8 text"):
+            load_csv(p, target_column="y")
+
+    @pytest.mark.parametrize("header,message", [
+        ("y,a,y", "header name 'y' is repeated; columns are ['y', 'a', 'y']"),
+        ("a, y ,y", "header name 'y' is repeated; columns are ['a', 'y', 'y']"),
+        ("a,,y", "header name '' is empty; columns are ['a', '', 'y']"),
+        ("a, ,y", "header name '' is empty; columns are ['a', '', 'y']"),
+    ])
+    def test_header_names_are_unique_and_non_empty(self, tmp_path, header, message):
+        p = write(tmp_path, f"{header}\n1,2,1\n3,4,3\n")
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_csv(p, target_column="y")
+
     def test_missing_value_default_policy_errors(self, tmp_path):
         p = write(tmp_path, "a,target\n1,2\nNA,4\n")
         with pytest.raises(DataError, match=r"line\(s\) \[3\]"):

@@ -480,7 +480,7 @@ class TestSharedForward:
         assert loss == total / len(Y)
         assert np.array_equal(grad, g / len(Y))
 
-    @pytest.mark.parametrize("kind", ["grad_reg", "ansr", "combined"])
+    @pytest.mark.parametrize("kind", DEFENSE_KINDS)
     def test_one_validation_and_one_forward_per_step(self, kind, monkeypatch):
         # Counted through both bindings: nn's own functions look the names up in nn.
         calls = {"forward_parts": 0, "_as_batch": 0, "_clean_terms": 0}

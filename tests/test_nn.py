@@ -134,6 +134,9 @@ class TestBackward:
                 y = float(rng.uniform())
             _, d_theta = batch_backward(net, x[None, :], [y], loss=loss, delta=delta)
             d_x = input_gradient(net, x, y, loss=loss, delta=delta)
+            # One point gives a (D,) gradient, row 0 of the same point as a batch.
+            assert d_x.shape == x.shape
+            assert np.array_equal(d_x, input_gradient(net, x[None, :], [y], loss, delta)[0])
             theta0 = params_to_vector(net)
 
             def f_theta(t):

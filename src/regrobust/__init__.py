@@ -27,7 +27,7 @@ from .errors import (
     SearchFailed,
     TrainingDiverged,
 )
-from .losses import pseudo_huber
+from .losses import mse, pseudo_huber
 from .nn import (
     RegressionNet,
     forward,
@@ -42,7 +42,6 @@ from .evaluation import (
     PointRecord,
     aggregate,
     evaluate_cell,
-    mse,
     perturbation_profile,
     train_models,
 )

@@ -20,6 +20,7 @@ from .config import (
     load_experiment_config,
     read_defense_entry,
     section_to_dict,
+    unique_keys,
 )
 from .defenses import KINDS, DefenseConfig
 from .errors import ConfigError, DataError, RegrobustError, SearchFailed
@@ -109,6 +110,12 @@ def _load_or_prepare(cfg: ExperimentConfig, out: Path):
     return ds, neighbors, provenance
 
 
+def _median(x) -> float:
+    """np.median's arithmetic (the mean of the one or two middle values) without
+    the numpy.ma import that np.median makes."""
+    return np.sort(x)[(len(x) - 1) // 2 : len(x) // 2 + 1].mean()
+
+
 def cmd_prepare(cfg: ExperimentConfig, out: Path) -> int:
     stats = {}
     ds, norm, neighbors = _build_dataset(cfg, stats)
@@ -118,8 +125,8 @@ def cmd_prepare(cfg: ExperimentConfig, out: Path) -> int:
     print(
         f"prepared {ds.name}: {ds.n_rows} rows, {ds.n_features} features, "
         f"splits {sizes}, cache {out / 'dataset_cache.json'}; "
-        f"nearest neighbor: median distance {np.median(nn_d):.4g}, "
-        f"median label gap {np.median(gaps):.4g}, {int((nn_d == 0).sum())} rows at distance 0, "
+        f"nearest neighbor: median distance {_median(nn_d):.4g}, "
+        f"median label gap {_median(gaps):.4g}, {int((nn_d == 0).sum())} rows at distance 0, "
         f"{stats['confirmed']} of {len(nn_d)} rows confirmed exactly"
     )
     return 0
@@ -134,8 +141,8 @@ def _read_tuned(out: Path, kind: str, cfg: ExperimentConfig, provenance: dict):
     path = _tuned_path(out, kind)
     try:
         with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, ValueError) as e:
+            doc = json.load(f, object_pairs_hook=unique_keys)
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8, not JSON, or a repeated key
         raise ConfigError(f"cannot read tuned config {path}: {e}; run tune again") from e
     if not isinstance(doc, dict):
         raise ConfigError(f"tuned config {path} is not a JSON object; run tune again")
@@ -331,7 +338,7 @@ def main(argv=None) -> int:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, out)
-    except RegrobustError as e:
+    except (RegrobustError, OSError) as e:  # OSError: the output directory or a file in it
         print(json.dumps({"error": type(e).__name__, "message": str(e)}), file=sys.stderr)
         return 1
 

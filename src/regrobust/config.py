@@ -10,7 +10,8 @@ tuned; ``read_defense_entry`` reads this form here and in ``tuned_*.json``,
 and ``defense_to_dict`` writes it. An attack entry takes ``kind`` and the
 fields its kind reads (``AttackConfig.params``). The top level sets
 ``train.seed`` and ``n_samples``. Any other key fails, so a typo never falls
-back to a default unnoticed. Every default matches the standard evaluation
+back to a default unnoticed, and so does a key given twice in one object,
+here and in ``tuned_*.json``. Every default matches the standard evaluation
 protocol, so a minimal config only needs the dataset block. Validation
 errors start with the offending field path.
 """
@@ -159,13 +160,24 @@ def _entries(doc, key: str, parse) -> list:
 _TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.init)
 
 
+def unique_keys(pairs) -> dict:
+    """json.load's object_pairs_hook: the object as a dict, or a ConfigError
+    naming a key it repeats, which would otherwise override the first."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"key {key!r} is repeated in one object")
+        doc[key] = value
+    return doc
+
+
 def load_experiment_config(path) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
+            doc = json.load(f, object_pairs_hook=unique_keys)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    except ValueError as e:  # not UTF-8, or not JSON
+    except ValueError as e:  # not UTF-8, not JSON, or a repeated key
         raise ConfigError(f"config {path} is not valid UTF-8 JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path}: top level must be an object")

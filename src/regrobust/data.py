@@ -45,6 +45,9 @@ MISSING_POLICIES = ("error", "drop_rows", "drop_columns")
 
 @dataclass
 class Dataset:
+    """Rows of features and targets, and each row's split once assigned;
+    part(which) gives one split's row indices, features and targets."""
+
     features: np.ndarray  # (N, D) float64
     targets: np.ndarray  # (N,) float64
     split: np.ndarray | None  # (N,) int in {0,1,2}, or None before splitting
@@ -82,6 +85,11 @@ class Dataset:
         if self.split is None:
             raise DataError("dataset has no split assigned")
         return np.flatnonzero(self.split == which)
+
+    def part(self, which: int) -> tuple:
+        """(rows, features, targets) of one split: rows(which) and copies of its rows."""
+        rows = self.rows(which)
+        return rows, self.features[rows], self.targets[rows]
 
 
 _CHUNK_ROWS = 256  # CSV lines per C-reader call
@@ -169,6 +177,9 @@ def load_csv(
                 raise DataError(
                     f"{path}: target column {target_column!r} not found; columns are {header}"
                 )
+            if len(header) < 2:
+                raise DataError(f"{path}: no feature columns; the only column is the target "
+                                f"{target_column!r}")
             width = len(header)
             offset, values, n = reader.line_num, np.empty((0, width)), 0
             while raw := list(itertools.islice(f, _CHUNK_ROWS)):
@@ -245,8 +256,9 @@ def load_csv(
 def split_dataset(dataset: Dataset, fractions=(0.6, 0.2, 0.2), seed: int = 0) -> Dataset:
     """Random train/val/test split; rounding leftovers go to the train split."""
     fr = tuple(float(f) for f in fractions)
-    if len(fr) != 3 or any(f <= 0 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
-        raise ConfigError(f"fractions must be 3 positive numbers summing to 1, got {fractions}")
+    if len(fr) != 3 or not all(0 < f <= 1 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
+        raise ConfigError(f"fractions must be 3 finite positive numbers summing to 1, "
+                          f"got {fractions}")
     n = dataset.n_rows
     sizes = [int(math.floor(n * f)) for f in fr]
     sizes[0] += n - sum(sizes)
@@ -414,10 +426,9 @@ def compute_neighbors(dataset: Dataset, stats: dict | None = None) -> Neighbors:
     from the two rows.
     stats, if given, gets "confirmed": the count.
     """
-    rows = dataset.rows(TRAIN)
+    rows, X, y = dataset.part(TRAIN)
     if len(rows) < 2:
         raise DataError("nearest-neighbor computation needs at least 2 train rows")
-    X, y = dataset.features[rows], dataset.targets[rows]
     d, idx, second = _nearest_from_blocks(_quantized(X))
     amb = np.flatnonzero(second.astype(np.int32) - d < 3)  # not certified
     dist = np.abs(X - X[idx]).max(1)

@@ -16,16 +16,11 @@ from . import data as data_mod
 from .attacks import AttackConfig, apply_attack
 from .defenses import DefenseConfig
 from .errors import DataError, TrainingDiverged
+from .losses import mse
 from .nn import forward
 from .parallel import pmap
 from .seeding import derive_seed
 from .training import TrainConfig, train
-
-
-def mse(y, pred) -> float:
-    y = np.asarray(y, dtype=np.float64)
-    pred = np.asarray(pred, dtype=np.float64)
-    return float(np.mean((y - pred) ** 2))
 
 
 def sci3(x) -> str:
@@ -97,9 +92,7 @@ def train_models(
 
 def evaluate_cell(dataset, defense: DefenseConfig, attack: AttackConfig, models: list) -> list:
     """Test MSE of each trained model (from train_models) under one attack."""
-    rows = dataset.rows(data_mod.TEST)
-    Xt = dataset.features[rows]
-    Yt = dataset.targets[rows]
+    _, Xt, Yt = dataset.part(data_mod.TEST)
     out = []
     for i, net in models:
         adv = apply_attack(net, Xt, Yt, attack)
@@ -130,9 +123,7 @@ def perturbation_profile(dataset, defense: DefenseConfig, attack: AttackConfig, 
     row, taken from nn_dist (nearest_train_distance of the test rows, which
     does not depend on the model, so callers compute it once).
     """
-    rows = dataset.rows(data_mod.TEST)
-    Xt = dataset.features[rows]
-    Yt = dataset.targets[rows]
+    rows, Xt, Yt = dataset.part(data_mod.TEST)
     out = []
     for i, net in models:
         adv = apply_attack(net, Xt, Yt, attack)

@@ -40,3 +40,8 @@ def loss_value(kind: str, a, delta: float = 1.0):
 def pseudo_huber(a, delta: float = 1.0):
     """delta^2 * (sqrt(1 + (a/delta)^2) - 1); see loss_terms."""
     return loss_value("pseudo_huber", a, delta)
+
+
+def mse(y, pred) -> float:
+    """Mean squared error of the predictions pred against the targets y."""
+    return float(np.mean((np.asarray(y, np.float64) - np.asarray(pred, np.float64)) ** 2))

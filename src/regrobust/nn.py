@@ -9,8 +9,8 @@ and every parameter gradient is returned in that layout, built by one
 contraction (_param_grad) over the cached forward intermediates. Every loss
 gradient (batch_backward, grad_penalty_batch, input_gradient) reads one clean
 batch from _clean_terms: the validated inputs and targets, their forward pass,
-the loss derivatives and the hidden-layer adjoint. A training step builds it
-once for all its terms. ReLU'(0) is taken to be 0, and all analytic gradients
+the loss derivatives, the ReLU mask and the hidden-layer adjoint. A training
+step builds it once for all its terms. ReLU'(0) is taken to be 0, and all analytic gradients
 are exact for the piecewise-linear network, which is what the
 finite-difference test suites check against.
 The identity head's derivatives are the scalars 1.0 and 0.0, which give the
@@ -188,11 +188,11 @@ def _clean_terms(net: RegressionNet, X, Y, loss: str, delta: float):
     """One step's clean batch: validated once, run forward once.
 
     X is a (N, D) batch or one (D,) point and Y its (N,) targets. Returns
-    (X, Y, fwd, values, l1, l2, g_u, dz): X as a (N, D) float64 matrix, Y as
-    (N,) float64, fwd = forward_parts(net, X), the loss and its first two
+    (X, Y, fwd, values, l1, l2, g_u, on, dz): X as a (N, D) float64 matrix, Y
+    as (N,) float64, fwd = forward_parts(net, X), the loss and its first two
     derivatives at the residuals Y - yhat, the weight g_u = d loss/d u on each
-    row's pre-output, and the hidden-layer adjoint dz = relu'(z) * w2 *
-    g_u[:, None] (N, H), so that dz @ w1 is d loss/d x.
+    row's pre-output, the ReLU mask on = relu'(z) = z > 0 (N, H), and the
+    hidden-layer adjoint dz = on * w2 * g_u[:, None], so dz @ w1 is d loss/d x.
     """
     X, _ = _as_batch(net, X)
     Y = np.atleast_1d(np.asarray(Y, dtype=np.float64))
@@ -204,9 +204,9 @@ def _clean_terms(net: RegressionNet, X, Y, loss: str, delta: float):
     z, _, _, yhat, act1, _ = fwd
     values, l1, l2 = loss_terms(loss, Y - yhat, delta)
     g_u = -l1 * act1  # (N,)
-    dz = (z > 0.0) * net.w2
+    dz = (on := z > 0.0) * net.w2
     dz *= g_u[:, None]
-    return X, Y, fwd, values, l1, l2, g_u, dz
+    return X, Y, fwd, values, l1, l2, g_u, on, dz
 
 
 def batch_backward(net: RegressionNet, X, Y, loss: str = "squared_error", delta: float = 1.0,
@@ -219,7 +219,7 @@ def batch_backward(net: RegressionNet, X, Y, loss: str = "squared_error", delta:
     """
     if terms is None:
         terms = _clean_terms(net, X, Y, loss, delta)
-    X, _, fwd, values, _, _, g_u, dz = terms
+    X, _, fwd, values, _, _, g_u, _, dz = terms
     return np.asarray(values, dtype=np.float64), _param_grad(net, X, fwd[1], g_u, dz)
 
 
@@ -239,13 +239,13 @@ def grad_penalty_batch(net: RegressionNet, X, Y, sigma: float, loss: str = "squa
 
     The theta-gradient treats the ReLU activation pattern and the signs of
     d loss/d x as locally constant, which is exact almost everywhere for the
-    piecewise-linear network. terms is as in batch_backward. Returns
-    (penalties (N,), grad_sum (n_params,)).
+    piecewise-linear network. terms is as in batch_backward, and its ReLU mask
+    is relu'(z). Returns (penalties (N,), grad_sum (n_params,)).
     """
     if terms is None:
         terms = _clean_terms(net, X, Y, loss, delta)
-    X, _, (z, a, _, _, act1, act2), _, l1, l2, g_u, dz = terms
-    mw2 = (z > 0.0) * net.w2  # relu'(z) * w2 (N, H)
+    X, _, (_, a, _, _, act1, act2), _, l1, l2, g_u, on, dz = terms
+    mw2 = on * net.w2  # relu'(z) * w2 (N, H)
     # d g_u / d u with the loss evaluated at resid = y - act(u).
     k = l2 * act1 * act1 - l1 * act2  # (N,)
     d_x = dz @ net.w1  # (N, D)
@@ -257,5 +257,5 @@ def grad_penalty_batch(net: RegressionNet, X, Y, sigma: float, loss: str = "squa
     # Terms where theta enters d_x directly rather than through g_u.
     n_w1 = net.w1.size
     grad[:n_w1] += (dz.T @ s).ravel()
-    grad[n_w1 + net.hidden_dim : -1] += np.einsum("ij,i->j", v * (z > 0.0), g_u)
+    grad[n_w1 + net.hidden_dim : -1] += np.einsum("ij,i->j", v * on, g_u)
     return penalties, sigma * grad

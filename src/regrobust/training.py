@@ -10,6 +10,7 @@ from . import data as data_mod
 from .attacks import DEFAULT_PGD, AttackConfig, apply_attack
 from .defenses import DefenseConfig, batch_loss_grad
 from .errors import ConfigError, DataError, DimensionError, SearchFailed, TrainingDiverged
+from .losses import mse
 from .nn import RegressionNet, forward, initialize, params_to_vector, vector_to_net
 from .parallel import pmap
 from .seeding import derive_seed
@@ -112,12 +113,10 @@ def train(
     set to reuse freed arrays, so a library caller trains as fast as the CLI.
     """
     _reuse_freed_arrays()
-    rows = dataset.rows(data_mod.TRAIN)
-    if len(rows) < 1:
+    _, X, Y = dataset.part(data_mod.TRAIN)
+    n = len(Y)
+    if n < 1:
         raise ConfigError("train split is empty")
-    X = dataset.features[rows]
-    Y = dataset.targets[rows]
-    n = len(rows)
 
     if defense.needs_neighbors:
         if neighbors is None:
@@ -203,13 +202,10 @@ class TrialRecord:
 
 
 def _objective_value(net: RegressionNet, dataset, objective: str, attack: AttackConfig) -> float:
-    rows = dataset.rows(data_mod.VAL)
-    Xv = dataset.features[rows]
-    Yv = dataset.targets[rows]
+    _, Xv, Yv = dataset.part(data_mod.VAL)
     if objective == "val_mse_pgd":
         Xv = apply_attack(net, Xv, Yv, attack)
-    pred = forward(net, Xv)
-    return float(np.mean((Yv - pred) ** 2))
+    return mse(Yv, forward(net, Xv))
 
 
 def random_search(

@@ -181,6 +181,50 @@ class TestPrepare:
         assert (tmp_path / "jobs2" / "dataset_cache.json").read_bytes() == \
             (tmp_path / "jobs1" / "dataset_cache.json").read_bytes()
 
+    def test_prepare_never_imports_numpy_ma(self, tmp_path):
+        # np.median imports numpy.ma; the summary's medians must not.
+        script = ("import sys; from regrobust.cli import main; "
+                  f"assert main(['prepare', '--config', {str(CONFIGS / 'boston.json')!r}, "
+                  f"'--out', {str(tmp_path)!r}]) == 0; "
+                  "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'")
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=REPO, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "median distance 0.5315, median label gap 2.05," in proc.stdout
+
+    def test_nan_fraction_is_machine_parseable_error(self, workspace, capsys):
+        tmp, cfg = workspace
+        doc = json.loads(cfg.read_text())
+        cfg.write_text(json.dumps({**doc, "fractions": [float("nan"), 0.5, 0.5]}))
+        assert main(["prepare", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert "fractions must be 3 finite positive numbers summing to 1" in err["message"]
+
+    @pytest.mark.parametrize("key,text", [
+        ("seed", '{"seed": 7, "seed": 9, '),
+        ("epochs", '{"train": {"epochs": 1, "epochs": 2}, '),
+    ], ids=["top-level", "nested"])
+    def test_repeated_config_key_is_rejected(self, workspace, capsys, key, text):
+        tmp, cfg = workspace
+        doc = json.loads(cfg.read_text())
+        del doc["train"]
+        doc.pop(key, None)
+        cfg.write_text(text + json.dumps(doc)[1:])
+        assert main(["prepare", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ConfigError"
+        assert str(cfg) in err["message"]
+        assert f"key '{key}' is repeated in one object" in err["message"]
+
+    def test_out_below_a_file_is_machine_parseable_error(self, workspace, capsys):
+        tmp, cfg = workspace
+        assert main(["prepare", "--config", str(cfg), "--out", str(cfg / "out")]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "NotADirectoryError"
+        assert str(cfg / "out") in err["message"]
+
     def test_missing_csv_is_machine_parseable_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", tmp_path / "nope.csv", tmp_path / "out")
         assert main(["prepare", "--config", str(cfg)]) == 1
@@ -444,8 +488,11 @@ class TestStaleTuned:
              "config.sigma: unknown field; a 'ansr' entry takes only kind, tune, beta, lambda"),
             (lambda text: _edit_tuned_config(text, lambda c: {**c, "n_samples": 8}),
              "config.n_samples: unknown field; the top-level n_samples sets it"),
+            (lambda text: text.replace("{", '{"kind": "grad_reg", ', 1),
+             "key 'kind' is repeated in one object"),
         ],
-        ids=["truncated", "list", "other-kind", "tune-true", "unread-sigma", "unread-n-samples"],
+        ids=["truncated", "list", "other-kind", "tune-true", "unread-sigma", "unread-n-samples",
+             "repeated-key"],
     )
     def test_evaluate_rejects_corrupt_tuned_file(self, workspace, capsys, corrupt, message):
         tmp, cfg = workspace

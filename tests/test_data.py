@@ -100,6 +100,14 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=re.escape(message)):
             load_csv(p, target_column="y")
 
+    @pytest.mark.parametrize("missing", ["error", "drop_rows", "drop_columns"])
+    def test_target_only_file_has_no_feature_columns(self, tmp_path, missing):
+        # Checked before the missing-value policy, which reads a missing cell first.
+        p = write(tmp_path, "y\n1\nNA\n3\n")
+        with pytest.raises(DataError, match=re.escape(
+                "d.csv: no feature columns; the only column is the target 'y'")):
+            load_csv(p, target_column="y", missing=missing)
+
     def test_missing_value_default_policy_errors(self, tmp_path):
         p = write(tmp_path, "a,target\n1,2\nNA,4\n")
         with pytest.raises(DataError, match=r"line\(s\) \[3\]"):
@@ -477,6 +485,24 @@ class TestSplit:
         ds = Dataset(features=rng.normal(size=(10, 2)), targets=rng.normal(size=10), split=None)
         with pytest.raises(ConfigError):
             split_dataset(ds, (0.5, 0.2, 0.2), seed=0)
+
+    @pytest.mark.parametrize("fractions", [(math.nan, 0.5, 0.5), (0.5, 0.5, math.nan),
+                                           (math.nan,) * 3])
+    def test_non_finite_fractions_rejected(self, fractions):
+        rng = np.random.default_rng(3)
+        ds = Dataset(features=rng.normal(size=(10, 2)), targets=rng.normal(size=10), split=None)
+        with pytest.raises(ConfigError, match="3 finite positive numbers summing to 1"):
+            split_dataset(ds, fractions, seed=0)
+
+    def test_part_is_the_rows_of_one_split(self):
+        rng = np.random.default_rng(3)
+        ds = Dataset(features=rng.normal(size=(20, 2)), targets=rng.normal(size=20), split=None)
+        ds = split_dataset(ds, seed=1)
+        for which in (TRAIN, VAL, TEST):
+            rows, X, Y = ds.part(which)
+            assert np.array_equal(rows, np.flatnonzero(ds.split == which))
+            assert np.array_equal(X, ds.features[rows]) and np.array_equal(Y, ds.targets[rows])
+            assert not np.shares_memory(X, ds.features)
 
 
 class TestNormalizer:

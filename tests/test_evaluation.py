@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import regrobust
+from regrobust import losses
 from regrobust.attacks import DEFAULT_PGD, AttackConfig
 from regrobust.data import TEST, nearest_train_distance
 from regrobust.defenses import DefenseConfig
@@ -47,6 +49,12 @@ class TestSci3:
     )
     def test_formats(self, value, expected):
         assert sci3(value) == expected
+
+
+def test_mse_is_one_function():
+    # Scorers and the tuning objective share losses.mse; the old names still resolve.
+    assert mse is losses.mse is regrobust.mse
+    assert mse([1.0, 2.0], [0.0, 4.0]) == 2.5
 
 
 class TestAggregate:

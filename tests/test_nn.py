@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from regrobust.errors import ConfigError, DimensionError, NonFiniteError
 from regrobust.nn import (
     RegressionNet,
+    _clean_terms,
     _param_grad,
     batch_backward,
     forward,
@@ -200,6 +201,18 @@ class TestGradPenalty:
         _, g1 = grad_penalty_batch(net, x[None, :], [y], 1.0)
         _, g2 = grad_penalty_batch(net, x[None, :], [y], 2.0)
         assert np.allclose(g2, 2.0 * g1, rtol=1e-14)
+
+    def test_reads_relu_mask_from_terms(self, rng):
+        # relu'(z) is the clean batch's mask, so z is not compared again.
+        net = random_net(rng, input_dim=4, hidden_dim=6)
+        X, Y = rng.normal(size=(8, 4)), rng.normal(size=8)
+        terms = _clean_terms(net, X, Y, "squared_error", 1.0)
+        z = terms[2][0]
+        assert terms[7].dtype == bool and np.array_equal(terms[7], z > 0.0)
+        fwd = (np.full_like(z, np.nan), *terms[2][1:])
+        got = grad_penalty_batch(net, X, Y, 0.7, terms=(*terms[:2], fwd, *terms[3:]))
+        want = grad_penalty_batch(net, X, Y, 0.7)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     @pytest.mark.parametrize("loss,delta", [("squared_error", 1.0), ("pseudo_huber", 1.3)])
     def test_matches_finite_differences(self, loss, delta):

@@ -50,9 +50,12 @@ from .training import (
     AdamState,
     SearchSpace,
     TrainConfig,
+    TrainState,
     adam_step,
     random_search,
+    run_epochs,
     sample_defense_config,
+    start_training,
     train,
 )
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 from .nn import RegressionNet, _as_batch, input_gradient
 
 # Each kind and the AttackConfig fields it reads; a config entry sets only these.
@@ -36,8 +36,7 @@ class AttackConfig:
             if name in self.params and not (np.isfinite(v) and v > 0):
                 raise ConfigError(f"{name} must be positive, got {v}")
         if "steps" in self.params:
-            if int(self.steps) < 1:
-                raise ConfigError(f"steps must be >= 1, got {self.steps}")
+            check_count("steps", self.steps)
             if self.epsilon > 2.0 * self.rho:
                 warnings.warn(
                     f"pgd step size {self.epsilon} exceeds the ball diameter "
@@ -72,7 +71,7 @@ def _signed_steps(net: RegressionNet, x, y, step: float, radius: float, steps: i
 def apply_attack(net: RegressionNet, x, y, cfg: AttackConfig):
     """Run cfg's attack; kind 'none' returns an unmodified copy."""
     step, radius, steps = {"none": (0.0, 0.0, 0), "fgsm": (cfg.epsilon, cfg.epsilon, 1),
-                           "pgd": (cfg.epsilon, cfg.rho, int(cfg.steps))}[cfg.kind]
+                           "pgd": (cfg.epsilon, cfg.rho, cfg.steps)}[cfg.kind]
     return _signed_steps(net, x, y, step, radius, steps)
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NonFiniteError
+from .errors import ConfigError, DimensionError, NonFiniteError, check_count
 from .nn import (
     RegressionNet,
     _as_batch,
@@ -81,8 +81,7 @@ class DefenseConfig:
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
         if not self.beta > 0:
             raise ConfigError(f"beta must be positive, got {self.beta}")
-        if int(self.n_samples) < 1:
-            raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
+        check_count("n_samples", self.n_samples)
 
     @property
     def params(self) -> tuple:

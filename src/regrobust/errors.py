@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check that raises one."""
+import numbers
 
 
 class RegrobustError(Exception):
@@ -34,3 +35,15 @@ class SearchFailed(RegrobustError, RuntimeError):
     def __init__(self, message, trials):
         super().__init__(message)
         self.trials = trials
+
+
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """Raise ConfigError, naming the field, unless value is an integer >= minimum.
+
+    A bool or a float is rejected even when it is whole, rather than cut to an
+    int; numpy integers pass.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")

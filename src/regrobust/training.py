@@ -1,4 +1,9 @@
-"""Minibatch Adam training and random-search hyperparameter tuning."""
+"""Minibatch Adam training and random-search hyperparameter tuning.
+
+A training run is a TrainState: start_training builds it and run_epochs
+advances it by whole epochs, so a run can be stopped, inspected and resumed.
+train is the two in one call.
+"""
 import ctypes
 import math
 import sys
@@ -9,7 +14,8 @@ import numpy as np
 from . import data as data_mod
 from .attacks import DEFAULT_PGD, AttackConfig, apply_attack
 from .defenses import DefenseConfig, batch_loss_grad
-from .errors import ConfigError, DataError, DimensionError, SearchFailed, TrainingDiverged
+from .errors import (ConfigError, DataError, DimensionError, SearchFailed, TrainingDiverged,
+                     check_count)
 from .losses import mse
 from .nn import RegressionNet, forward, initialize, params_to_vector, vector_to_net
 from .parallel import pmap
@@ -30,12 +36,10 @@ class TrainConfig:
     def __post_init__(self):
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if int(self.batch_size) < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if int(self.epochs) < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.hidden_dim is not None and int(self.hidden_dim) < 1:
-            raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
+        check_count("batch_size", self.batch_size)
+        check_count("epochs", self.epochs)
+        if self.hidden_dim is not None:
+            check_count("hidden_dim", self.hidden_dim)
 
 
 @dataclass
@@ -96,50 +100,90 @@ def _reuse_freed_arrays() -> None:
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
 
 
-def train(
+@dataclass
+class TrainState:
+    """A training run between epochs, as start_training builds it and run_epochs advances it.
+
+    net's w1, b1 and w2 are views of theta, which each Adam step overwrites,
+    and b2 is copied from it. step counts the Adam steps taken and epoch the
+    epochs completed, both from the start. The generators go on where the
+    last epoch left them; rng_penalty is None unless the defense the run was
+    started under draws stability perturbations.
+    """
+
+    cfg: TrainConfig
+    net: RegressionNet
+    theta: np.ndarray
+    adam: AdamState
+    rng_shuffle: np.random.Generator
+    rng_penalty: np.random.Generator | None
+    step: int = 0
+    epoch: int = 0
+
+
+def start_training(dataset, defense: DefenseConfig, cfg: TrainConfig) -> TrainState:
+    """A fresh network for dataset's features, seeded from cfg, before its first epoch."""
+    activation = "sigmoid" if dataset.target_bounded_01 else "identity"
+    rng_init = np.random.default_rng(derive_seed(cfg.seed, "init"))
+    net = initialize(dataset.features.shape[1], rng_init, hidden_dim=cfg.hidden_dim,
+                     output_activation=activation)
+    theta = params_to_vector(net)
+    return TrainState(
+        cfg=cfg,
+        net=vector_to_net(net, theta),
+        theta=theta,
+        adam=AdamState.zeros(theta.size),
+        rng_shuffle=np.random.default_rng(derive_seed(cfg.seed, "shuffle")),
+        rng_penalty=(np.random.default_rng(derive_seed(cfg.seed, "penalty"))
+                     if defense.needs_neighbors else None),
+    )
+
+
+def run_epochs(
+    state: TrainState,
     dataset,
     defense: DefenseConfig,
-    cfg: TrainConfig,
+    epochs: int,
     neighbors: data_mod.Neighbors | None = None,
 ):
-    """Train a fresh network on the train split under the given defense.
+    """Train state's network for epochs more epochs on the train split; returns their mean losses.
 
-    Returns (net, history) where history is the per-epoch mean training loss
-    (the full defended objective, averaged over minibatches by size). Fresh
-    stability perturbations are drawn for every minibatch gradient step.
-    Aborts with TrainingDiverged the moment the loss or parameters go
-    non-finite. The net is built once: its w1, b1 and w2 are views of theta,
-    which each Adam step overwrites, and b2 is copied from it. glibc is first
-    set to reuse freed arrays, so a library caller trains as fast as the CLI.
+    Each mean is the full defended objective, averaged over minibatches by
+    size. Fresh stability perturbations are drawn for every minibatch step.
+    A run cut into several calls is the uninterrupted run bit for bit.
+    Aborts with TrainingDiverged, naming the epoch and step counted from the
+    start, the moment the loss or parameters go non-finite; the state is then
+    spent. glibc is first set to reuse freed arrays, so a library caller
+    trains as fast as the CLI.
     """
-    _reuse_freed_arrays()
+    check_count("epochs", epochs, minimum=0)
     _, X, Y = dataset.part(data_mod.TRAIN)
     n = len(Y)
     if n < 1:
         raise ConfigError("train split is empty")
+    net = state.net
+    if X.shape[1] != net.input_dim:
+        raise DimensionError(f"the train split has {X.shape[1]} features, the net {net.input_dim}")
 
     if defense.needs_neighbors:
         if neighbors is None:
             raise ConfigError(f"defense {defense.kind!r} needs precomputed neighbors")
         if len(neighbors.distance) != n:
             raise DataError(f"neighbors cover {len(neighbors.distance)} rows, the train split {n}")
+        if state.rng_penalty is None:
+            raise ConfigError(f"defense {defense.kind!r} draws perturbations; this run was "
+                              "started under a defense that does not")
         nn_d, gaps = neighbors.distance, neighbors.label_gap
     else:
         nn_d = gaps = None
 
-    activation = "sigmoid" if dataset.target_bounded_01 else "identity"
-    rng_init = np.random.default_rng(derive_seed(cfg.seed, "init"))
-    net = initialize(X.shape[1], rng_init, hidden_dim=cfg.hidden_dim, output_activation=activation)
-    theta = params_to_vector(net)
-    net = vector_to_net(net, theta)
-    state = AdamState.zeros(theta.size)
-    rng_shuffle = np.random.default_rng(derive_seed(cfg.seed, "shuffle"))
-    rng_penalty = np.random.default_rng(derive_seed(cfg.seed, "penalty"))
-
-    history = []
-    t = 0
+    _reuse_freed_arrays()
+    # Held in locals, so a step reads no attributes; written back after the loop.
+    cfg, theta, adam, t = state.cfg, state.theta, state.adam, state.step
+    rng_shuffle, rng_penalty = state.rng_shuffle, state.rng_penalty
     bs = int(cfg.batch_size)
-    for epoch in range(int(cfg.epochs)):
+    history = []
+    for epoch in range(state.epoch, state.epoch + epochs):
         order = rng_shuffle.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, bs):
@@ -149,21 +193,37 @@ def train(
                 X[idx],
                 Y[idx],
                 defense,
-                rng=rng_penalty if defense.needs_neighbors else None,
+                rng=rng_penalty,
                 nn_distances=None if nn_d is None else nn_d[idx],
                 label_gaps=None if gaps is None else gaps[idx],
             )
             t += 1
             if not math.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch + 1}, step {t}")
-            new_theta, state = adam_step(theta, grad, state, t, cfg)
+            new_theta, adam = adam_step(theta, grad, adam, t, cfg)
             if not np.isfinite(new_theta).all():
                 raise TrainingDiverged(f"non-finite parameters at epoch {epoch + 1}, step {t}")
             theta[...] = new_theta
             net.b2 = float(theta[-1])
             epoch_loss += loss * len(idx)
         history.append(epoch_loss / n)
-    return net, history
+    state.adam, state.step, state.epoch = adam, t, state.epoch + epochs
+    return history
+
+
+def train(
+    dataset,
+    defense: DefenseConfig,
+    cfg: TrainConfig,
+    neighbors: data_mod.Neighbors | None = None,
+):
+    """Train a fresh network on the train split under the given defense.
+
+    start_training, then run_epochs for cfg.epochs epochs. Returns (net,
+    history) where history is run_epochs' per-epoch mean training loss.
+    """
+    state = start_training(dataset, defense, cfg)
+    return state.net, run_epochs(state, dataset, defense, cfg.epochs, neighbors=neighbors)
 
 
 # The uniform interval each defense hyperparameter is drawn from.
@@ -180,8 +240,7 @@ class SearchSpace:
     objective: str = "val_mse_pgd"  # one of OBJECTIVES
 
     def __post_init__(self):
-        if int(self.n_trials) < 1:
-            raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
+        check_count("n_trials", self.n_trials)
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
 
@@ -230,7 +289,7 @@ def random_search(
     Raises SearchFailed (carrying the log) if every trial diverged.
     """
     configs = [(c, "injected") for c in candidates]
-    for i in range(int(space.n_trials)):
+    for i in range(space.n_trials):
         rng = np.random.default_rng(derive_seed(seed, "sample", i))
         configs.append((sample_defense_config(base, rng), "sampled"))
 

@@ -12,7 +12,7 @@ from regrobust.data import (
     normalize_dataset,
     split_dataset,
 )
-from regrobust.defenses import DefenseConfig
+from regrobust.defenses import DEFENSE_KINDS, DefenseConfig
 from regrobust.errors import ConfigError, DataError, DimensionError, SearchFailed, TrainingDiverged
 from regrobust.nn import forward, params_to_vector
 from regrobust import training
@@ -23,11 +23,21 @@ from regrobust.training import (
     TrainConfig,
     adam_step,
     random_search,
+    run_epochs,
     sample_defense_config,
+    start_training,
     train,
 )
 
 from conftest import linear_dataset
+
+
+def bounded_dataset():
+    """Targets in (0, 1), so the net gets a sigmoid head."""
+    X = np.random.default_rng(9).uniform(-1, 1, size=(60, 2))
+    y = 1.0 / (1.0 + np.exp(-(X[:, 0] + X[:, 1])))
+    return split_dataset(Dataset(features=X, targets=y, split=None, target_bounded_01=True),
+                         seed=1)
 
 
 class TestAdam:
@@ -170,16 +180,135 @@ class TestTrain:
               pytest.raises(TrainingDiverged, match=r"epoch \d+, step \d+")):
             train(lin_ds, DefenseConfig(kind="none"), cfg)
 
+    def test_divergence_after_a_resume_names_the_absolute_epoch_and_step(self):
+        # This run stays finite for one epoch (2 steps) and overflows in the second. Adam's
+        # second moment overflows from the first epoch on; only the message is tested.
+        X = np.random.default_rng(0).uniform(-1, 1, size=(60, 1))
+        ds = split_dataset(Dataset(features=X, targets=1e152 * (1.0 + 0.1 * X[:, 0]), split=None),
+                           seed=1)
+        cfg = TrainConfig(learning_rate=10**76.5, epochs=5, hidden_dim=8)
+        none = DefenseConfig(kind="none")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged, match=r"epoch 2, step 3$"):
+                train(ds, none, cfg)
+            state = start_training(ds, none, cfg)
+            assert len(run_epochs(state, ds, none, 1)) == 1
+            with pytest.raises(TrainingDiverged, match=r"epoch 2, step 3$"):
+                run_epochs(state, ds, none, cfg.epochs - 1)
+
     def test_sigmoid_output_for_bounded_targets(self):
-        rng = np.random.default_rng(9)
-        X = rng.uniform(-1, 1, size=(60, 2))
-        y = 1.0 / (1.0 + np.exp(-(X[:, 0] + X[:, 1])))
-        ds = Dataset(features=X, targets=y, split=None, target_bounded_01=True)
-        ds = split_dataset(ds, seed=1)
+        ds = bounded_dataset()
         net, _ = train(ds, DefenseConfig(kind="none"), TrainConfig(epochs=5, seed=0))
         assert net.output_activation == "sigmoid"
         out = forward(net, ds.features)
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
+
+
+HEADS = {"identity": linear_dataset(n=60), "sigmoid": bounded_dataset()}
+HEAD_NEIGHBORS = {head: compute_neighbors(ds) for head, ds in HEADS.items()}
+
+
+@st.composite
+def cut_runs(draw):
+    """A run length in epochs and one to three distinct epochs to cut it at."""
+    epochs = draw(st.integers(2, 6))
+    cuts = draw(st.lists(st.integers(1, epochs - 1), min_size=1, max_size=3, unique=True))
+    return epochs, sorted(cuts)
+
+
+def _state_fields(state):
+    return (state.theta, state.adam.m, state.adam.v, state.step, state.epoch,
+            state.rng_shuffle.bit_generator.state,
+            None if state.rng_penalty is None else state.rng_penalty.bit_generator.state)
+
+
+class TestResume:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(DEFENSE_KINDS), head=st.sampled_from(sorted(HEADS)),
+           run=cut_runs(), seed=st.integers(0, 2**16))
+    def test_cut_run_is_the_uninterrupted_run(self, kind, head, run, seed):
+        epochs, cuts = run
+        ds, nbrs = HEADS[head], HEAD_NEIGHBORS[head]
+        defense = DefenseConfig(kind=kind, n_samples=8)
+        cfg = TrainConfig(learning_rate=0.01, batch_size=16, epochs=epochs, seed=seed)
+        whole = start_training(ds, defense, cfg)
+        whole_history = run_epochs(whole, ds, defense, epochs, neighbors=nbrs)
+        cut = start_training(ds, defense, cfg)
+        history = []
+        for lo, hi in zip([0, *cuts], [*cuts, epochs]):
+            history += run_epochs(cut, ds, defense, hi - lo, neighbors=nbrs)
+        assert history == whole_history
+        for a, b in zip(_state_fields(cut), _state_fields(whole)):
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+        assert cut.epoch == epochs
+        assert cut.net.output_activation == ("sigmoid" if head == "sigmoid" else "identity")
+
+    def test_train_is_one_run_of_all_epochs(self, lin_ds):
+        cfg = TrainConfig(learning_rate=0.01, epochs=7, seed=3)
+        defense = DefenseConfig(kind="grad_reg")
+        net, history = train(lin_ds, defense, cfg)
+        state = start_training(lin_ds, defense, cfg)
+        assert run_epochs(state, lin_ds, defense, cfg.epochs) == history
+        assert np.array_equal(state.theta, params_to_vector(net))
+        assert state.step == 7 * 3  # 90 train rows in batches of 32
+
+    def test_zero_epochs_leave_the_state_as_it_was(self, lin_ds):
+        defense = DefenseConfig(kind="ansr", n_samples=4)
+        nbrs = compute_neighbors(lin_ds)
+        state = start_training(lin_ds, defense, TrainConfig(epochs=3))
+        run_epochs(state, lin_ds, defense, 1, neighbors=nbrs)
+        before = [np.copy(f) if isinstance(f, np.ndarray) else f for f in _state_fields(state)]
+        assert run_epochs(state, lin_ds, defense, 0, neighbors=nbrs) == []
+        for a, b in zip(_state_fields(state), before):
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+    @pytest.mark.parametrize("epochs", [2.5, 1.0, True, -1, "2", None])
+    def test_bad_epoch_count_rejected(self, lin_ds, epochs):
+        state = start_training(lin_ds, DefenseConfig(kind="none"), TrainConfig())
+        with pytest.raises(ConfigError, match="epochs must be"):
+            run_epochs(state, lin_ds, DefenseConfig(kind="none"), epochs)
+        assert state.step == 0
+
+    def test_other_feature_count_rejected(self, lin_ds):
+        state = start_training(lin_ds, DefenseConfig(kind="none"), TrainConfig())
+        with pytest.raises(DimensionError, match="2 features, the net 1"):
+            run_epochs(state, bounded_dataset(), DefenseConfig(kind="none"), 1)
+        assert state.step == 0
+
+    def test_penalty_needs_a_run_started_with_one(self, lin_ds):
+        state = start_training(lin_ds, DefenseConfig(kind="grad_reg"), TrainConfig())
+        with pytest.raises(ConfigError, match="started under a defense that does not"):
+            run_epochs(state, lin_ds, DefenseConfig(kind="combined"), 1,
+                       neighbors=compute_neighbors(lin_ds))
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda: TrainConfig(epochs=2.5), "epochs"),
+    (lambda: TrainConfig(epochs=True), "epochs"),
+    (lambda: TrainConfig(epochs=3.0), "epochs"),
+    (lambda: TrainConfig(batch_size=32.7), "batch_size"),
+    (lambda: TrainConfig(hidden_dim=2.5), "hidden_dim"),
+    (lambda: TrainConfig(hidden_dim=False), "hidden_dim"),
+    (lambda: SearchSpace(n_trials=2.9), "n_trials"),
+    (lambda: DefenseConfig(kind="ansr", n_samples=16.9), "n_samples"),
+    (lambda: DefenseConfig(kind="none", n_samples=True), "n_samples"),
+    (lambda: AttackConfig(kind="pgd", steps=2.5), "steps"),
+], ids=["epochs-float", "epochs-bool", "epochs-whole-float", "batch_size", "hidden_dim",
+        "hidden_dim-bool", "n_trials", "n_samples", "n_samples-bool", "steps"])
+def test_non_integer_counts_rejected(make, field):
+    with pytest.raises(ConfigError, match=rf"^{field} must be an integer, got "):
+        make()
+
+
+def test_numpy_integer_counts_accepted(lin_ds):
+    i = np.int64
+    cfg = TrainConfig(epochs=i(2), batch_size=i(8), hidden_dim=i(3))
+    assert SearchSpace(n_trials=i(2)).n_trials == 2
+    assert DefenseConfig(kind="ansr", n_samples=i(4)).n_samples == 4
+    assert AttackConfig(kind="pgd", steps=i(3)).steps == 3
+    state = start_training(lin_ds, DefenseConfig(kind="none"), cfg)
+    assert len(run_epochs(state, lin_ds, DefenseConfig(kind="none"), cfg.epochs)) == 2
+    assert state.step == 2 * 12  # 90 train rows in batches of 8
 
 
 class TestSearchSpace:

@@ -209,22 +209,11 @@ def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
             tuned.unlink(missing_ok=True)
             raise
         _write_trials(trials, records)
+        doc = {"kind": kind, "objective": cfg.search.objective, "best_value": best.value,
+               "best_trial": best.trial, "n_trials": len(records),
+               "config": defense_to_dict(best.config), "provenance": _tuned_stamp(cfg, provenance)}
         with open(tuned, "w", encoding="utf-8") as f:
-            json.dump(
-                {
-                    "kind": kind,
-                    "objective": cfg.search.objective,
-                    "best_value": best.value,
-                    "best_trial": best.trial,
-                    "n_trials": len(records),
-                    "config": defense_to_dict(best.config),
-                    "provenance": _tuned_stamp(cfg, provenance),
-                },
-                f,
-                indent=2,
-                sort_keys=True,
-            )
-            f.write("\n")
+            f.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"tuned {kind}: best {cfg.search.objective}={best.value:.6g} "
               f"(trial {best.trial}/{len(records)}) -> {tuned}")
     return 0
@@ -273,12 +262,8 @@ def cmd_report(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
-COMMANDS = {
-    "prepare": cmd_prepare,
-    "tune": cmd_tune,
-    "evaluate": cmd_evaluate,
-    "report": cmd_report,
-}
+COMMANDS = {"prepare": cmd_prepare, "tune": cmd_tune, "evaluate": cmd_evaluate,
+            "report": cmd_report}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,14 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
         p.add_argument("--jobs", type=int, default=None, help="worker processes (overrides config)")
-        p.add_argument(
-            "--defense", action="append", default=None,
-            help="restrict to this defense kind (repeatable)",
-        )
-        p.add_argument(
-            "--attack", action="append", default=None,
-            help="restrict to this attack kind (repeatable)",
-        )
+        for flag in ("defense", "attack"):
+            p.add_argument(f"--{flag}", action="append", default=None,
+                           help=f"restrict to this {flag} kind (repeatable)")
     return parser
 
 

@@ -13,23 +13,23 @@ memory is bounded by two tile buffers.
 Set-up holds each array once. The CSV is read once, one chunk of lines at
 a time: numpy's C reader converts every chunk, and a chunk it cannot take,
 with every cell finite, goes through the per-cell loop, the reference for
-every value and message. The dataset cache is written with the C JSON
-encoder in exactly the bytes of json.dump(doc, sort_keys=True).
+every value and message.
 
-The dataset cache is one JSON document. Its only (N, D) block, the features,
-is stored as the base64 of its little-endian float64 bytes, so it is written
-and read at C speed, takes about half the bytes of decimal text and keeps
-every bit; it is encoded from the array's buffer and decoded into the
-result in blocks. Neighbors are three arrays aligned with the train rows
-(``Neighbors``), and the cache stores them as the same three JSON columns.
+The dataset cache is a pair of files. The features, its only (N, D) block,
+are numpy's .npy of their little-endian float64 array, next to the cache's
+JSON document, which holds everything else and the sha256 of the features'
+bytes. Both are written and read at C speed, and the features keep every
+bit. Neighbors are three arrays aligned with the train rows (``Neighbors``),
+and the cache stores them as the same three JSON columns.
 """
-import base64
 import csv
+import hashlib
 import itertools
 import json
 import math
 import warnings
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -93,7 +93,6 @@ class Dataset:
 
 
 _CHUNK_ROWS = 256  # CSV lines per C-reader call
-_B64_BLOCK = 3 << 14  # bytes of features per base64 piece (48 KB; 64 KB of text)
 
 
 def _convert_chunk(path, header: list, chunk: list, missing_lines: list) -> np.ndarray:
@@ -459,29 +458,31 @@ def nearest_train_distance(dataset: Dataset, X) -> np.ndarray:
 
 def save_dataset_cache(path, dataset: Dataset, norm: Normalizer, neighbors: Neighbors,
                        provenance: dict | None = None) -> None:
-    """Write the prepared dataset (already normalized) plus its neighbors as JSON.
+    """Write the prepared dataset (already normalized) plus its neighbors as a cache pair.
 
-    The features are one block: {"base64": <standard base64 of the row-major
-    '<f8' bytes>, "dtype": "<f8", "shape": [N, D]}. Every other key is plain
-    JSON; the neighbors are columns {"index": [...], "distance": [...],
-    "label_gap": [...]}, aligned with the train rows.
+    The features go first, to path with the suffix .npy: np.save of their
+    C-ordered '<f8' array. The JSON document goes last, to path, in the bytes
+    of json.dump(doc, f, sort_keys=True) plus a newline (json.dumps uses the
+    C encoder; json.dump always runs the pure-Python one). In it the features
+    are {"sha256": <hex sha256 of their row-major '<f8' bytes>}, every other
+    key is plain JSON, and the neighbors are columns {"index": [...],
+    "distance": [...], "label_gap": [...]}, aligned with the train rows.
 
     provenance, if given, is stored as is: a flat JSON object of the fields
     the cache was built from, which load_dataset_cache can later check.
-
-    The bytes are those of json.dump(doc, f, sort_keys=True) plus a newline,
-    but each piece is made by json.dumps, which uses the C encoder (json.dump
-    always runs the pure-Python one), and the base64 is encoded from the
-    array's buffer _B64_BLOCK bytes (a multiple of 3) at a time, so neither
-    the document nor the base64 ever exists as one string.
     """
     if dataset.split is None:
         raise DataError("cannot cache a dataset without split assignment")
+    npy = Path(path).with_suffix(".npy")
+    if npy == Path(path):
+        raise DataError(f"dataset cache {path} would be overwritten by its own features")
+    features = np.ascontiguousarray(dataset.features, dtype="<f8")
+    np.save(npy, features, allow_pickle=False)
     doc = {
         "name": dataset.name,
         "target_bounded_01": dataset.target_bounded_01,
         "feature_names": list(dataset.feature_names),
-        "features": None,  # streamed below
+        "features": {"sha256": hashlib.sha256(features).hexdigest()},
         "targets": dataset.targets.tolist(),
         "split": [SPLIT_NAMES[s] for s in dataset.split],
         "normalizer": {"mean": norm.mean.tolist(), "std": norm.std.tolist()},
@@ -490,39 +491,7 @@ def save_dataset_cache(path, dataset: Dataset, norm: Normalizer, neighbors: Neig
     if provenance is not None:
         doc["provenance"] = provenance
     with open(path, "w", encoding="utf-8") as f:
-        for i, key in enumerate(sorted(doc)):
-            f.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
-            if key != "features":
-                f.write(json.dumps(doc[key], sort_keys=True))
-                continue
-            f.write('{"base64": "')
-            raw = np.ascontiguousarray(dataset.features, dtype="<f8").view(np.uint8).reshape(-1)
-            for at in range(0, len(raw), _B64_BLOCK):
-                f.write(base64.b64encode(raw[at : at + _B64_BLOCK]).decode("ascii"))
-            f.write(f'", "dtype": "<f8", "shape": {json.dumps(list(dataset.features.shape))}}}')
-        f.write("}\n")
-
-
-def _features_from_block(block, n: int, d: int) -> np.ndarray:
-    """The (n, d) float64 array of a cache's features block, newly allocated.
-
-    The base64 must be as long as the padded encoding of 8 * n * d bytes. It
-    is decoded into the result _B64_BLOCK bytes at a time with validate=True,
-    and each block must fill its bytes, so padding before the end fails.
-    """
-    if not isinstance(block, dict) or block.get("dtype") != "<f8" \
-            or block.get("shape") != [n, d]:
-        raise ValueError(f"features must be a '<f8' block of shape [{n}, {d}]")
-    out = np.empty((n, d), dtype="<f8")
-    text, raw = block["base64"], out.view(np.uint8).reshape(-1)
-    if len(text) != (chars := -(-len(raw) // 3) * 4):
-        raise ValueError(f"features base64 has {len(text)} characters, not {chars}")
-    for at in range(0, len(raw), _B64_BLOCK):
-        piece = base64.b64decode(text[at // 3 * 4 : (at + _B64_BLOCK) // 3 * 4], validate=True)
-        if len(piece) != len(slot := raw[at : at + _B64_BLOCK]):
-            raise ValueError(f"features base64 at byte {at} decodes to {len(piece)} bytes")
-        slot[:] = np.frombuffer(piece, np.uint8)
-    return out
+        f.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def check_provenance(what: str, stamped: dict, provenance: dict, remedy: str) -> None:
@@ -542,21 +511,38 @@ def check_provenance(what: str, stamped: dict, provenance: dict, remedy: str) ->
 def load_dataset_cache(path, provenance: dict | None = None):
     """Inverse of save_dataset_cache. Returns (dataset, normalizer, neighbors).
 
-    The features block must say dtype "<f8" and shape [len(targets),
-    len(feature_names)], and its base64 must be valid and decode to exactly
-    8 * N * D bytes, which fill a new writable native float64 array.
+    The features are read, never unpickled, from path with the suffix .npy
+    into a new writable array, which must be C-ordered '<f8' of shape
+    [len(targets), len(feature_names)] and hash to the document's sha256.
     The neighbor columns must hold exactly one entry per train row, with
-    finite, non-negative distances and gaps. If provenance is given, the
-    cache's stamp must equal it; otherwise a ConfigError names the first
-    field that differs.
+    finite, non-negative distances and gaps. A cache that fails a check, or
+    a file of it that cannot be read, raises a DataError naming the file
+    and saying to run prepare again. If provenance is given, the cache's
+    stamp must equal it; otherwise a ConfigError names the first field that
+    differs.
     """
+    npy = Path(path).with_suffix(".npy")
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
+        n, d = len(doc["targets"]), len(doc["feature_names"])
+        with open(npy, "rb") as f:
+            try:
+                features = np.lib.format.read_array(f, allow_pickle=False)
+            except ValueError as e:
+                raise ValueError(f"{npy} is not a readable .npy array: {e}") from None
+        if features.dtype != "<f8" or features.shape != (n, d) \
+                or not features.flags.c_contiguous:
+            order = "C" if features.flags.c_contiguous else "Fortran"
+            raise ValueError(f"{npy} holds a {order}-ordered {features.dtype.str!r} array of "
+                             f"shape {features.shape}, not a C-ordered '<f8' one of shape "
+                             f"{(n, d)}")
+        if hashlib.sha256(features).hexdigest() != doc["features"]["sha256"]:
+            raise ValueError(f"{npy} is not the features this cache was prepared with "
+                             "(sha256 differs)")
         split = np.array([SPLIT_NAMES.index(s) for s in doc["split"]], dtype=np.int64)
         dataset = Dataset(
-            features=_features_from_block(doc["features"], len(doc["targets"]),
-                                          len(doc["feature_names"])),
+            features=features,
             targets=np.asarray(doc["targets"], dtype=np.float64),
             split=split,
             name=doc["name"],
@@ -579,7 +565,7 @@ def load_dataset_cache(path, provenance: dict | None = None):
     except (KeyError, ValueError, TypeError) as e:
         raise DataError(f"malformed dataset cache {path}: {e}; run prepare again") from e
     except OSError as e:
-        raise DataError(f"cannot read dataset cache {path}: {e}") from e
+        raise DataError(f"cannot read dataset cache {path}: {e}; run prepare again") from e
     if provenance is not None:
         check_provenance(f"dataset cache {path} was prepared", doc.get("provenance") or {},
                          provenance, "run prepare again")

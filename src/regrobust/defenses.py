@@ -29,16 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NonFiniteError, check_count
-from .nn import (
-    RegressionNet,
-    _as_batch,
-    _clean_terms,
-    _output_head,
-    _param_grad,
-    batch_backward,
-    forward_parts,
-    grad_penalty_batch,
-)
+from .nn import (RegressionNet, _as_batch, _clean_terms, _output_head, _param_grad,
+                 batch_backward, forward_parts, grad_penalty_batch)
 
 # Each kind's primary loss and the DefenseConfig fields it reads, in search draw
 # order. Reading "sigma" adds the gradient penalty, "lam" the stability penalty.
@@ -100,14 +92,9 @@ def ansr_batch(net: RegressionNet, X, radii, gaps, n_samples: int, rng, fwd=None
     Returns (omega (B,), grad_sum (n_params,)) where omega[i] is the
     Monte-Carlo penalty for row i (ball radius radii[i], label gap gaps[i])
     and grad_sum is sum_i d omega[i] / d theta with the sampled perturbations
-    and gates held fixed.
-
-    The perturbed pre-activations are z0 + r*(U @ w1^T) rather than a
-    forward pass over the (B*S, D) perturbed inputs, and the gradient is
-    contracted over the gated samples only: the other samples' weights are
-    exactly zero. Both reorder the same sums, so results move only by
-    rounding. The stream is unchanged: one (B, S, D) uniform draw per call,
-    whatever the radii and gaps.
+    and gates held fixed. The draw and the gated contraction are as the
+    module docstring describes: one (B, S, D) uniform draw per call, whatever
+    the radii and gaps.
 
     A radius of zero makes every perturbed copy equal to the clean point, so
     the true penalty is exactly zero; the gate enforces that explicitly
@@ -164,15 +151,8 @@ def ansr_batch(net: RegressionNet, X, radii, gaps, n_samples: int, rng, fwd=None
     return omega, grad_sum
 
 
-def batch_loss_grad(
-    net: RegressionNet,
-    X,
-    Y,
-    cfg: DefenseConfig,
-    rng=None,
-    nn_distances=None,
-    label_gaps=None,
-):
+def batch_loss_grad(net: RegressionNet, X, Y, cfg: DefenseConfig, rng=None, nn_distances=None,
+                    label_gaps=None):
     """Mean training objective and its mean theta-gradient over a batch.
 
     The objective is the primary loss plus the sigma- and lambda-penalties,

@@ -65,14 +65,8 @@ class PointRecord:
     nn_train_distance: float
 
 
-def train_models(
-    dataset,
-    defense: DefenseConfig,
-    train_cfg: TrainConfig,
-    n_seeds: int,
-    neighbors: data_mod.Neighbors | None = None,
-    jobs: int = 1,
-) -> list:
+def train_models(dataset, defense: DefenseConfig, train_cfg: TrainConfig, n_seeds: int,
+                 neighbors: data_mod.Neighbors | None = None, jobs: int = 1) -> list:
     """Train n_seeds independent models; returns [(seed_index, net), ...].
 
     Retrain seeds are derived from train_cfg.seed, so the list is identical
@@ -129,22 +123,11 @@ def perturbation_profile(dataset, defense: DefenseConfig, attack: AttackConfig, 
         adv = apply_attack(net, Xt, Yt, attack)
         pred_clean = np.atleast_1d(forward(net, Xt))
         pred_adv = np.atleast_1d(forward(net, adv))
-        abs_err = np.abs(pred_adv - Yt)
-        out.extend(
-            PointRecord(
-                defense=defense.kind,
-                attack=attack.kind,
-                seed=i,
-                index=int(rows[k]),
-                y=float(Yt[k]),
-                pred_clean=float(pred_clean[k]),
-                pred_adv=float(pred_adv[k]),
-                abs_err_adv=float(abs_err[k]),
-                pred_shift=float(abs(pred_adv[k] - pred_clean[k])),
-                nn_train_distance=float(nn_dist[k]),
-            )
-            for k in range(len(rows))
-        )
+        # One column per PointRecord field from y on, in field order.
+        cols = zip(Yt, pred_clean, pred_adv, np.abs(pred_adv - Yt),
+                   np.abs(pred_adv - pred_clean), nn_dist)
+        out.extend(PointRecord(defense.kind, attack.kind, i, int(r), *map(float, vals))
+                   for r, vals in zip(rows, cols))
     return out
 
 
@@ -179,22 +162,11 @@ def read_cells_csv(path) -> list:
 
 
 def write_summary_json(path, aggregates) -> None:
-    doc = {
-        "cells": [
-            {
-                "dataset": a.dataset,
-                "defense": a.defense,
-                "attack": a.attack,
-                "n_seeds": a.n_seeds,
-                "mean_test_mse": sci3(a.mean),
-                "std_test_mse": None if a.std is None else sci3(a.std),
-            }
-            for a in aggregates
-        ]
-    }
+    cells = [{"dataset": a.dataset, "defense": a.defense, "attack": a.attack,
+              "n_seeds": a.n_seeds, "mean_test_mse": sci3(a.mean),
+              "std_test_mse": None if a.std is None else sci3(a.std)} for a in aggregates]
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps({"cells": cells}, indent=2, sort_keys=True) + "\n")
 
 
 def format_summary_table(aggregates) -> str:

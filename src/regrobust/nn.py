@@ -100,13 +100,9 @@ def vector_to_net(net: RegressionNet, theta: np.ndarray) -> RegressionNet:
         )
     h, d = net.hidden_dim, net.input_dim
     k = h * d
-    return RegressionNet(
-        w1=theta[:k].reshape(h, d),
-        b1=theta[k : k + h],
-        w2=theta[k + h : k + 2 * h],
-        b2=theta[-1],
-        output_activation=net.output_activation,
-    )
+    return RegressionNet(w1=theta[:k].reshape(h, d), b1=theta[k : k + h],
+                         w2=theta[k + h : k + 2 * h], b2=theta[-1],
+                         output_activation=net.output_activation)
 
 
 def _as_batch(net: RegressionNet, x) -> tuple[np.ndarray, bool]:

@@ -152,9 +152,9 @@ def run_epochs(
     size. Fresh stability perturbations are drawn for every minibatch step.
     A run cut into several calls is the uninterrupted run bit for bit.
     Aborts with TrainingDiverged, naming the epoch and step counted from the
-    start, the moment the loss or parameters go non-finite; the state is then
-    spent. glibc is first set to reuse freed arrays, so a library caller
-    trains as fast as the CLI.
+    start, the moment the loss, the parameters or Adam's second moment go
+    non-finite; the state is then spent. glibc is first set to reuse freed
+    arrays, so a library caller trains as fast as the CLI.
     """
     check_count("epochs", epochs, minimum=0)
     _, X, Y = dataset.part(data_mod.TRAIN)
@@ -203,6 +203,9 @@ def run_epochs(
             new_theta, adam = adam_step(theta, grad, adam, t, cfg)
             if not np.isfinite(new_theta).all():
                 raise TrainingDiverged(f"non-finite parameters at epoch {epoch + 1}, step {t}")
+            if not math.isfinite(adam.v.max()):  # an inf v would freeze its coordinate
+                raise TrainingDiverged(f"non-finite Adam second moment at epoch {epoch + 1}, "
+                                       f"step {t}")
             theta[...] = new_theta
             net.b2 = float(theta[-1])
             epoch_loss += loss * len(idx)

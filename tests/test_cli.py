@@ -111,7 +111,7 @@ class TestPrepare:
         assert main(["prepare", "--config", str(cfg)]) == 0
         doc = json.loads((tmp_path / "out" / "dataset_cache.json").read_text())
         assert len(doc["targets"]) == 506
-        assert doc["features"]["shape"] == [506, 13]
+        assert np.load(tmp_path / "out" / "dataset_cache.npy").shape == (506, 13)
         counts = {s: doc["split"].count(s) for s in ("train", "val", "test")}
         assert counts == {"train": 304, "val": 101, "test": 101}
         assert {k: len(v) for k, v in doc["neighbors"].items()} == \
@@ -157,9 +157,10 @@ class TestPrepare:
             with monkeypatch.context() as m:
                 m.setattr(owner, attr, disabled)
                 assert main(["prepare", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
-            caches.append((tmp_path / name / "dataset_cache.json").read_bytes())
+            caches.append([(tmp_path / name / f"dataset_cache.{ext}").read_bytes()
+                           for ext in ("json", "npy")])
         assert caches[0] == caches[1]
-        assert json.loads(caches[0])["features"]["shape"] == [600, 16]
+        assert np.load(tmp_path / "c" / "dataset_cache.npy").shape == (600, 16)
 
     def test_one_job_never_imports_process_pool(self, tmp_path):
         self._prepare_without_pool(CONFIGS / "synthetic.json", tmp_path, 1)
@@ -692,7 +693,7 @@ class TestDeterminism:
         assert main(["evaluate", *args_common]) == 0
         return {
             name: (out_dir / name).read_bytes()
-            for name in ("dataset_cache.json", "cells.csv", "points.csv",
+            for name in ("dataset_cache.json", "dataset_cache.npy", "cells.csv", "points.csv",
                          "summary.json", "tuned_ansr.json")
         }
 
@@ -734,8 +735,8 @@ class TestDeterminism:
             out = tmp_path / f"jobs{jobs}"
             assert main(["prepare", "--config", str(CONFIGS / f"{name}.json"),
                          "--out", str(out), "--jobs", str(jobs)]) == 0
-            assert (out / "dataset_cache.json").read_bytes() == \
-                (REPO / "out" / name / "dataset_cache.json").read_bytes()
+            for cache in ("dataset_cache.json", "dataset_cache.npy"):
+                assert (out / cache).read_bytes() == (REPO / "out" / name / cache).read_bytes()
 
     def test_seed_changes_results(self, workspace):
         tmp, cfg = workspace

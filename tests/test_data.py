@@ -1,11 +1,13 @@
-import base64
 import csv
+import hashlib
+import io
 import json
 import math
 import re
+import tempfile
 import tracemalloc
 import warnings
-from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -895,16 +897,38 @@ class TestCache:
         for col2, col in zip(nb2, nb):
             assert col2.dtype == col.dtype and np.array_equal(col2, col)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_roundtrip_keeps_every_bit(self, data):
+        edge = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-309,
+                                1e308, -1e308, 1.7976931348623157e308])
+        n, d = data.draw(st.integers(3, 12)), data.draw(st.integers(1, 4))
+        values = data.draw(st.lists(st.one_of(edge, st.floats(allow_nan=False,
+                                                              allow_infinity=False)),
+                                    min_size=n * d, max_size=n * d))
+        features = np.array(values).reshape(n, d)
+        ds = Dataset(features=features, targets=np.zeros(n), split=np.arange(n) % 3)
+        nb = Neighbors(np.zeros(len(ds.rows(TRAIN)), dtype=np.int64),
+                       *np.zeros((2, len(ds.rows(TRAIN)))))
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "cache.json"
+            save_dataset_cache(p, ds, Normalizer(np.zeros(d), np.ones(d)), nb)
+            loaded = load_dataset_cache(p)[0].features
+        assert loaded.flags.writeable and loaded.flags.c_contiguous
+        assert loaded.view(np.int64).tolist() == features.view(np.int64).tolist()
+
     def test_two_saves_byte_identical(self, tmp_path):
         ds, norm, nb = self._prepared()
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_dataset_cache(p1, ds, norm, nb)
         save_dataset_cache(p2, ds, norm, nb)
         assert p1.read_bytes() == p2.read_bytes()
+        assert (tmp_path / "a.npy").read_bytes() == (tmp_path / "b.npy").read_bytes()
 
     def test_bytes_match_reference_json_dump(self, tmp_path):
         # Edge floats, non-ASCII names (escaped by the default ensure_ascii)
-        # and a provenance block, against json.dumps of the whole document.
+        # and a provenance block, against json.dumps of the whole document,
+        # and np.save of the features next to it.
         ds, norm, nb = self._prepared()
         features = ds.features.copy()
         features[:4, 0] = [-0.0, 2.2250738585072014e-309, 5e-324, 1e308]
@@ -919,8 +943,7 @@ class TestCache:
             "name": ds.name,
             "target_bounded_01": ds.target_bounded_01,
             "feature_names": list(ds.feature_names),
-            "features": {"base64": base64.b64encode(features.astype("<f8").tobytes()).decode(),
-                         "dtype": "<f8", "shape": [40, 3]},
+            "features": {"sha256": hashlib.sha256(features.astype("<f8").tobytes()).hexdigest()},
             "targets": ds.targets.tolist(),
             "split": [("train", "val", "test")[s] for s in ds.split],
             "normalizer": {"mean": norm.mean.tolist(), "std": norm.std.tolist()},
@@ -929,31 +952,38 @@ class TestCache:
             "provenance": provenance,
         }
         assert p.read_text(encoding="ascii") == json.dumps(doc, sort_keys=True) + "\n"
+        reference = io.BytesIO()
+        np.save(reference, features)
+        assert (tmp_path / "cache.npy").read_bytes() == reference.getvalue()
         ds2 = load_dataset_cache(p)[0]
         assert ds2.features.view(np.int64).tolist() == features.view(np.int64).tolist()
 
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda doc, ds: doc.update(features=ds.features.tolist()),
-            lambda doc, ds: doc["features"].update(dtype="<f4"),
-            lambda doc, ds: doc["features"]["shape"].__setitem__(0, 41),
-            lambda doc, ds: doc["feature_names"].pop(),
-            lambda doc, ds: doc["features"].update(base64=doc["features"]["base64"][:-4]),
-            lambda doc, ds: doc["features"].update(base64="!" + doc["features"]["base64"]),
-        ],
-        ids=["list-format", "dtype-f4", "shape-vs-targets", "shape-vs-feature-names",
-             "truncated-base64", "non-base64-char"],
-    )
-    def test_malformed_features_rejected(self, tmp_path, edit):
+    # Each edit(doc, npy, ds) leaves a cache pair that must be refused.
+    FEATURE_EDITS = {
+        "list-format": lambda doc, npy, ds: doc.update(features=ds.features.tolist()),
+        "dtype-f4": lambda doc, npy, ds: np.save(npy, ds.features.astype("<f4")),
+        "shape-vs-targets": lambda doc, npy, ds: doc["targets"].append(0.0),
+        "shape-vs-feature-names": lambda doc, npy, ds: doc["feature_names"].pop(),
+        "missing": lambda doc, npy, ds: npy.unlink(),
+        "truncated": lambda doc, npy, ds: npy.write_bytes(npy.read_bytes()[:-8]),
+        "object-dtype": lambda doc, npy, ds: np.save(npy, ds.features.astype(object)),
+        "fortran-order": lambda doc, npy, ds: np.save(npy, np.asfortranarray(ds.features)),
+        "other-prepare": lambda doc, npy, ds: np.save(npy, np.nextafter(ds.features, 9.0)),
+    }
+
+    @pytest.mark.parametrize("case", list(FEATURE_EDITS))
+    def test_malformed_features_rejected(self, tmp_path, case):
         ds, norm, nb = self._prepared()
-        p = tmp_path / "cache.json"
+        p, npy = tmp_path / "cache.json", tmp_path / "cache.npy"
         save_dataset_cache(p, ds, norm, nb)
         doc = json.loads(p.read_text())
-        edit(doc, ds)
+        self.FEATURE_EDITS[case](doc, npy, ds)
         p.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="malformed .*run prepare again"):
+        with pytest.raises(DataError, match="run prepare again$") as err:
             load_dataset_cache(p)
+        assert str(p) in str(err.value)
+        if case != "list-format":  # the fault is in the .npy, which is named too
+            assert str(npy) in str(err.value)
 
     def test_malformed_cache_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -997,8 +1027,7 @@ class TestCache:
         return ds, Normalizer(np.zeros(64), np.ones(64)), nb
 
     def test_save_never_copies_the_features(self, tmp_path):
-        # Encoding a copy of the whole block, then its bytes, base64 and str
-        # peaked at about 6.5 MB here; streamed in blocks, about 1.1 MB.
+        # np.save writes the array's own buffer, and the sha256 reads it in place.
         ds, norm, nb = self._wide()
         p = tmp_path / "cache.json"
         tracemalloc.start()
@@ -1008,59 +1037,19 @@ class TestCache:
         finally:
             tracemalloc.stop()
         assert peak < ds.features.nbytes
-        doc = json.loads(p.read_text())
-        assert doc["features"]["base64"] == base64.b64encode(ds.features.tobytes()).decode()
+        assert np.load(tmp_path / "cache.npy").tobytes() == ds.features.tobytes()
 
     def test_load_decodes_into_the_result(self, tmp_path):
-        # Decoding the whole base64 and then copying it peaked at twice the
-        # features; in blocks, the features plus under 4 blocks of transients.
+        # The .npy is read straight into the result, so the peak is the
+        # features plus the parsed JSON (2.99 MB against 2.05 MB of features).
         ds, norm, nb = self._wide()
         p = tmp_path / "cache.json"
         save_dataset_cache(p, ds, norm, nb)
-        block = json.loads(p.read_text())["features"]
         tracemalloc.start()
         try:
-            features = data_mod._features_from_block(block, 4000, 64)
+            features = load_dataset_cache(p)[0].features
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < ds.features.nbytes + 5 * data_mod._B64_BLOCK
+        assert peak <= 1.5 * ds.features.nbytes
         assert features.flags.writeable and features.tobytes() == ds.features.tobytes()
-        assert load_dataset_cache(p)[0].features.tobytes() == ds.features.tobytes()
-
-    @pytest.mark.parametrize("d", [3, 2], ids=["unpadded", "padded"])
-    @pytest.mark.parametrize("at", [64, 100, -8], ids=["block-end", "mid-block", "last-block"])
-    def test_padding_inside_the_base64_rejected(self, tmp_path, monkeypatch, d, at):
-        # "==" put in at character at keeps the length; a block that ends
-        # there is valid base64 alone, but the whole string is not. At d=2
-        # the string ends in "==", which becomes "AA", so that the padding
-        # moves inside and the decoded bytes still add up to 640.
-        monkeypatch.setattr(data_mod, "_B64_BLOCK", 48)  # 64 characters per block
-        ds, norm, nb = self._prepared()
-        ds = replace(ds, features=ds.features[:, :d], feature_names=ds.feature_names[:d])
-        p = tmp_path / "cache.json"
-        save_dataset_cache(p, ds, norm, nb)
-        doc = json.loads(p.read_text())
-        text = doc["features"]["base64"]
-        assert text.endswith("==") == (d == 2)
-        at %= len(text)
-        text = text[: at - 2] + "==" + text[at:]
-        if d == 2:
-            text = text[:-2] + "AA"
-        doc["features"]["base64"] = text
-        p.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="malformed .*run prepare again") as err:
-            load_dataset_cache(p)
-        if at == 64:
-            assert "features base64 at byte 0 decodes to 46 bytes" in str(err.value)
-
-    @pytest.mark.parametrize("tail", ["A", "AAAA", "AAA="])
-    def test_base64_past_the_features_rejected(self, tmp_path, tail):
-        ds, norm, nb = self._prepared()
-        p = tmp_path / "cache.json"
-        save_dataset_cache(p, ds, norm, nb)
-        doc = json.loads(p.read_text())
-        doc["features"]["base64"] += tail
-        p.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="malformed .*characters, not 1280"):
-            load_dataset_cache(p)

@@ -34,7 +34,8 @@ def _trials(kind):
 
 
 def test_evaluate_reproduces_tracked_boston_reference(boston_eval_dir):
-    names = ("cells.csv", "points.csv", "summary.json", "dataset_cache.json")
+    names = ("cells.csv", "points.csv", "summary.json", "dataset_cache.json",
+             "dataset_cache.npy")
     differ = [n for n in names
               if not filecmp.cmp(boston_eval_dir / n, REFERENCE / n, shallow=False)]
     assert differ == [], f"evaluate no longer reproduces {REFERENCE}: {differ} differ"

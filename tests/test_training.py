@@ -181,20 +181,35 @@ class TestTrain:
             train(lin_ds, DefenseConfig(kind="none"), cfg)
 
     def test_divergence_after_a_resume_names_the_absolute_epoch_and_step(self):
-        # This run stays finite for one epoch (2 steps) and overflows in the second. Adam's
-        # second moment overflows from the first epoch on; only the message is tested.
+        # On these positive inputs the one hidden unit is dead, so only b2 moves, and
+        # the sigmoid head keeps every loss finite: Adam carries b2 up by 1, 1.67 and
+        # 2.19 x lr, and theta overflows at step 3, the first step of epoch 2.
+        X = np.random.default_rng(0).uniform(0.5, 1, size=(60, 1))
+        ds = split_dataset(Dataset(features=X, targets=np.ones(60), split=None,
+                                   target_bounded_01=True), seed=1)
+        cfg = TrainConfig(learning_rate=1e308, batch_size=20, epochs=5, seed=1, hidden_dim=1)
+        none = DefenseConfig(kind="none")
+        with np.errstate(over="ignore"):
+            with pytest.raises(TrainingDiverged, match=r"parameters at epoch 2, step 3$"):
+                train(ds, none, cfg)
+            state = start_training(ds, none, cfg)
+            assert state.net.w1[0, 0] < 0
+            assert len(run_epochs(state, ds, none, 1)) == 1
+            assert state.step == 2 and np.isfinite(state.adam.v).all()
+            with pytest.raises(TrainingDiverged, match=r"parameters at epoch 2, step 3$"):
+                run_epochs(state, ds, none, cfg.epochs - 1)
+
+    def test_overflowed_second_moment_is_divergence(self):
+        # Every loss and theta stays finite through step 2, but its gradient squared
+        # overflows v; that coordinate's step lr * m_hat / (sqrt(inf) + eps) would be 0,
+        # freezing it while the run goes on (to a non-finite loss at step 3).
         X = np.random.default_rng(0).uniform(-1, 1, size=(60, 1))
         ds = split_dataset(Dataset(features=X, targets=1e152 * (1.0 + 0.1 * X[:, 0]), split=None),
                            seed=1)
         cfg = TrainConfig(learning_rate=10**76.5, epochs=5, hidden_dim=8)
-        none = DefenseConfig(kind="none")
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingDiverged, match=r"epoch 2, step 3$"):
-                train(ds, none, cfg)
-            state = start_training(ds, none, cfg)
-            assert len(run_epochs(state, ds, none, 1)) == 1
-            with pytest.raises(TrainingDiverged, match=r"epoch 2, step 3$"):
-                run_epochs(state, ds, none, cfg.epochs - 1)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingDiverged, match=r"second moment at epoch 1, step 2$"):
+            train(ds, DefenseConfig(kind="none"), cfg)
 
     def test_sigmoid_output_for_bounded_targets(self):
         ds = bounded_dataset()

@@ -39,7 +39,8 @@ from .seeding import derive_seed
 from .training import _reuse_freed_arrays, random_search
 
 
-def _build_dataset(cfg: ExperimentConfig, stats: dict | None = None):
+def _build_dataset(cfg: ExperimentConfig, stats: dict | None = None) -> data_mod.Dataset:
+    """The prepared dataset: read, split, normalized, with its neighbors."""
     ds = data_mod.load_csv(
         cfg.dataset.path,
         target_column=cfg.dataset.target_column,
@@ -48,10 +49,8 @@ def _build_dataset(cfg: ExperimentConfig, stats: dict | None = None):
         missing=cfg.dataset.missing,
     )
     ds = data_mod.split_dataset(ds, cfg.fractions, seed=derive_seed(cfg.seed, "split"))
-    norm = data_mod.fit_normalizer(ds)
-    ds = data_mod.normalize_dataset(ds, norm)
-    neighbors = data_mod.compute_neighbors(ds, stats=stats)
-    return ds, norm, neighbors
+    ds = data_mod.normalize_dataset(ds, data_mod.fit_normalizer(ds))
+    return replace(ds, neighbors=data_mod.compute_neighbors(ds, stats=stats))
 
 
 _HASH_BLOCK = 1 << 20  # bytes of the CSV read per sha256 update
@@ -99,15 +98,14 @@ def _tuned_stamp(cfg: ExperimentConfig, provenance: dict) -> dict:
 
 
 def _load_or_prepare(cfg: ExperimentConfig, out: Path):
-    """(dataset, neighbors, provenance): the checked cache, or a fresh one."""
+    """(dataset, provenance): the checked cache, or a fresh one."""
     cache = out / "dataset_cache.json"
     provenance = _provenance(cfg)
     if cache.exists():
-        ds, _, neighbors = data_mod.load_dataset_cache(cache, provenance)
-    else:
-        ds, norm, neighbors = _build_dataset(cfg)
-        data_mod.save_dataset_cache(cache, ds, norm, neighbors, provenance)
-    return ds, neighbors, provenance
+        return data_mod.load_dataset_cache(cache, provenance), provenance
+    ds = _build_dataset(cfg)
+    data_mod.save_dataset_cache(cache, ds, provenance)
+    return ds, provenance
 
 
 def _median(x) -> float:
@@ -118,10 +116,10 @@ def _median(x) -> float:
 
 def cmd_prepare(cfg: ExperimentConfig, out: Path) -> int:
     stats = {}
-    ds, norm, neighbors = _build_dataset(cfg, stats)
-    data_mod.save_dataset_cache(out / "dataset_cache.json", ds, norm, neighbors, _provenance(cfg))
+    ds = _build_dataset(cfg, stats)
+    data_mod.save_dataset_cache(out / "dataset_cache.json", ds, _provenance(cfg))
     sizes = {name: int((ds.split == i).sum()) for i, name in enumerate(data_mod.SPLIT_NAMES)}
-    nn_d, gaps = neighbors.distance, neighbors.label_gap
+    nn_d, gaps = ds.neighbors.distance, ds.neighbors.label_gap
     print(
         f"prepared {ds.name}: {ds.n_rows} rows, {ds.n_features} features, "
         f"splits {sizes}, cache {out / 'dataset_cache.json'}; "
@@ -189,7 +187,7 @@ def _write_trials(path: Path, records) -> None:
 
 
 def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
-    ds, neighbors, provenance = _load_or_prepare(cfg, out)
+    ds, provenance = _load_or_prepare(cfg, out)
     entries = [e for e in cfg.defenses if e.tune]
     if not entries:
         print("nothing to tune: no defense entry has tune=true")
@@ -201,7 +199,7 @@ def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
         try:
             best, records = random_search(
                 ds, entry.config, cfg.search, seed=derive_seed(cfg.seed, "tune", kind),
-                train_cfg=cfg.train, neighbors=neighbors, attack=cfg.tuning_attack,
+                train_cfg=cfg.train, attack=cfg.tuning_attack,
                 candidates=candidates, jobs=cfg.jobs)
         except SearchFailed as e:
             # Keep this run's log, and no tuned config that no trial of it chose.
@@ -223,7 +221,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     # A run that fails before the try below leaves none of an earlier run's artifacts.
     for name in ("cells.csv", "points.csv", "summary.json"):
         (out / name).unlink(missing_ok=True)
-    ds, neighbors, provenance = _load_or_prepare(cfg, out)
+    ds, provenance = _load_or_prepare(cfg, out)
     # Every tuned config is read and checked before any model is trained.
     defenses = [_read_tuned(out, e.config.kind, cfg, provenance) if e.tune else e.config
                 for e in cfg.defenses]
@@ -233,8 +231,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     try:
         for defense in defenses:
             train_cfg = replace(cfg.train, seed=derive_seed(cfg.seed, "eval", defense.kind))
-            models = train_models(ds, defense, train_cfg, cfg.n_seeds,
-                                  neighbors=neighbors, jobs=cfg.jobs)
+            models = train_models(ds, defense, train_cfg, cfg.n_seeds, jobs=cfg.jobs)
             for attack in cfg.attacks:
                 cells.extend(evaluate_cell(ds, defense, attack, models))
                 if attack.kind == "pgd":

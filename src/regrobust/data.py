@@ -19,8 +19,9 @@ The dataset cache is a pair of files. The features, its only (N, D) block,
 are numpy's .npy of their little-endian float64 array, next to the cache's
 JSON document, which holds everything else and the sha256 of the features'
 bytes. Both are written and read at C speed, and the features keep every
-bit. Neighbors are three arrays aligned with the train rows (``Neighbors``),
-and the cache stores them as the same three JSON columns.
+bit. A prepared Dataset carries its Normalizer and its Neighbors, three
+arrays aligned with the train rows, which the cache stores as the same three
+JSON columns; Dataset checks both, so a cache that loads is a valid one.
 """
 import csv
 import hashlib
@@ -43,10 +44,30 @@ NA_MARKERS = frozenset({"", "na", "n/a", "nan", "null", "?"})
 MISSING_POLICIES = ("error", "drop_rows", "drop_columns")
 
 
+class Normalizer(NamedTuple):
+    """Per-feature z-score parameters: features are (x - mean) / std."""
+
+    mean: np.ndarray  # (D,)
+    std: np.ndarray  # (D,)
+
+
+class Neighbors(NamedTuple):
+    """Nearest train neighbor of each train row, aligned with dataset.rows(TRAIN)."""
+
+    index: np.ndarray  # (n_train,) int64 dataset row index of the neighbor
+    distance: np.ndarray  # (n_train,) L-inf distance to it
+    label_gap: np.ndarray  # (n_train,) |target - neighbor's target|
+
+
 @dataclass
 class Dataset:
     """Rows of features and targets, and each row's split once assigned;
-    part(which) gives one split's row indices, features and targets."""
+    part(which) gives one split's row indices, features and targets.
+
+    A prepared dataset also carries the normalizer its features went through
+    and its train rows' nearest neighbors. Each is None until normalize_dataset
+    or replace(ds, neighbors=compute_neighbors(ds)) sets it, and is checked here.
+    """
 
     features: np.ndarray  # (N, D) float64
     targets: np.ndarray  # (N,) float64
@@ -54,13 +75,15 @@ class Dataset:
     name: str = "dataset"
     target_bounded_01: bool = False
     feature_names: tuple = ()
+    normalizer: Normalizer | None = None
+    neighbors: Neighbors | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.targets = np.asarray(self.targets, dtype=np.float64)
         if self.features.ndim != 2 or self.features.shape[1] < 1:
             raise DimensionError(f"features must be (N, D>=1), got {self.features.shape}")
-        n = self.features.shape[0]
+        n, d = self.features.shape
         if self.targets.shape != (n,):
             raise DimensionError(f"targets must have shape ({n},), got {self.targets.shape}")
         if not np.all(np.isfinite(self.features)) or not np.all(np.isfinite(self.targets)):
@@ -69,6 +92,27 @@ class Dataset:
             self.split = np.asarray(self.split)
             if self.split.shape != (n,):
                 raise DimensionError(f"split must have shape ({n},), got {self.split.shape}")
+            bad = ~np.isin(self.split, (TRAIN, VAL, TEST))
+            if bad.any() or (n and self.split.dtype.kind not in "iu"):
+                i = bad.argmax()  # the first bad code, else row 0 of a non-integer split
+                raise DataError(f"split must hold the integer codes 0/1/2 (train/val/test); "
+                                f"row {i} holds {self.split[i].item()!r} ({self.split.dtype})")
+        if self.normalizer is not None:
+            mean, std = self.normalizer = Normalizer(*map(np.asarray, self.normalizer,
+                                                          (float, float)))
+            if mean.shape != (d,) or std.shape != (d,) or not (
+                    np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+                raise DataError(f"normalizer needs a finite mean and std > 0 for each of {d} "
+                                f"features, got shapes {mean.shape} and {std.shape}")
+        if self.neighbors is not None:
+            nb = self.neighbors = Neighbors(*map(np.asarray, self.neighbors,
+                                                 (np.int64, float, float)))
+            rows = self.rows(TRAIN)
+            n_train = len(rows)
+            if any(c.shape != (n_train,) for c in nb) or not np.isin(nb.index, rows).all() \
+                    or not all(np.isfinite(c).all() and (c >= 0).all() for c in nb[1:]):
+                raise DataError(f"neighbors need one entry per train row ({n_train}): the index "
+                                "of a train row, and a finite distance and label gap >= 0")
         if not self.feature_names:
             self.feature_names = tuple(f"x{j}" for j in range(self.features.shape[1]))
 
@@ -253,7 +297,8 @@ def load_csv(
 
 
 def split_dataset(dataset: Dataset, fractions=(0.6, 0.2, 0.2), seed: int = 0) -> Dataset:
-    """Random train/val/test split; rounding leftovers go to the train split."""
+    """Random train/val/test split; rounding leftovers go to the train split.
+    The result drops dataset's neighbors, which belong to the old train rows."""
     fr = tuple(float(f) for f in fractions)
     if len(fr) != 3 or not all(0 < f <= 1 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
         raise ConfigError(f"fractions must be 3 finite positive numbers summing to 1, "
@@ -268,13 +313,7 @@ def split_dataset(dataset: Dataset, fractions=(0.6, 0.2, 0.2), seed: int = 0) ->
     split[perm[: sizes[0]]] = TRAIN
     split[perm[sizes[0] : sizes[0] + sizes[1]]] = VAL
     split[perm[sizes[0] + sizes[1] :]] = TEST
-    return replace(dataset, split=split)
-
-
-@dataclass(frozen=True)
-class Normalizer:
-    mean: np.ndarray  # (D,)
-    std: np.ndarray  # (D,)
+    return replace(dataset, split=split, neighbors=None)
 
 
 def fit_normalizer(dataset: Dataset) -> Normalizer:
@@ -304,7 +343,10 @@ def apply_normalizer(norm: Normalizer, X) -> np.ndarray:
 
 
 def normalize_dataset(dataset: Dataset, norm: Normalizer) -> Dataset:
-    return replace(dataset, features=apply_normalizer(norm, dataset.features))
+    """dataset with its features put through norm, which it then carries; the
+    result drops dataset's neighbors, whose distances were in the old features."""
+    return replace(dataset, features=apply_normalizer(norm, dataset.features), normalizer=norm,
+                   neighbors=None)
 
 
 _TILE_BYTES = 1 << 19  # bytes per distance tile: 0.5 MB, cache-resident
@@ -399,14 +441,6 @@ def _quantized(A: np.ndarray) -> np.ndarray:
     return np.rint(A * scale).astype(np.int16)
 
 
-class Neighbors(NamedTuple):
-    """Nearest train neighbor of each train row, aligned with dataset.rows(TRAIN)."""
-
-    index: np.ndarray  # (n_train,) int64 dataset row index of the neighbor
-    distance: np.ndarray  # (n_train,) L-inf distance to it
-    label_gap: np.ndarray  # (n_train,) |target - neighbor's target|
-
-
 def compute_neighbors(dataset: Dataset, stats: dict | None = None) -> Neighbors:
     """Nearest neighbor among the other train rows, for every train row.
 
@@ -456,9 +490,8 @@ def nearest_train_distance(dataset: Dataset, X) -> np.ndarray:
     return _nearest_in(X, dataset.features[rows])[0]
 
 
-def save_dataset_cache(path, dataset: Dataset, norm: Normalizer, neighbors: Neighbors,
-                       provenance: dict | None = None) -> None:
-    """Write the prepared dataset (already normalized) plus its neighbors as a cache pair.
+def save_dataset_cache(path, dataset: Dataset, provenance: dict | None = None) -> None:
+    """Write a prepared dataset, with its normalizer and neighbors, as a cache pair.
 
     The features go first, to path with the suffix .npy: np.save of their
     C-ordered '<f8' array. The JSON document goes last, to path, in the bytes
@@ -471,8 +504,10 @@ def save_dataset_cache(path, dataset: Dataset, norm: Normalizer, neighbors: Neig
     provenance, if given, is stored as is: a flat JSON object of the fields
     the cache was built from, which load_dataset_cache can later check.
     """
-    if dataset.split is None:
-        raise DataError("cannot cache a dataset without split assignment")
+    norm, neighbors = dataset.normalizer, dataset.neighbors
+    if norm is None or neighbors is None:
+        raise DataError("cannot cache a dataset that is not prepared: it needs its normalizer "
+                        "and its neighbors")
     npy = Path(path).with_suffix(".npy")
     if npy == Path(path):
         raise DataError(f"dataset cache {path} would be overwritten by its own features")
@@ -508,16 +543,15 @@ def check_provenance(what: str, stamped: dict, provenance: dict, remedy: str) ->
             raise ConfigError(f"{what} with {have} but this run has {want}; {remedy}")
 
 
-def load_dataset_cache(path, provenance: dict | None = None):
-    """Inverse of save_dataset_cache. Returns (dataset, normalizer, neighbors).
+def load_dataset_cache(path, provenance: dict | None = None) -> Dataset:
+    """Inverse of save_dataset_cache: the prepared Dataset, with its normalizer and neighbors.
 
     The features are read, never unpickled, from path with the suffix .npy
     into a new writable array, which must be C-ordered '<f8' of shape
     [len(targets), len(feature_names)] and hash to the document's sha256.
-    The neighbor columns must hold exactly one entry per train row, with
-    finite, non-negative distances and gaps. A cache that fails a check, or
-    a file of it that cannot be read, raises a DataError naming the file
-    and saying to run prepare again. If provenance is given, the cache's
+    The rest must pass Dataset's checks. A cache that fails a check, or a
+    file of it that cannot be read, raises a DataError naming the file and
+    saying to run prepare again. If provenance is given, the cache's
     stamp must equal it; otherwise a ConfigError names the first field that
     differs.
     """
@@ -540,33 +574,21 @@ def load_dataset_cache(path, provenance: dict | None = None):
         if hashlib.sha256(features).hexdigest() != doc["features"]["sha256"]:
             raise ValueError(f"{npy} is not the features this cache was prepared with "
                              "(sha256 differs)")
-        split = np.array([SPLIT_NAMES.index(s) for s in doc["split"]], dtype=np.int64)
         dataset = Dataset(
             features=features,
             targets=np.asarray(doc["targets"], dtype=np.float64),
-            split=split,
+            split=np.array([SPLIT_NAMES.index(s) for s in doc["split"]], dtype=np.int64),
             name=doc["name"],
             target_bounded_01=bool(doc["target_bounded_01"]),
             feature_names=tuple(doc["feature_names"]),
+            normalizer=Normalizer(**doc["normalizer"]),
+            neighbors=Neighbors(**doc["neighbors"]),
         )
-        norm = Normalizer(
-            mean=np.asarray(doc["normalizer"]["mean"], dtype=np.float64),
-            std=np.asarray(doc["normalizer"]["std"], dtype=np.float64),
-        )
-        cols = doc["neighbors"]
-        neighbors = Neighbors(np.asarray(cols["index"], dtype=np.int64),
-                              *(np.asarray(cols[k], dtype=np.float64)
-                                for k in ("distance", "label_gap")))
-        n = len(dataset.rows(TRAIN))
-        if any(col.shape != (n,) for col in neighbors):
-            raise ValueError(f"neighbor columns must hold one entry per train row ({n})")
-        if not all(np.all(np.isfinite(col) & (col >= 0)) for col in neighbors[1:]):
-            raise ValueError("neighbor distances and label gaps must be finite and >= 0")
-    except (KeyError, ValueError, TypeError) as e:
+    except (KeyError, ValueError, TypeError) as e:  # ValueError: a DataError of Dataset's too
         raise DataError(f"malformed dataset cache {path}: {e}; run prepare again") from e
     except OSError as e:
         raise DataError(f"cannot read dataset cache {path}: {e}; run prepare again") from e
     if provenance is not None:
         check_provenance(f"dataset cache {path} was prepared", doc.get("provenance") or {},
                          provenance, "run prepare again")
-    return dataset, norm, neighbors
+    return dataset

@@ -66,7 +66,7 @@ class PointRecord:
 
 
 def train_models(dataset, defense: DefenseConfig, train_cfg: TrainConfig, n_seeds: int,
-                 neighbors: data_mod.Neighbors | None = None, jobs: int = 1) -> list:
+                 jobs: int = 1) -> list:
     """Train n_seeds independent models; returns [(seed_index, net), ...].
 
     Retrain seeds are derived from train_cfg.seed, so the list is identical
@@ -75,7 +75,7 @@ def train_models(dataset, defense: DefenseConfig, train_cfg: TrainConfig, n_seed
     def fit(i: int):
         cfg_i = replace(train_cfg, seed=derive_seed(train_cfg.seed, "retrain", i))
         try:
-            net, _ = train(dataset, defense, cfg_i, neighbors=neighbors)
+            net, _ = train(dataset, defense, cfg_i)
         except TrainingDiverged as e:
             raise TrainingDiverged(f"defense {defense.kind!r}, retrain seed index {i} "
                                    f"(seed {cfg_i.seed}): {e}") from e

@@ -2,7 +2,8 @@
 
 A training run is a TrainState: start_training builds it and run_epochs
 advances it by whole epochs, so a run can be stopped, inspected and resumed.
-train is the two in one call.
+train is the two in one call. Each takes a prepared dataset, whose neighbors
+feed a defense's stability penalty.
 """
 import ctypes
 import math
@@ -14,8 +15,7 @@ import numpy as np
 from . import data as data_mod
 from .attacks import DEFAULT_PGD, AttackConfig, apply_attack
 from .defenses import DefenseConfig, batch_loss_grad
-from .errors import (ConfigError, DataError, DimensionError, SearchFailed, TrainingDiverged,
-                     check_count)
+from .errors import ConfigError, DimensionError, SearchFailed, TrainingDiverged, check_count
 from .losses import mse
 from .nn import RegressionNet, forward, initialize, params_to_vector, vector_to_net
 from .parallel import pmap
@@ -139,17 +139,12 @@ def start_training(dataset, defense: DefenseConfig, cfg: TrainConfig) -> TrainSt
     )
 
 
-def run_epochs(
-    state: TrainState,
-    dataset,
-    defense: DefenseConfig,
-    epochs: int,
-    neighbors: data_mod.Neighbors | None = None,
-):
+def run_epochs(state: TrainState, dataset, defense: DefenseConfig, epochs: int):
     """Train state's network for epochs more epochs on the train split; returns their mean losses.
 
     Each mean is the full defended objective, averaged over minibatches by
-    size. Fresh stability perturbations are drawn for every minibatch step.
+    size. Fresh stability perturbations are drawn for every minibatch step,
+    from dataset.neighbors, which a defense that draws them needs.
     A run cut into several calls is the uninterrupted run bit for bit.
     Aborts with TrainingDiverged, naming the epoch and step counted from the
     start, the moment the loss, the parameters or Adam's second moment go
@@ -166,14 +161,12 @@ def run_epochs(
         raise DimensionError(f"the train split has {X.shape[1]} features, the net {net.input_dim}")
 
     if defense.needs_neighbors:
-        if neighbors is None:
+        if dataset.neighbors is None:
             raise ConfigError(f"defense {defense.kind!r} needs precomputed neighbors")
-        if len(neighbors.distance) != n:
-            raise DataError(f"neighbors cover {len(neighbors.distance)} rows, the train split {n}")
         if state.rng_penalty is None:
             raise ConfigError(f"defense {defense.kind!r} draws perturbations; this run was "
                               "started under a defense that does not")
-        nn_d, gaps = neighbors.distance, neighbors.label_gap
+        nn_d, gaps = dataset.neighbors.distance, dataset.neighbors.label_gap
     else:
         nn_d = gaps = None
 
@@ -214,19 +207,14 @@ def run_epochs(
     return history
 
 
-def train(
-    dataset,
-    defense: DefenseConfig,
-    cfg: TrainConfig,
-    neighbors: data_mod.Neighbors | None = None,
-):
+def train(dataset, defense: DefenseConfig, cfg: TrainConfig):
     """Train a fresh network on the train split under the given defense.
 
     start_training, then run_epochs for cfg.epochs epochs. Returns (net,
     history) where history is run_epochs' per-epoch mean training loss.
     """
     state = start_training(dataset, defense, cfg)
-    return state.net, run_epochs(state, dataset, defense, cfg.epochs, neighbors=neighbors)
+    return state.net, run_epochs(state, dataset, defense, cfg.epochs)
 
 
 # The uniform interval each defense hyperparameter is drawn from.
@@ -270,17 +258,9 @@ def _objective_value(net: RegressionNet, dataset, objective: str, attack: Attack
     return mse(Yv, forward(net, Xv))
 
 
-def random_search(
-    dataset,
-    base: DefenseConfig,
-    space: SearchSpace,
-    seed: int,
-    train_cfg: TrainConfig,
-    neighbors: data_mod.Neighbors | None = None,
-    attack: AttackConfig = DEFAULT_PGD,
-    candidates=(),
-    jobs: int = 1,
-):
+def random_search(dataset, base: DefenseConfig, space: SearchSpace, seed: int,
+                  train_cfg: TrainConfig, attack: AttackConfig = DEFAULT_PGD, candidates=(),
+                  jobs: int = 1):
     """Uniform random search over the params of base's defense kind.
 
     A sampled trial is base with those params drawn, so n_samples comes from
@@ -304,8 +284,7 @@ def random_search(
 
     def score(rec: TrialRecord) -> float:
         try:
-            net, _ = train(dataset, rec.config, replace(train_cfg, seed=rec.train_seed),
-                           neighbors=neighbors)
+            net, _ = train(dataset, rec.config, replace(train_cfg, seed=rec.train_seed))
         except TrainingDiverged:
             return float("nan")
         return _objective_value(net, dataset, space.objective, attack)

@@ -123,7 +123,7 @@ class TestPrepare:
             dataset={"path": BOSTON_CSV, "target_column": "MEDV", "name": "boston"},
         )
         assert main(["prepare", "--config", str(cfg)]) == 0
-        ds = load_dataset_cache(tmp_path / "out" / "dataset_cache.json")[0]
+        ds = load_dataset_cache(tmp_path / "out" / "dataset_cache.json")
         stats = {}
         compute_neighbors(ds, stats=stats)
         assert 0 < stats["confirmed"] < 304

@@ -7,6 +7,7 @@ import re
 import tempfile
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -561,6 +562,66 @@ class TestNormalizer:
             apply_normalizer(norm, np.ones((3, 5)))
 
 
+class TestPreparedDataset:
+    """The split, normalizer and neighbors a Dataset takes are checked where it takes them."""
+
+    @staticmethod
+    def _prepared(n=30, d=2):
+        rng = np.random.default_rng(21)
+        ds = split_dataset(Dataset(features=rng.normal(size=(n, d)), targets=rng.normal(size=n),
+                                   split=None), seed=4)
+        ds = normalize_dataset(ds, fit_normalizer(ds))
+        return replace(ds, neighbors=compute_neighbors(ds))
+
+    @pytest.mark.parametrize("split,bad", [
+        ([0, 0, 7, 1, 2, 0], "row 2 holds 7 (int64)"),
+        ([0, 1, 2, -1, 0, 0], "row 3 holds -1 (int64)"),
+        ([0.0, 0.5, 1.0, 2.0, 0.0, 0.0], "row 1 holds 0.5 (float64)"),
+        ([0.0, 1.0, 2.0, 0.0, 0.0, 0.0], "row 0 holds 0.0 (float64)"),
+        ([True, False, True, False, True, False], "row 0 holds True (bool)"),
+    ])
+    def test_split_outside_the_three_codes_rejected(self, split, bad):
+        with pytest.raises(DataError, match=re.escape(bad)):
+            Dataset(features=np.zeros((6, 2)), targets=np.zeros(6), split=np.array(split))
+
+    @pytest.mark.parametrize("mean,std", [
+        ([0.0], [1.0, 1.0]),
+        ([0.0, 0.0], [0.0, -3.0]),
+        ([0.0, np.nan], [1.0, 1.0]),
+        ([0.0, 0.0], [1.0, np.inf]),
+        ([[0.0, 0.0]], [[1.0, 1.0]]),
+    ])
+    def test_malformed_normalizer_rejected(self, mean, std):
+        with pytest.raises(DataError, match="normalizer needs a finite mean and std > 0"):
+            Dataset(features=np.zeros((3, 2)), targets=np.zeros(3), split=None,
+                    normalizer=Normalizer(np.array(mean), np.array(std)))
+
+    def test_neighbors_must_cover_the_train_split(self):
+        ds = self._prepared()
+        n_train = len(ds.rows(TRAIN))
+        short = Neighbors(*(col[:-1] for col in ds.neighbors))
+        with pytest.raises(DataError, match=rf"one entry per train row \({n_train}\)"):
+            replace(ds, neighbors=short)
+        not_train = np.flatnonzero(ds.split != TRAIN)[0]
+        for k, value in [(0, -1), (0, ds.n_rows), (0, not_train), (1, -0.5), (2, np.nan)]:
+            bad = list(ds.neighbors)
+            bad[k] = np.where(np.arange(n_train) == 3, value, bad[k]).astype(bad[k].dtype)
+            with pytest.raises(DataError, match="the index of a train row, and a finite"):
+                replace(ds, neighbors=Neighbors(*bad))
+        with pytest.raises(DataError, match="no split assigned"):
+            replace(ds, split=None)
+
+    def test_split_and_normalize_drop_the_neighbors(self):
+        ds = self._prepared()
+        resplit = split_dataset(ds, seed=9)
+        assert resplit.neighbors is None
+        assert all(a is b for a, b in zip(resplit.normalizer, ds.normalizer))
+        norm = fit_normalizer(resplit)
+        renormalized = normalize_dataset(ds, norm)
+        assert renormalized.neighbors is None
+        assert all(np.array_equal(a, b) for a, b in zip(renormalized.normalizer, norm))
+
+
 def brute_force_neighbors(X, y, rows):
     """Independent O(N^2) re-implementation used as an oracle."""
     out = {}
@@ -879,22 +940,19 @@ class TestCache:
         ds = Dataset(features=rng.normal(size=(40, 3)), targets=rng.normal(size=40),
                      split=None, name="cached")
         ds = split_dataset(ds, seed=3)
-        norm = fit_normalizer(ds)
-        ds = normalize_dataset(ds, norm)
-        return ds, norm, compute_neighbors(ds)
+        ds = normalize_dataset(ds, fit_normalizer(ds))
+        return replace(ds, neighbors=compute_neighbors(ds))
 
     def test_roundtrip_exact(self, tmp_path):
-        ds, norm, nb = self._prepared()
+        ds = self._prepared()
         p = tmp_path / "cache.json"
-        save_dataset_cache(p, ds, norm, nb)
-        ds2, norm2, nb2 = load_dataset_cache(p)
+        save_dataset_cache(p, ds)
+        ds2 = load_dataset_cache(p)
         assert np.array_equal(ds2.features, ds.features)
         assert np.array_equal(ds2.targets, ds.targets)
         assert np.array_equal(ds2.split, ds.split)
         assert ds2.name == ds.name
-        assert np.array_equal(norm2.mean, norm.mean)
-        assert np.array_equal(norm2.std, norm.std)
-        for col2, col in zip(nb2, nb):
+        for col2, col in zip([*ds2.normalizer, *ds2.neighbors], [*ds.normalizer, *ds.neighbors]):
             assert col2.dtype == col.dtype and np.array_equal(col2, col)
 
     @settings(max_examples=60, deadline=None)
@@ -907,21 +965,23 @@ class TestCache:
                                                               allow_infinity=False)),
                                     min_size=n * d, max_size=n * d))
         features = np.array(values).reshape(n, d)
-        ds = Dataset(features=features, targets=np.zeros(n), split=np.arange(n) % 3)
-        nb = Neighbors(np.zeros(len(ds.rows(TRAIN)), dtype=np.int64),
-                       *np.zeros((2, len(ds.rows(TRAIN)))))
+        n_train = len(range(0, n, 3))
+        ds = Dataset(features=features, targets=np.zeros(n), split=np.arange(n) % 3,
+                     normalizer=Normalizer(np.zeros(d), np.ones(d)),
+                     neighbors=Neighbors(np.zeros(n_train, dtype=np.int64),
+                                         *np.zeros((2, n_train))))
         with tempfile.TemporaryDirectory() as tmp:
             p = Path(tmp) / "cache.json"
-            save_dataset_cache(p, ds, Normalizer(np.zeros(d), np.ones(d)), nb)
-            loaded = load_dataset_cache(p)[0].features
+            save_dataset_cache(p, ds)
+            loaded = load_dataset_cache(p).features
         assert loaded.flags.writeable and loaded.flags.c_contiguous
         assert loaded.view(np.int64).tolist() == features.view(np.int64).tolist()
 
     def test_two_saves_byte_identical(self, tmp_path):
-        ds, norm, nb = self._prepared()
+        ds = self._prepared()
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_dataset_cache(p1, ds, norm, nb)
-        save_dataset_cache(p2, ds, norm, nb)
+        save_dataset_cache(p1, ds)
+        save_dataset_cache(p2, ds)
         assert p1.read_bytes() == p2.read_bytes()
         assert (tmp_path / "a.npy").read_bytes() == (tmp_path / "b.npy").read_bytes()
 
@@ -929,16 +989,16 @@ class TestCache:
         # Edge floats, non-ASCII names (escaped by the default ensure_ascii)
         # and a provenance block, against json.dumps of the whole document,
         # and np.save of the features next to it.
-        ds, norm, nb = self._prepared()
+        ds = self._prepared()
+        norm, nb = ds.normalizer, ds.neighbors
         features = ds.features.copy()
         features[:4, 0] = [-0.0, 2.2250738585072014e-309, 5e-324, 1e308]
-        ds = Dataset(features=features, targets=ds.targets, split=ds.split,
-                     name="Bost\u00f6n \u623f",
+        ds = replace(ds, features=features, name="Bost\u00f6n \u623f",
                      feature_names=("\u00e9t\u00e9", "\u03b2", "x\U0001f600"))
         provenance = {"seed": 3, "fractions": [0.6, 0.2, 0.2], "dataset.name": ds.name,
                       "csv_sha256": "ab" * 32}
         p = tmp_path / "cache.json"
-        save_dataset_cache(p, ds, norm, nb, provenance)
+        save_dataset_cache(p, ds, provenance)
         doc = {
             "name": ds.name,
             "target_bounded_01": ds.target_bounded_01,
@@ -955,7 +1015,7 @@ class TestCache:
         reference = io.BytesIO()
         np.save(reference, features)
         assert (tmp_path / "cache.npy").read_bytes() == reference.getvalue()
-        ds2 = load_dataset_cache(p)[0]
+        ds2 = load_dataset_cache(p)
         assert ds2.features.view(np.int64).tolist() == features.view(np.int64).tolist()
 
     # Each edit(doc, npy, ds) leaves a cache pair that must be refused.
@@ -973,9 +1033,9 @@ class TestCache:
 
     @pytest.mark.parametrize("case", list(FEATURE_EDITS))
     def test_malformed_features_rejected(self, tmp_path, case):
-        ds, norm, nb = self._prepared()
+        ds = self._prepared()
         p, npy = tmp_path / "cache.json", tmp_path / "cache.npy"
-        save_dataset_cache(p, ds, norm, nb)
+        save_dataset_cache(p, ds)
         doc = json.loads(p.read_text())
         self.FEATURE_EDITS[case](doc, npy, ds)
         p.write_text(json.dumps(doc))
@@ -997,15 +1057,38 @@ class TestCache:
             lambda cols: [col.pop() for col in cols.values()],
             lambda cols: cols["distance"].__setitem__(3, -0.5),
             lambda cols: cols["label_gap"].__setitem__(0, float("nan")),
+            lambda cols: cols["index"].__setitem__(1, -5),
+            lambda cols: cols["index"].__setitem__(2, 10**9),
         ],
-        ids=["short-columns", "negative-distance", "nan-gap"],
+        ids=["short-columns", "negative-distance", "nan-gap", "negative-index",
+             "index-past-the-rows"],
     )
     def test_malformed_neighbors_rejected(self, tmp_path, edit):
-        ds, norm, nb = self._prepared()
+        ds = self._prepared()
         p = tmp_path / "cache.json"
-        save_dataset_cache(p, ds, norm, nb)
+        save_dataset_cache(p, ds)
         doc = json.loads(p.read_text())
         edit(doc["neighbors"])
+        p.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="malformed .*run prepare again"):
+            load_dataset_cache(p)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda norm: norm.update(mean=norm["mean"][:1]),
+            lambda norm: norm.update(std=[0.0, -3.0, 5.0]),
+            lambda norm: norm["std"].__setitem__(1, float("inf")),
+            lambda norm: norm["mean"].__setitem__(2, float("nan")),
+        ],
+        ids=["short-mean", "non-positive-std", "inf-std", "nan-mean"],
+    )
+    def test_malformed_normalizer_rejected(self, tmp_path, edit):
+        ds = self._prepared()
+        p = tmp_path / "cache.json"
+        save_dataset_cache(p, ds)
+        doc = json.loads(p.read_text())
+        edit(doc["normalizer"])
         p.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="malformed .*run prepare again"):
             load_dataset_cache(p)
@@ -1013,26 +1096,27 @@ class TestCache:
     def test_unsplit_dataset_rejected(self, tmp_path):
         rng = np.random.default_rng(1)
         ds = Dataset(features=rng.normal(size=(5, 2)), targets=rng.normal(size=5), split=None)
-        norm = fit_normalizer(ds)
-        with pytest.raises(DataError):
-            save_dataset_cache(tmp_path / "c.json", ds, norm, {})
+        ds = normalize_dataset(ds, fit_normalizer(ds))
+        with pytest.raises(DataError, match="not prepared"):
+            save_dataset_cache(tmp_path / "c.json", ds)
 
     @staticmethod
     def _wide():
         """A split 4000 x 64 set with neighbor columns for its 2,400 train rows."""
         rng = np.random.default_rng(34)
-        ds = Dataset(features=rng.normal(size=(4000, 64)), targets=rng.normal(size=4000),
-                     split=np.repeat([TRAIN, VAL, TEST], [2400, 800, 800]))
-        nb = Neighbors(np.arange(2400), *np.abs(rng.normal(size=(2, 2400))))
-        return ds, Normalizer(np.zeros(64), np.ones(64)), nb
+        features, targets = rng.normal(size=(4000, 64)), rng.normal(size=4000)
+        return Dataset(features=features, targets=targets,
+                       split=np.repeat([TRAIN, VAL, TEST], [2400, 800, 800]),
+                       normalizer=Normalizer(np.zeros(64), np.ones(64)),
+                       neighbors=Neighbors(np.arange(2400), *np.abs(rng.normal(size=(2, 2400)))))
 
     def test_save_never_copies_the_features(self, tmp_path):
         # np.save writes the array's own buffer, and the sha256 reads it in place.
-        ds, norm, nb = self._wide()
+        ds = self._wide()
         p = tmp_path / "cache.json"
         tracemalloc.start()
         try:
-            save_dataset_cache(p, ds, norm, nb)
+            save_dataset_cache(p, ds)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1042,12 +1126,12 @@ class TestCache:
     def test_load_decodes_into_the_result(self, tmp_path):
         # The .npy is read straight into the result, so the peak is the
         # features plus the parsed JSON (2.99 MB against 2.05 MB of features).
-        ds, norm, nb = self._wide()
+        ds = self._wide()
         p = tmp_path / "cache.json"
-        save_dataset_cache(p, ds, norm, nb)
+        save_dataset_cache(p, ds)
         tracemalloc.start()
         try:
-            features = load_dataset_cache(p)[0].features
+            features = load_dataset_cache(p).features
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

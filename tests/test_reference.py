@@ -65,15 +65,14 @@ def test_tracked_tuned_files_hold_only_what_the_code_writes():
 def test_tracked_winning_trials_replay_bit_for_bit():
     cfg = _boston_config()
     provenance = cli._provenance(cfg)
-    ds, _, neighbors = load_dataset_cache(REFERENCE / "dataset_cache.json", provenance)
+    ds = load_dataset_cache(REFERENCE / "dataset_cache.json", provenance)
 
     def replay(kind):
         config = cli._read_tuned(REFERENCE, kind, cfg, provenance)
         doc = json.loads((REFERENCE / f"tuned_{kind}.json").read_text())
         trial = _trials(kind)[doc["best_trial"]]
         assert trial["config"] == doc["config"]
-        net, _ = train(ds, config, replace(cfg.train, seed=trial["train_seed"]),
-                       neighbors=neighbors)
+        net, _ = train(ds, config, replace(cfg.train, seed=trial["train_seed"]))
         return _objective_value(net, ds, cfg.search.objective, cfg.tuning_attack), doc["best_value"]
 
     # The two stability-penalty kinds go first: they take most of the time.

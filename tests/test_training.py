@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,10 @@ from regrobust.training import (
 )
 
 from conftest import linear_dataset
+
+
+def with_neighbors(ds):
+    return replace(ds, neighbors=compute_neighbors(ds))
 
 
 def bounded_dataset():
@@ -147,28 +153,37 @@ class TestTrain:
             train(lin_ds, DefenseConfig(kind="ansr"), TrainConfig(epochs=1))
 
     def test_ansr_rejects_neighbors_of_another_split(self, lin_ds):
+        # Columns for 3 rows never reach training: the dataset refuses them.
         short = compute_neighbors(lin_ds)._replace(distance=np.ones(3), label_gap=np.ones(3))
-        with pytest.raises(DataError, match="train split"):
-            train(lin_ds, DefenseConfig(kind="ansr"), TrainConfig(epochs=1), neighbors=short)
+        with pytest.raises(DataError, match=r"one entry per train row \(90\)"):
+            replace(lin_ds, neighbors=short)
+
+    @pytest.mark.parametrize("redo", [
+        lambda ds: split_dataset(ds, seed=7),
+        lambda ds: normalize_dataset(ds, fit_normalizer(ds)),
+    ], ids=["split", "normalize"])
+    def test_ansr_needs_neighbors_after_a_resplit_or_renormalize(self, lin_ds, redo):
+        ds = redo(with_neighbors(lin_ds))
+        assert ds.neighbors is None
+        with pytest.raises(ConfigError, match="needs precomputed neighbors"):
+            train(ds, DefenseConfig(kind="ansr"), TrainConfig(epochs=1))
 
     def test_ansr_deterministic_with_neighbors(self, lin_ds):
-        nbrs = compute_neighbors(lin_ds)
+        ds = with_neighbors(lin_ds)
         cfg = TrainConfig(learning_rate=0.01, epochs=10, seed=2)
         d = DefenseConfig(kind="ansr", beta=1.0, lam=1.0, n_samples=16)
-        n1, _ = train(lin_ds, d, cfg, neighbors=nbrs)
-        n2, _ = train(lin_ds, d, cfg, neighbors=nbrs)
+        n1, _ = train(ds, d, cfg)
+        n2, _ = train(ds, d, cfg)
         assert np.array_equal(params_to_vector(n1), params_to_vector(n2))
 
     def test_strong_stability_penalty_flattens_predictions(self, lin_ds):
         # A large penalty weight should visibly shrink the prediction spread
         # relative to an unpenalized run from the same seed.
-        nbrs = compute_neighbors(lin_ds)
         cfg = TrainConfig(learning_rate=0.01, epochs=300, seed=1)
         flat, _ = train(
-            lin_ds,
+            with_neighbors(lin_ds),
             DefenseConfig(kind="ansr", beta=4.0, lam=500.0, n_samples=32),
             cfg,
-            neighbors=nbrs,
         )
         free, _ = train(lin_ds, DefenseConfig(kind="none"), cfg)
         X = lin_ds.features
@@ -219,8 +234,8 @@ class TestTrain:
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
 
-HEADS = {"identity": linear_dataset(n=60), "sigmoid": bounded_dataset()}
-HEAD_NEIGHBORS = {head: compute_neighbors(ds) for head, ds in HEADS.items()}
+HEADS = {"identity": with_neighbors(linear_dataset(n=60)),
+         "sigmoid": with_neighbors(bounded_dataset())}
 
 
 @st.composite
@@ -243,15 +258,15 @@ class TestResume:
            run=cut_runs(), seed=st.integers(0, 2**16))
     def test_cut_run_is_the_uninterrupted_run(self, kind, head, run, seed):
         epochs, cuts = run
-        ds, nbrs = HEADS[head], HEAD_NEIGHBORS[head]
+        ds = HEADS[head]
         defense = DefenseConfig(kind=kind, n_samples=8)
         cfg = TrainConfig(learning_rate=0.01, batch_size=16, epochs=epochs, seed=seed)
         whole = start_training(ds, defense, cfg)
-        whole_history = run_epochs(whole, ds, defense, epochs, neighbors=nbrs)
+        whole_history = run_epochs(whole, ds, defense, epochs)
         cut = start_training(ds, defense, cfg)
         history = []
         for lo, hi in zip([0, *cuts], [*cuts, epochs]):
-            history += run_epochs(cut, ds, defense, hi - lo, neighbors=nbrs)
+            history += run_epochs(cut, ds, defense, hi - lo)
         assert history == whole_history
         for a, b in zip(_state_fields(cut), _state_fields(whole)):
             assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
@@ -269,11 +284,11 @@ class TestResume:
 
     def test_zero_epochs_leave_the_state_as_it_was(self, lin_ds):
         defense = DefenseConfig(kind="ansr", n_samples=4)
-        nbrs = compute_neighbors(lin_ds)
-        state = start_training(lin_ds, defense, TrainConfig(epochs=3))
-        run_epochs(state, lin_ds, defense, 1, neighbors=nbrs)
+        ds = with_neighbors(lin_ds)
+        state = start_training(ds, defense, TrainConfig(epochs=3))
+        run_epochs(state, ds, defense, 1)
         before = [np.copy(f) if isinstance(f, np.ndarray) else f for f in _state_fields(state)]
-        assert run_epochs(state, lin_ds, defense, 0, neighbors=nbrs) == []
+        assert run_epochs(state, ds, defense, 0) == []
         for a, b in zip(_state_fields(state), before):
             assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
@@ -293,8 +308,7 @@ class TestResume:
     def test_penalty_needs_a_run_started_with_one(self, lin_ds):
         state = start_training(lin_ds, DefenseConfig(kind="grad_reg"), TrainConfig())
         with pytest.raises(ConfigError, match="started under a defense that does not"):
-            run_epochs(state, lin_ds, DefenseConfig(kind="combined"), 1,
-                       neighbors=compute_neighbors(lin_ds))
+            run_epochs(state, with_neighbors(lin_ds), DefenseConfig(kind="combined"), 1)
 
 
 @pytest.mark.parametrize("make,field", [
@@ -395,8 +409,7 @@ class TestRandomSearch:
         y = np.sin(2.0 * X[:, 0]) + 0.5 * X[:, 1] + 0.3 * rng.normal(size=120)
         ds = Dataset(features=X, targets=y, split=None, name="wiggle")
         ds = split_dataset(ds, (0.6, 0.2, 0.2), seed=3)
-        ds = normalize_dataset(ds, fit_normalizer(ds))
-        nbrs = compute_neighbors(ds)
+        ds = with_neighbors(normalize_dataset(ds, fit_normalizer(ds)))
         weak = DefenseConfig(kind="ansr", lam=0.001, beta=2.0, n_samples=16)
         strong = DefenseConfig(kind="ansr", lam=2.0, beta=2.0, n_samples=16)
         cfg = TrainConfig(learning_rate=0.01, batch_size=16, epochs=200, hidden_dim=12)
@@ -409,7 +422,6 @@ class TestRandomSearch:
                 SearchSpace(n_trials=1, objective=objective),
                 seed=5,
                 train_cfg=cfg,
-                neighbors=nbrs,
                 attack=attack,
                 candidates=(weak, strong),
             )

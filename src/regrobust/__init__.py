@@ -55,6 +55,7 @@ from .training import (
     random_search,
     run_epochs,
     sample_defense_config,
+    split_mse,
     start_training,
     train,
 )

@@ -20,10 +20,9 @@ from .config import (
     load_experiment_config,
     read_defense_entry,
     section_to_dict,
-    unique_keys,
 )
 from .defenses import KINDS, DefenseConfig
-from .errors import ConfigError, DataError, RegrobustError, SearchFailed
+from .errors import ConfigError, DataError, RegrobustError, SearchFailed, unique_keys
 from .evaluation import (
     aggregate,
     evaluate_cell,
@@ -79,17 +78,15 @@ def _provenance(cfg: ExperimentConfig) -> dict:
 def _tuned_stamp(cfg: ExperimentConfig, provenance: dict) -> dict:
     """What a tuned config is a function of, as stamped into tuned_*.json.
 
-    The data provenance, then every train field but the seed (training seeds
-    derive from the top-level seed, which the provenance holds), the search
-    fields (n_trials, objective), the attack the objective uses (null for
-    val_mse_clean), and n_samples, keyed by their config path. Code
-    constants, such as Adam's and the search ranges, are not stamped.
+    The data provenance (training seeds derive from the top-level seed, which
+    it holds), then every train field, the search fields (n_trials,
+    objective), the attack the objective uses (null for val_mse_clean), and
+    n_samples, keyed by their config path. Code constants, such as Adam's and
+    the search ranges, are not stamped.
     """
-    train = section_to_dict(cfg.train)
-    del train["seed"]
     return {
         **provenance,
-        **{f"train.{k}": v for k, v in train.items()},
+        **{f"train.{k}": v for k, v in section_to_dict(cfg.train).items()},
         **{f"search.{k}": v for k, v in section_to_dict(cfg.search).items()},
         "search.attack": (section_to_dict(cfg.tuning_attack)
                           if cfg.search.objective == "val_mse_pgd" else None),
@@ -230,8 +227,8 @@ def cmd_evaluate(cfg: ExperimentConfig, out: Path) -> int:
     points = []
     try:
         for defense in defenses:
-            train_cfg = replace(cfg.train, seed=derive_seed(cfg.seed, "eval", defense.kind))
-            models = train_models(ds, defense, train_cfg, cfg.n_seeds, jobs=cfg.jobs)
+            models = train_models(ds, defense, cfg.train, cfg.n_seeds,
+                                  derive_seed(cfg.seed, "eval", defense.kind), jobs=cfg.jobs)
             for attack in cfg.attacks:
                 cells.extend(evaluate_cell(ds, defense, attack, models))
                 if attack.kind == "pgd":

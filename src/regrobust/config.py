@@ -8,12 +8,13 @@ field's default. A defense entry takes ``kind``, ``tune`` and the fields its
 kind reads (``DefenseConfig.params``), but only ``kind`` and ``tune`` when
 tuned; ``read_defense_entry`` reads this form here and in ``tuned_*.json``,
 and ``defense_to_dict`` writes it. An attack entry takes ``kind`` and the
-fields its kind reads (``AttackConfig.params``). The top level sets
-``train.seed`` and ``n_samples``. Any other key fails, so a typo never falls
-back to a default unnoticed, and so does a key given twice in one object,
-here and in ``tuned_*.json``. Every default matches the standard evaluation
-protocol, so a minimal config only needs the dataset block. Validation
-errors start with the offending field path.
+fields its kind reads (``AttackConfig.params``). The top level sets every
+defense's ``n_samples``, and every training run's seed derives from its
+``seed``. Any other key fails, so a typo never falls back to a default
+unnoticed, and so does a key given twice in one object, here and in
+``tuned_*.json``. Every default matches the standard evaluation protocol, so
+a minimal config only needs the dataset block. Validation errors start with
+the offending field path.
 """
 import json
 from dataclasses import MISSING, dataclass, field, fields
@@ -21,7 +22,7 @@ from functools import partial
 
 from .attacks import DEFAULT_PGD, AttackConfig
 from .defenses import DefenseConfig
-from .errors import ConfigError
+from .errors import ConfigError, unique_keys
 from .training import SearchSpace, TrainConfig
 
 
@@ -160,17 +161,6 @@ def _entries(doc, key: str, parse) -> list:
 _TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.init)
 
 
-def unique_keys(pairs) -> dict:
-    """json.load's object_pairs_hook: the object as a dict, or a ConfigError
-    naming a key it repeats, which would otherwise override the first."""
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise ConfigError(f"key {key!r} is repeated in one object")
-        doc[key] = value
-    return doc
-
-
 def load_experiment_config(path) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as f:
@@ -196,15 +186,12 @@ def load_experiment_config(path) -> ExperimentConfig:
     fractions = doc.get("fractions", ExperimentConfig.fractions)
     if not (isinstance(fractions, (list, tuple)) and len(fractions) == 3):
         raise ConfigError(f"config.fractions: expected 3 numbers, got {fractions!r}")
-    try:
-        fractions = tuple(float(v) for v in fractions)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"config.fractions: expected numbers, got {fractions!r}") from e
+    fractions = tuple(_check(v, float, f"config.fractions[{i}]") for i, v in enumerate(fractions))
 
     return ExperimentConfig(
         dataset=_section(DatasetSpec, doc["dataset"], "dataset"),
         fractions=fractions,
-        train=_section(TrainConfig, doc.get("train", {}), "train", seed=scalars["seed"]),
+        train=_section(TrainConfig, doc.get("train", {}), "train"),
         search=_section(SearchSpace, doc.get("search", {}), "search"),
         defenses=_entries(doc, "defenses",
                           partial(read_defense_entry, n_samples=scalars["n_samples"])),

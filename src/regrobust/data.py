@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError, NonFiniteError
+from .errors import ConfigError, DataError, DimensionError, NonFiniteError, unique_keys
 
 TRAIN, VAL, TEST = 0, 1, 2
 SPLIT_NAMES = ("train", "val", "test")
@@ -59,7 +59,7 @@ class Neighbors(NamedTuple):
     label_gap: np.ndarray  # (n_train,) |target - neighbor's target|
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     """Rows of features and targets, and each row's split once assigned;
     part(which) gives one split's row indices, features and targets.
@@ -67,6 +67,7 @@ class Dataset:
     A prepared dataset also carries the normalizer its features went through
     and its train rows' nearest neighbors. Each is None until normalize_dataset
     or replace(ds, neighbors=compute_neighbors(ds)) sets it, and is checked here.
+    Frozen, so no field can be reassigned past these checks.
     """
 
     features: np.ndarray  # (N, D) float64
@@ -79,34 +80,37 @@ class Dataset:
     neighbors: Neighbors | None = None
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.targets = np.asarray(self.targets, dtype=np.float64)
-        if self.features.ndim != 2 or self.features.shape[1] < 1:
-            raise DimensionError(f"features must be (N, D>=1), got {self.features.shape}")
-        n, d = self.features.shape
-        if self.targets.shape != (n,):
-            raise DimensionError(f"targets must have shape ({n},), got {self.targets.shape}")
-        if not np.all(np.isfinite(self.features)) or not np.all(np.isfinite(self.targets)):
+        def coerce(name, value):  # a frozen dataclass sets its fields through object
+            object.__setattr__(self, name, value)
+            return value
+        features = coerce("features", np.asarray(self.features, dtype=np.float64))
+        targets = coerce("targets", np.asarray(self.targets, dtype=np.float64))
+        if features.ndim != 2 or features.shape[1] < 1:
+            raise DimensionError(f"features must be (N, D>=1), got {features.shape}")
+        n, d = features.shape
+        if targets.shape != (n,):
+            raise DimensionError(f"targets must have shape ({n},), got {targets.shape}")
+        if not np.all(np.isfinite(features)) or not np.all(np.isfinite(targets)):
             raise DataError("dataset contains NaN or infinity after ingestion")
         if self.split is not None:
-            self.split = np.asarray(self.split)
-            if self.split.shape != (n,):
-                raise DimensionError(f"split must have shape ({n},), got {self.split.shape}")
-            bad = ~np.isin(self.split, (TRAIN, VAL, TEST))
-            if bad.any() or (n and self.split.dtype.kind not in "iu"):
+            split = coerce("split", np.asarray(self.split))
+            if split.shape != (n,):
+                raise DimensionError(f"split must have shape ({n},), got {split.shape}")
+            bad = ~np.isin(split, (TRAIN, VAL, TEST))
+            if bad.any() or (n and split.dtype.kind not in "iu"):
                 i = bad.argmax()  # the first bad code, else row 0 of a non-integer split
                 raise DataError(f"split must hold the integer codes 0/1/2 (train/val/test); "
-                                f"row {i} holds {self.split[i].item()!r} ({self.split.dtype})")
+                                f"row {i} holds {split[i].item()!r} ({split.dtype})")
         if self.normalizer is not None:
-            mean, std = self.normalizer = Normalizer(*map(np.asarray, self.normalizer,
-                                                          (float, float)))
+            mean, std = coerce("normalizer", Normalizer(*map(np.asarray, self.normalizer,
+                                                             (float, float))))
             if mean.shape != (d,) or std.shape != (d,) or not (
                     np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
                 raise DataError(f"normalizer needs a finite mean and std > 0 for each of {d} "
                                 f"features, got shapes {mean.shape} and {std.shape}")
         if self.neighbors is not None:
-            nb = self.neighbors = Neighbors(*map(np.asarray, self.neighbors,
-                                                 (np.int64, float, float)))
+            nb = coerce("neighbors", Neighbors(*map(np.asarray, self.neighbors,
+                                                    (np.int64, float, float))))
             rows = self.rows(TRAIN)
             n_train = len(rows)
             if any(c.shape != (n_train,) for c in nb) or not np.isin(nb.index, rows).all() \
@@ -114,7 +118,7 @@ class Dataset:
                 raise DataError(f"neighbors need one entry per train row ({n_train}): the index "
                                 "of a train row, and a finite distance and label gap >= 0")
         if not self.feature_names:
-            self.feature_names = tuple(f"x{j}" for j in range(self.features.shape[1]))
+            coerce("feature_names", tuple(f"x{j}" for j in range(d)))
 
     @property
     def n_rows(self) -> int:
@@ -549,16 +553,16 @@ def load_dataset_cache(path, provenance: dict | None = None) -> Dataset:
     The features are read, never unpickled, from path with the suffix .npy
     into a new writable array, which must be C-ordered '<f8' of shape
     [len(targets), len(feature_names)] and hash to the document's sha256.
-    The rest must pass Dataset's checks. A cache that fails a check, or a
-    file of it that cannot be read, raises a DataError naming the file and
-    saying to run prepare again. If provenance is given, the cache's
-    stamp must equal it; otherwise a ConfigError names the first field that
-    differs.
+    The rest must pass Dataset's checks, and no JSON object may repeat a key.
+    A cache that fails a check, or a file of it that cannot be read, raises a
+    DataError naming the file and saying to run prepare again. If provenance
+    is given, the cache's stamp must equal it; otherwise a ConfigError names
+    the first field that differs.
     """
     npy = Path(path).with_suffix(".npy")
     try:
         with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
+            doc = json.load(f, object_pairs_hook=unique_keys)
         n, d = len(doc["targets"]), len(doc["feature_names"])
         with open(npy, "rb") as f:
             try:

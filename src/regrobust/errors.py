@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the count check that raises one."""
+"""Exception types shared across the package, and the checks that raise them."""
 import numbers
 
 
@@ -47,3 +47,14 @@ def check_count(name: str, value, minimum: int = 1) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+
+
+def unique_keys(pairs) -> dict:
+    """json.load's object_pairs_hook: the object as a dict, or a ConfigError
+    naming a key it repeats, which would otherwise override the first."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"key {key!r} is repeated in one object")
+        doc[key] = value
+    return doc

@@ -7,7 +7,7 @@ aggregates in 3-significant-digit scientific notation.
 """
 import csv
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from operator import attrgetter
 
 import numpy as np
@@ -16,11 +16,11 @@ from . import data as data_mod
 from .attacks import AttackConfig, apply_attack
 from .defenses import DefenseConfig
 from .errors import DataError, TrainingDiverged
-from .losses import mse
+from .losses import mse  # noqa: F401  (kept importable from here)
 from .nn import forward
 from .parallel import pmap
 from .seeding import derive_seed
-from .training import TrainConfig, train
+from .training import TrainConfig, split_mse, train
 
 
 def sci3(x) -> str:
@@ -66,19 +66,19 @@ class PointRecord:
 
 
 def train_models(dataset, defense: DefenseConfig, train_cfg: TrainConfig, n_seeds: int,
-                 jobs: int = 1) -> list:
+                 seed: int, jobs: int = 1) -> list:
     """Train n_seeds independent models; returns [(seed_index, net), ...].
 
-    Retrain seeds are derived from train_cfg.seed, so the list is identical
-    for any jobs setting.
+    Retrain seeds are derived from seed, so the list is identical for any
+    jobs setting.
     """
     def fit(i: int):
-        cfg_i = replace(train_cfg, seed=derive_seed(train_cfg.seed, "retrain", i))
+        seed_i = derive_seed(seed, "retrain", i)
         try:
-            net, _ = train(dataset, defense, cfg_i)
+            net, _ = train(dataset, defense, train_cfg, seed_i)
         except TrainingDiverged as e:
             raise TrainingDiverged(f"defense {defense.kind!r}, retrain seed index {i} "
-                                   f"(seed {cfg_i.seed}): {e}") from e
+                                   f"(seed {seed_i}): {e}") from e
         return net
 
     return list(enumerate(pmap(fit, range(int(n_seeds)), jobs=jobs)))
@@ -86,13 +86,9 @@ def train_models(dataset, defense: DefenseConfig, train_cfg: TrainConfig, n_seed
 
 def evaluate_cell(dataset, defense: DefenseConfig, attack: AttackConfig, models: list) -> list:
     """Test MSE of each trained model (from train_models) under one attack."""
-    _, Xt, Yt = dataset.part(data_mod.TEST)
-    out = []
-    for i, net in models:
-        adv = apply_attack(net, Xt, Yt, attack)
-        out.append(CellRecord(dataset.name, defense.kind, attack.kind, seed=i,
-                              test_mse=mse(Yt, forward(net, adv))))
-    return out
+    return [CellRecord(dataset.name, defense.kind, attack.kind, seed=i,
+                       test_mse=split_mse(net, dataset, data_mod.TEST, attack))
+            for i, net in models]
 
 
 def aggregate(cells) -> list:

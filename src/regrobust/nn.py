@@ -5,16 +5,18 @@ optimizer is laid out as
 
     [w1 row-major, b1, w2, b2]
 
-and every parameter gradient is returned in that layout, built by one
-contraction (_param_grad) over the cached forward intermediates. Every loss
-gradient (batch_backward, grad_penalty_batch, input_gradient) reads one clean
-batch from _clean_terms: the validated inputs and targets, their forward pass,
-the loss derivatives, the ReLU mask and the hidden-layer adjoint. A training
-step builds it once for all its terms. ReLU'(0) is taken to be 0, and all analytic gradients
-are exact for the piecewise-linear network, which is what the
-finite-difference test suites check against.
-The identity head's derivatives are the scalars 1.0 and 0.0, which give the
-same bits as arrays of ones and zeros without allocating them.
+and _views gives its four blocks as views, so a net's weights (vector_to_net)
+and a gradient's blocks write through to it. Every parameter gradient comes
+in that layout, built by one contraction (_param_grad) over the cached
+forward intermediates. Every loss gradient (batch_backward,
+grad_penalty_batch, input_gradient) reads one clean batch from _clean_terms:
+the validated inputs and targets, their forward pass, the loss derivatives,
+the ReLU mask and the hidden-layer adjoint. A training step builds it once
+for all its terms. ReLU'(0) is taken to be 0, and all analytic gradients are
+exact for the piecewise-linear network, which is what the finite-difference
+test suites check against. The identity head's derivatives are the scalars
+1.0 and 0.0, which give the same bits as arrays of ones and zeros without
+allocating them.
 """
 from dataclasses import dataclass
 
@@ -33,16 +35,16 @@ class RegressionNet:
     w1: np.ndarray  # (hidden, input)
     b1: np.ndarray  # (hidden,)
     w2: np.ndarray  # (hidden,)
-    b2: float
+    b2: np.ndarray  # () 0-d, so it too can be a view of a parameter vector
     output_activation: str = "identity"
 
     def __post_init__(self):
         self.w1 = np.asarray(self.w1, dtype=np.float64)
         self.b1 = np.asarray(self.b1, dtype=np.float64)
         self.w2 = np.asarray(self.w2, dtype=np.float64)
-        self.b2 = float(self.b2)
-        if self.w1.ndim != 2:
-            raise DimensionError(f"w1 must be 2-d, got shape {self.w1.shape}")
+        self.b2 = np.asarray(self.b2, dtype=np.float64)
+        if self.w1.ndim != 2 or self.b2.ndim != 0:
+            raise DimensionError(f"w1 must be 2-d, b2 0-d; got {self.w1.shape}, {self.b2.shape}")
         h = self.w1.shape[0]
         if self.b1.shape != (h,) or self.w2.shape != (h,):
             raise DimensionError(
@@ -91,17 +93,20 @@ def params_to_vector(net: RegressionNet) -> np.ndarray:
     return np.concatenate([net.w1.ravel(), net.b1, net.w2, [net.b2]])
 
 
+def _views(vec: np.ndarray, h: int, d: int) -> tuple:
+    """(w1, b1, w2, b2) of a flat vector in the parameter layout as views of it, b2 0-d."""
+    k = h * d
+    return vec[:k].reshape(h, d), vec[k : k + h], vec[k + h : k + 2 * h], vec[-1, ...]
+
+
 def vector_to_net(net: RegressionNet, theta: np.ndarray) -> RegressionNet:
-    """Rebuild a net with the same architecture from a flat parameter vector."""
+    """A net of net's architecture whose weights are views of the flat vector theta."""
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (net.n_params,):
         raise DimensionError(
             f"expected parameter vector of shape ({net.n_params},), got {theta.shape}"
         )
-    h, d = net.hidden_dim, net.input_dim
-    k = h * d
-    return RegressionNet(w1=theta[:k].reshape(h, d), b1=theta[k : k + h],
-                         w2=theta[k + h : k + 2 * h], b2=theta[-1],
+    return RegressionNet(*_views(theta, net.hidden_dim, net.input_dim),
                          output_activation=net.output_activation)
 
 
@@ -167,16 +172,16 @@ def _param_grad(net: RegressionNet, X, a, g_u, dz=None) -> np.ndarray:
     exactly where z > 0), and g_u (N,) the weight on each row's pre-output.
     dz, if given, is relu'(z) * w2 * g_u[:, None], built by the caller.
     """
-    h, d = net.w1.shape
     grad = np.empty(net.n_params)
+    g_w1, g_b1, g_w2, g_b2 = _views(grad, *net.w1.shape)
     # einsum adds the rows in order, as .sum(axis=0) does, about 3x faster on a narrow array.
-    np.einsum("ij,i->j", a, g_u, out=grad[-h - 1 : -1])
+    np.einsum("ij,i->j", a, g_u, out=g_w2)
     if dz is None:
         dz = (a > 0.0) * net.w2  # (N, H)
         dz *= g_u[:, None]
-    np.matmul(dz.T, X, out=grad[: h * d].reshape(h, d))
-    np.einsum("ij->j", dz, out=grad[h * d : -h - 1])
-    grad[-1] = g_u.sum()
+    np.matmul(dz.T, X, out=g_w1)
+    np.einsum("ij->j", dz, out=g_b1)
+    g_b2[...] = g_u.sum()
     return grad
 
 
@@ -250,8 +255,8 @@ def grad_penalty_batch(net: RegressionNet, X, Y, sigma: float, loss: str = "squa
     v = s @ net.w1.T  # (N, H)
     kc = k * (v * mw2).sum(axis=1)  # (N,)
     grad = _param_grad(net, X, a, kc, mw2 * kc[:, None])
+    g_w1, _, g_w2, _ = _views(grad, *net.w1.shape)
     # Terms where theta enters d_x directly rather than through g_u.
-    n_w1 = net.w1.size
-    grad[:n_w1] += (dz.T @ s).ravel()
-    grad[n_w1 + net.hidden_dim : -1] += np.einsum("ij,i->j", v * on, g_u)
+    g_w1 += dz.T @ s
+    g_w2 += np.einsum("ij,i->j", v * on, g_u)
     return penalties, sigma * grad

@@ -1,9 +1,9 @@
 """Minibatch Adam training and random-search hyperparameter tuning.
 
-A training run is a TrainState: start_training builds it and run_epochs
-advances it by whole epochs, so a run can be stopped, inspected and resumed.
-train is the two in one call. Each takes a prepared dataset, whose neighbors
-feed a defense's stability penalty.
+A training run is a TrainState, which holds all the run reads: start_training
+builds it from a prepared dataset, a defense, a TrainConfig and a seed, and
+run_epochs(state, epochs) advances it, so a run can be stopped, inspected and
+resumed. train is the two in one call. split_mse scores a net on one split.
 """
 import ctypes
 import math
@@ -30,7 +30,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 32
     epochs: int = 200
-    seed: int = 0
     hidden_dim: int | None = None  # None: hidden layer as wide as the input
 
     def __post_init__(self):
@@ -104,13 +103,15 @@ def _reuse_freed_arrays() -> None:
 class TrainState:
     """A training run between epochs, as start_training builds it and run_epochs advances it.
 
-    net's w1, b1 and w2 are views of theta, which each Adam step overwrites,
-    and b2 is copied from it. step counts the Adam steps taken and epoch the
-    epochs completed, both from the start. The generators go on where the
-    last epoch left them; rng_penalty is None unless the defense the run was
-    started under draws stability perturbations.
+    It trains on dataset's train split under defense, by cfg. Every weight
+    of net is a view of theta, which each Adam step overwrites. step counts
+    the Adam steps taken and epoch the epochs completed, both from the start.
+    The generators go on where the last epoch left them; rng_penalty is None
+    unless defense draws stability perturbations.
     """
 
+    dataset: data_mod.Dataset
+    defense: DefenseConfig
     cfg: TrainConfig
     net: RegressionNet
     theta: np.ndarray
@@ -121,30 +122,37 @@ class TrainState:
     epoch: int = 0
 
 
-def start_training(dataset, defense: DefenseConfig, cfg: TrainConfig) -> TrainState:
-    """A fresh network for dataset's features, seeded from cfg, before its first epoch."""
+def start_training(dataset, defense: DefenseConfig, cfg: TrainConfig, seed: int) -> TrainState:
+    """A fresh network for dataset's features, every stream derived from seed, before its
+    first epoch. Needs a train row, and dataset.neighbors if defense draws perturbations."""
+    if len(dataset.rows(data_mod.TRAIN)) < 1:
+        raise ConfigError("train split is empty")
+    if defense.needs_neighbors and dataset.neighbors is None:
+        raise ConfigError(f"defense {defense.kind!r} needs precomputed neighbors")
     activation = "sigmoid" if dataset.target_bounded_01 else "identity"
-    rng_init = np.random.default_rng(derive_seed(cfg.seed, "init"))
+    rng_init = np.random.default_rng(derive_seed(seed, "init"))
     net = initialize(dataset.features.shape[1], rng_init, hidden_dim=cfg.hidden_dim,
                      output_activation=activation)
     theta = params_to_vector(net)
     return TrainState(
+        dataset=dataset,
+        defense=defense,
         cfg=cfg,
         net=vector_to_net(net, theta),
         theta=theta,
         adam=AdamState.zeros(theta.size),
-        rng_shuffle=np.random.default_rng(derive_seed(cfg.seed, "shuffle")),
-        rng_penalty=(np.random.default_rng(derive_seed(cfg.seed, "penalty"))
+        rng_shuffle=np.random.default_rng(derive_seed(seed, "shuffle")),
+        rng_penalty=(np.random.default_rng(derive_seed(seed, "penalty"))
                      if defense.needs_neighbors else None),
     )
 
 
-def run_epochs(state: TrainState, dataset, defense: DefenseConfig, epochs: int):
-    """Train state's network for epochs more epochs on the train split; returns their mean losses.
+def run_epochs(state: TrainState, epochs: int):
+    """Train state's network for epochs more epochs on its train split; returns their mean losses.
 
     Each mean is the full defended objective, averaged over minibatches by
     size. Fresh stability perturbations are drawn for every minibatch step,
-    from dataset.neighbors, which a defense that draws them needs.
+    from the dataset's neighbors, if the defense draws them.
     A run cut into several calls is the uninterrupted run bit for bit.
     Aborts with TrainingDiverged, naming the epoch and step counted from the
     start, the moment the loss, the parameters or Adam's second moment go
@@ -152,27 +160,15 @@ def run_epochs(state: TrainState, dataset, defense: DefenseConfig, epochs: int):
     arrays, so a library caller trains as fast as the CLI.
     """
     check_count("epochs", epochs, minimum=0)
-    _, X, Y = dataset.part(data_mod.TRAIN)
+    _, X, Y = state.dataset.part(data_mod.TRAIN)
     n = len(Y)
-    if n < 1:
-        raise ConfigError("train split is empty")
-    net = state.net
-    if X.shape[1] != net.input_dim:
-        raise DimensionError(f"the train split has {X.shape[1]} features, the net {net.input_dim}")
-
-    if defense.needs_neighbors:
-        if dataset.neighbors is None:
-            raise ConfigError(f"defense {defense.kind!r} needs precomputed neighbors")
-        if state.rng_penalty is None:
-            raise ConfigError(f"defense {defense.kind!r} draws perturbations; this run was "
-                              "started under a defense that does not")
-        nn_d, gaps = dataset.neighbors.distance, dataset.neighbors.label_gap
-    else:
-        nn_d = gaps = None
+    defense, neighbors = state.defense, state.dataset.neighbors
+    nn_d, gaps = ((neighbors.distance, neighbors.label_gap) if defense.needs_neighbors
+                  else (None, None))
 
     _reuse_freed_arrays()
     # Held in locals, so a step reads no attributes; written back after the loop.
-    cfg, theta, adam, t = state.cfg, state.theta, state.adam, state.step
+    net, cfg, theta, adam, t = state.net, state.cfg, state.theta, state.adam, state.step
     rng_shuffle, rng_penalty = state.rng_shuffle, state.rng_penalty
     bs = int(cfg.batch_size)
     history = []
@@ -200,21 +196,28 @@ def run_epochs(state: TrainState, dataset, defense: DefenseConfig, epochs: int):
                 raise TrainingDiverged(f"non-finite Adam second moment at epoch {epoch + 1}, "
                                        f"step {t}")
             theta[...] = new_theta
-            net.b2 = float(theta[-1])
             epoch_loss += loss * len(idx)
         history.append(epoch_loss / n)
     state.adam, state.step, state.epoch = adam, t, state.epoch + epochs
     return history
 
 
-def train(dataset, defense: DefenseConfig, cfg: TrainConfig):
+def train(dataset, defense: DefenseConfig, cfg: TrainConfig, seed: int):
     """Train a fresh network on the train split under the given defense.
 
     start_training, then run_epochs for cfg.epochs epochs. Returns (net,
     history) where history is run_epochs' per-epoch mean training loss.
     """
-    state = start_training(dataset, defense, cfg)
-    return state.net, run_epochs(state, dataset, defense, cfg.epochs)
+    state = start_training(dataset, defense, cfg, seed)
+    return state.net, run_epochs(state, cfg.epochs)
+
+
+def split_mse(net: RegressionNet, dataset, which: int, attack: AttackConfig | None) -> float:
+    """MSE of net on one split of dataset, its rows attacked first unless attack is None."""
+    _, X, Y = dataset.part(which)
+    if attack is not None:
+        X = apply_attack(net, X, Y, attack)
+    return mse(Y, forward(net, X))
 
 
 # The uniform interval each defense hyperparameter is drawn from.
@@ -251,25 +254,19 @@ class TrialRecord:
     train_seed: int
 
 
-def _objective_value(net: RegressionNet, dataset, objective: str, attack: AttackConfig) -> float:
-    _, Xv, Yv = dataset.part(data_mod.VAL)
-    if objective == "val_mse_pgd":
-        Xv = apply_attack(net, Xv, Yv, attack)
-    return mse(Yv, forward(net, Xv))
-
-
 def random_search(dataset, base: DefenseConfig, space: SearchSpace, seed: int,
                   train_cfg: TrainConfig, attack: AttackConfig = DEFAULT_PGD, candidates=(),
                   jobs: int = 1):
     """Uniform random search over the params of base's defense kind.
 
     A sampled trial is base with those params drawn, so n_samples comes from
-    base. Trains one model per trial (seeded from seed, so train_cfg's own
-    seed is not read), scores it on the validation split by space.objective,
-    and returns (best, records) where records logs every trial and best is
-    the record of the winning trial. Ties go to the earliest trial. Explicit
-    candidate configs, if given, are evaluated before the sampled ones.
-    Raises SearchFailed (carrying the log) if every trial diverged.
+    base. Trains one model per trial by train_cfg, from the trial's seed (its
+    train_seed, derived from seed), scores it on the validation split by
+    space.objective with split_mse, and returns (best, records) where records
+    logs every trial and best is the record of the winning trial. Ties go to
+    the earliest trial. Explicit candidate configs, if given, are evaluated
+    before the sampled ones. Raises SearchFailed (carrying the log) if every
+    trial diverged.
     """
     configs = [(c, "injected") for c in candidates]
     for i in range(space.n_trials):
@@ -284,10 +281,11 @@ def random_search(dataset, base: DefenseConfig, space: SearchSpace, seed: int,
 
     def score(rec: TrialRecord) -> float:
         try:
-            net, _ = train(dataset, rec.config, replace(train_cfg, seed=rec.train_seed))
+            net, _ = train(dataset, rec.config, train_cfg, rec.train_seed)
         except TrainingDiverged:
             return float("nan")
-        return _objective_value(net, dataset, space.objective, attack)
+        return split_mse(net, dataset, data_mod.VAL,
+                         attack if space.objective == "val_mse_pgd" else None)
 
     for rec, value in zip(records, pmap(score, records, jobs=jobs)):
         rec.value = float(value)

@@ -248,8 +248,14 @@ class TestPrepare:
         "edit,field",
         [
             (lambda d: d["defenses"][0].update(kind="voodoo"), "defenses[0]"),
-            (lambda d: d.update(fractions=[0.6, "x", 0.2]), "config.fractions"),
-            (lambda d: d.update(fractions=[0.6, None, 0.2]), "config.fractions"),
+            (lambda d: d.update(fractions=[0.6, "x", 0.2]),
+             "config.fractions[1]: expected float, got 'x'"),
+            (lambda d: d.update(fractions=[0.6, None, 0.2]),
+             "config.fractions[1]: expected float, got None"),
+            (lambda d: d.update(fractions=["0.6", "0.2", "0.2"]),
+             "config.fractions[0]: expected float, got '0.6'"),
+            (lambda d: d.update(fractions=[True, 0, 0]),
+             "config.fractions[0]: expected float, got True"),
             (lambda d: d["search"].update(n_trials="x"), "search.n_trials: expected int"),
             (lambda d: d["search"].update(n_trials=None), "search.n_trials: expected int"),
             (lambda d: d["train"].update(epoch=5), "train.epoch: unknown field"),
@@ -260,8 +266,7 @@ class TestPrepare:
             (lambda d: d["attacks"][0].update(epsilon=9.0),
              "attacks[0].epsilon: unknown field; a 'none' entry takes only kind"),
             (lambda d: d["defenses"][2].update(norm_p="inf"), "defenses[2].norm_p: unknown field"),
-            (lambda d: d["train"].update(seed=3),
-             "train.seed: unknown field; the top-level seed sets it"),
+            (lambda d: d["train"].update(seed=3), "train.seed: unknown field"),
             (lambda d: d.update(n_samples=0), "config.n_samples: must be >= 1, got 0"),
             (lambda d: d["defenses"][2].update(n_samples=4),
              "defenses[2].n_samples: unknown field; the top-level n_samples sets it"),
@@ -277,7 +282,8 @@ class TestPrepare:
             (lambda d: d["train"].update(hidden_dim=-1),
              "train: hidden_dim must be >= 1, got -1"),
         ],
-        ids=["defense-kind", "fractions-str", "fractions-null", "search-str", "search-null",
+        ids=["defense-kind", "fractions-str", "fractions-null", "fractions-numeric-str",
+             "fractions-bool", "search-str", "search-null",
              "train-epoch", "defense-lam", "attack-sptes", "fgsm-rho", "none-epsilon",
              "norm-p", "train-seed", "n-samples-zero", "tuned-n-samples", "tuned-beta",
              "grad-reg-lambda", "search-n-trials", "search-objective", "search-objective-int",

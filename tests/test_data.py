@@ -7,7 +7,7 @@ import re
 import tempfile
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 from unittest import mock
 
@@ -611,6 +611,17 @@ class TestPreparedDataset:
         with pytest.raises(DataError, match="no split assigned"):
             replace(ds, split=None)
 
+    @pytest.mark.parametrize("field", ["split", "neighbors", "features", "normalizer", "name"])
+    def test_no_field_can_be_reassigned_past_the_checks(self, field):
+        ds = self._prepared()
+        before = getattr(ds, field)
+        bad = {"split": np.full(ds.n_rows, 7),  # codes the checks refuse, and twice the rows
+               "neighbors": Neighbors(*(np.concatenate([c, c]) for c in ds.neighbors)),
+               "features": np.zeros((2, 1)), "normalizer": None, "name": "other"}[field]
+        with pytest.raises(FrozenInstanceError):
+            setattr(ds, field, bad)
+        assert getattr(ds, field) is before
+
     def test_split_and_normalize_drop_the_neighbors(self):
         ds = self._prepared()
         resplit = split_dataset(ds, seed=9)
@@ -1091,6 +1102,17 @@ class TestCache:
         edit(doc["normalizer"])
         p.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="malformed .*run prepare again"):
+            load_dataset_cache(p)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        p = tmp_path / "cache.json"
+        save_dataset_cache(p, self._prepared())
+        text = p.read_text()
+        assert text.startswith('{"feature_names"')
+        p.write_text('{"name": "other", ' + text[1:])  # a second "name", which would win
+        with pytest.raises(DataError, match=re.escape(
+                f"malformed dataset cache {p}: key 'name' is repeated in one object; "
+                "run prepare again")):
             load_dataset_cache(p)
 
     def test_unsplit_dataset_rejected(self, tmp_path):

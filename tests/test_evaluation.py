@@ -90,9 +90,9 @@ class TestEvaluateCell:
     def test_clean_cell_on_learnable_data(self, lin_ds):
         # width 1 (the 1-d default) is a single relu hinge and leaves some
         # seeds stuck near the 1e-2 bar, so give the fit a few units
-        cfg = TrainConfig(learning_rate=0.01, epochs=300, seed=0, hidden_dim=8)
+        cfg = TrainConfig(learning_rate=0.01, epochs=300, hidden_dim=8)
         defense = DefenseConfig(kind="none")
-        models = train_models(lin_ds, defense, cfg, 2)
+        models = train_models(lin_ds, defense, cfg, 2, 0)
         cells = evaluate_cell(lin_ds, defense, AttackConfig(kind="none"), models)
         assert len(cells) == 2
         assert {c.seed for c in cells} == {0, 1}
@@ -100,22 +100,22 @@ class TestEvaluateCell:
         assert all(c.attack == "none" and c.defense == "none" for c in cells)
 
     def test_seeds_differ_but_run_is_reproducible(self, lin_ds):
-        cfg = TrainConfig(learning_rate=0.01, epochs=60, seed=0)
+        cfg = TrainConfig(learning_rate=0.01, epochs=60)
         defense = DefenseConfig(kind="none")
-        a = evaluate_cell(lin_ds, defense, DEFAULT_PGD, train_models(lin_ds, defense, cfg, 2))
-        b = evaluate_cell(lin_ds, defense, DEFAULT_PGD, train_models(lin_ds, defense, cfg, 2))
+        a = evaluate_cell(lin_ds, defense, DEFAULT_PGD, train_models(lin_ds, defense, cfg, 2, 0))
+        b = evaluate_cell(lin_ds, defense, DEFAULT_PGD, train_models(lin_ds, defense, cfg, 2, 0))
         assert [c.test_mse for c in a] == [c.test_mse for c in b]
         assert a[0].test_mse != a[1].test_mse
 
     def test_shared_models_reused_across_attacks(self, lin_ds):
-        cfg = TrainConfig(learning_rate=0.01, epochs=60, seed=0)
+        cfg = TrainConfig(learning_rate=0.01, epochs=60)
         defense = DefenseConfig(kind="none")
-        models = train_models(lin_ds, defense, cfg, 2)
+        models = train_models(lin_ds, defense, cfg, 2, 0)
         clean = evaluate_cell(lin_ds, defense, AttackConfig(kind="none"), models)
         evaluate_cell(lin_ds, defense, DEFAULT_PGD, models)
         again = evaluate_cell(lin_ds, defense, AttackConfig(kind="none"), models)
         retrained = evaluate_cell(
-            lin_ds, defense, AttackConfig(kind="none"), train_models(lin_ds, defense, cfg, 2)
+            lin_ds, defense, AttackConfig(kind="none"), train_models(lin_ds, defense, cfg, 2, 0)
         )
         assert [c.test_mse for c in clean] == [c.test_mse for c in again]
         assert [c.test_mse for c in clean] == [c.test_mse for c in retrained]
@@ -124,17 +124,17 @@ class TestEvaluateCell:
     def test_divergence_identifies_seed(self, lin_ds, jobs):
         # At jobs 2 the message comes from a forked worker, whose warnings pytest
         # cannot record, so there the overflow is silenced instead.
-        cfg = TrainConfig(learning_rate=1e160, epochs=2, seed=0)
+        cfg = TrainConfig(learning_rate=1e160, epochs=2)
         overflow = (pytest.warns(RuntimeWarning) if jobs == 1
                     else np.errstate(over="ignore", invalid="ignore"))
         with overflow, pytest.raises(TrainingDiverged,
                                      match=r"defense 'none', retrain seed index 0 \(seed \d+\): "):
-            train_models(lin_ds, DefenseConfig(kind="none"), cfg, 2, jobs=jobs)
+            train_models(lin_ds, DefenseConfig(kind="none"), cfg, 2, 0, jobs=jobs)
 
     def test_jobs_do_not_change_models(self, lin_ds):
-        cfg = TrainConfig(learning_rate=0.01, epochs=40, seed=3)
-        serial = train_models(lin_ds, DefenseConfig(kind="none"), cfg, 3, jobs=1)
-        par = train_models(lin_ds, DefenseConfig(kind="none"), cfg, 3, jobs=2)
+        cfg = TrainConfig(learning_rate=0.01, epochs=40)
+        serial = train_models(lin_ds, DefenseConfig(kind="none"), cfg, 3, 3, jobs=1)
+        par = train_models(lin_ds, DefenseConfig(kind="none"), cfg, 3, 3, jobs=2)
         for (i, a), (j, b) in zip(serial, par):
             assert i == j
             assert np.array_equal(a.w1, b.w1) and a.b2 == b.b2
@@ -151,8 +151,8 @@ class TestPerturbationProfile:
         assert all(r.pred_clean == 2.0 and r.pred_adv == 2.0 for r in records)
 
     def test_fields_consistent(self, lin_ds):
-        cfg = TrainConfig(learning_rate=0.01, epochs=200, seed=0)
-        net, _ = train(lin_ds, DefenseConfig(kind="none"), cfg)
+        cfg = TrainConfig(learning_rate=0.01, epochs=200)
+        net, _ = train(lin_ds, DefenseConfig(kind="none"), cfg, 0)
         records = perturbation_profile(lin_ds, DefenseConfig(kind="none"), DEFAULT_PGD,
                                        [(0, net)], nn_to_train(lin_ds))
         for r in records:

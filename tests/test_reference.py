@@ -10,10 +10,10 @@ from dataclasses import replace
 from conftest import REPO
 from regrobust import cli
 from regrobust.config import _JSON_KEYS, load_experiment_config
-from regrobust.data import load_dataset_cache
+from regrobust.data import VAL, load_dataset_cache
 from regrobust.defenses import DefenseConfig
 from regrobust.parallel import pmap
-from regrobust.training import _objective_value, train
+from regrobust.training import split_mse, train
 
 REFERENCE = REPO / "out" / "boston"
 
@@ -72,8 +72,9 @@ def test_tracked_winning_trials_replay_bit_for_bit():
         doc = json.loads((REFERENCE / f"tuned_{kind}.json").read_text())
         trial = _trials(kind)[doc["best_trial"]]
         assert trial["config"] == doc["config"]
-        net, _ = train(ds, config, replace(cfg.train, seed=trial["train_seed"]))
-        return _objective_value(net, ds, cfg.search.objective, cfg.tuning_attack), doc["best_value"]
+        net, _ = train(ds, config, cfg.train, trial["train_seed"])
+        attack = cfg.tuning_attack if cfg.search.objective == "val_mse_pgd" else None
+        return split_mse(net, ds, VAL, attack), doc["best_value"]
 
     # The two stability-penalty kinds go first: they take most of the time.
     kinds = sorted(_tuned_kinds(cfg), key=lambda k: "lam" not in DefenseConfig(kind=k).params)

@@ -125,8 +125,8 @@ class TestTrain:
     def test_fits_linear_data(self, lin_ds):
         # width 1 (the 1-d default) is a single relu hinge and cannot cover
         # the whole line, so give the fit a few units
-        cfg = TrainConfig(learning_rate=0.01, epochs=400, seed=0, hidden_dim=8)
-        net, hist = train(lin_ds, DefenseConfig(kind="none"), cfg)
+        cfg = TrainConfig(learning_rate=0.01, epochs=400, hidden_dim=8)
+        net, hist = train(lin_ds, DefenseConfig(kind="none"), cfg, 0)
         rows = lin_ds.rows(TEST)
         pred = forward(net, lin_ds.features[rows])
         assert np.mean((lin_ds.targets[rows] - pred) ** 2) < 1e-3
@@ -135,22 +135,21 @@ class TestTrain:
         assert all(np.isfinite(h) for h in hist)
 
     def test_deterministic_given_seed(self, lin_ds):
-        cfg = TrainConfig(learning_rate=0.01, epochs=30, seed=5)
-        n1, h1 = train(lin_ds, DefenseConfig(kind="none"), cfg)
-        n2, h2 = train(lin_ds, DefenseConfig(kind="none"), cfg)
+        cfg = TrainConfig(learning_rate=0.01, epochs=30)
+        n1, h1 = train(lin_ds, DefenseConfig(kind="none"), cfg, 5)
+        n2, h2 = train(lin_ds, DefenseConfig(kind="none"), cfg, 5)
         assert np.array_equal(params_to_vector(n1), params_to_vector(n2))
         assert h1 == h2
 
     def test_seed_changes_the_model(self, lin_ds):
-        cfg1 = TrainConfig(learning_rate=0.01, epochs=30, seed=5)
-        cfg2 = TrainConfig(learning_rate=0.01, epochs=30, seed=6)
-        n1, _ = train(lin_ds, DefenseConfig(kind="none"), cfg1)
-        n2, _ = train(lin_ds, DefenseConfig(kind="none"), cfg2)
+        cfg = TrainConfig(learning_rate=0.01, epochs=30)
+        n1, _ = train(lin_ds, DefenseConfig(kind="none"), cfg, 5)
+        n2, _ = train(lin_ds, DefenseConfig(kind="none"), cfg, 6)
         assert not np.array_equal(params_to_vector(n1), params_to_vector(n2))
 
     def test_ansr_needs_neighbors(self, lin_ds):
         with pytest.raises(ConfigError, match="neighbors"):
-            train(lin_ds, DefenseConfig(kind="ansr"), TrainConfig(epochs=1))
+            train(lin_ds, DefenseConfig(kind="ansr"), TrainConfig(epochs=1), 0)
 
     def test_ansr_rejects_neighbors_of_another_split(self, lin_ds):
         # Columns for 3 rows never reach training: the dataset refuses them.
@@ -166,34 +165,35 @@ class TestTrain:
         ds = redo(with_neighbors(lin_ds))
         assert ds.neighbors is None
         with pytest.raises(ConfigError, match="needs precomputed neighbors"):
-            train(ds, DefenseConfig(kind="ansr"), TrainConfig(epochs=1))
+            train(ds, DefenseConfig(kind="ansr"), TrainConfig(epochs=1), 0)
 
     def test_ansr_deterministic_with_neighbors(self, lin_ds):
         ds = with_neighbors(lin_ds)
-        cfg = TrainConfig(learning_rate=0.01, epochs=10, seed=2)
+        cfg = TrainConfig(learning_rate=0.01, epochs=10)
         d = DefenseConfig(kind="ansr", beta=1.0, lam=1.0, n_samples=16)
-        n1, _ = train(ds, d, cfg)
-        n2, _ = train(ds, d, cfg)
+        n1, _ = train(ds, d, cfg, 2)
+        n2, _ = train(ds, d, cfg, 2)
         assert np.array_equal(params_to_vector(n1), params_to_vector(n2))
 
     def test_strong_stability_penalty_flattens_predictions(self, lin_ds):
         # A large penalty weight should visibly shrink the prediction spread
         # relative to an unpenalized run from the same seed.
-        cfg = TrainConfig(learning_rate=0.01, epochs=300, seed=1)
+        cfg = TrainConfig(learning_rate=0.01, epochs=300)
         flat, _ = train(
             with_neighbors(lin_ds),
             DefenseConfig(kind="ansr", beta=4.0, lam=500.0, n_samples=32),
             cfg,
+            1,
         )
-        free, _ = train(lin_ds, DefenseConfig(kind="none"), cfg)
+        free, _ = train(lin_ds, DefenseConfig(kind="none"), cfg, 1)
         X = lin_ds.features
         assert np.std(forward(flat, X)) < 0.5 * np.std(forward(free, X))
 
     def test_divergence_aborts_with_step_info(self, lin_ds):
-        cfg = TrainConfig(learning_rate=1e160, epochs=5, seed=0)
+        cfg = TrainConfig(learning_rate=1e160, epochs=5)
         with (pytest.warns(RuntimeWarning),
               pytest.raises(TrainingDiverged, match=r"epoch \d+, step \d+")):
-            train(lin_ds, DefenseConfig(kind="none"), cfg)
+            train(lin_ds, DefenseConfig(kind="none"), cfg, 0)
 
     def test_divergence_after_a_resume_names_the_absolute_epoch_and_step(self):
         # On these positive inputs the one hidden unit is dead, so only b2 moves, and
@@ -202,17 +202,17 @@ class TestTrain:
         X = np.random.default_rng(0).uniform(0.5, 1, size=(60, 1))
         ds = split_dataset(Dataset(features=X, targets=np.ones(60), split=None,
                                    target_bounded_01=True), seed=1)
-        cfg = TrainConfig(learning_rate=1e308, batch_size=20, epochs=5, seed=1, hidden_dim=1)
+        cfg = TrainConfig(learning_rate=1e308, batch_size=20, epochs=5, hidden_dim=1)
         none = DefenseConfig(kind="none")
         with np.errstate(over="ignore"):
             with pytest.raises(TrainingDiverged, match=r"parameters at epoch 2, step 3$"):
-                train(ds, none, cfg)
-            state = start_training(ds, none, cfg)
+                train(ds, none, cfg, 1)
+            state = start_training(ds, none, cfg, 1)
             assert state.net.w1[0, 0] < 0
-            assert len(run_epochs(state, ds, none, 1)) == 1
+            assert len(run_epochs(state, 1)) == 1
             assert state.step == 2 and np.isfinite(state.adam.v).all()
             with pytest.raises(TrainingDiverged, match=r"parameters at epoch 2, step 3$"):
-                run_epochs(state, ds, none, cfg.epochs - 1)
+                run_epochs(state, cfg.epochs - 1)
 
     def test_overflowed_second_moment_is_divergence(self):
         # Every loss and theta stays finite through step 2, but its gradient squared
@@ -224,11 +224,11 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=10**76.5, epochs=5, hidden_dim=8)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(TrainingDiverged, match=r"second moment at epoch 1, step 2$"):
-            train(ds, DefenseConfig(kind="none"), cfg)
+            train(ds, DefenseConfig(kind="none"), cfg, 0)
 
     def test_sigmoid_output_for_bounded_targets(self):
         ds = bounded_dataset()
-        net, _ = train(ds, DefenseConfig(kind="none"), TrainConfig(epochs=5, seed=0))
+        net, _ = train(ds, DefenseConfig(kind="none"), TrainConfig(epochs=5), 0)
         assert net.output_activation == "sigmoid"
         out = forward(net, ds.features)
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
@@ -260,13 +260,13 @@ class TestResume:
         epochs, cuts = run
         ds = HEADS[head]
         defense = DefenseConfig(kind=kind, n_samples=8)
-        cfg = TrainConfig(learning_rate=0.01, batch_size=16, epochs=epochs, seed=seed)
-        whole = start_training(ds, defense, cfg)
-        whole_history = run_epochs(whole, ds, defense, epochs)
-        cut = start_training(ds, defense, cfg)
+        cfg = TrainConfig(learning_rate=0.01, batch_size=16, epochs=epochs)
+        whole = start_training(ds, defense, cfg, seed)
+        whole_history = run_epochs(whole, epochs)
+        cut = start_training(ds, defense, cfg, seed)
         history = []
         for lo, hi in zip([0, *cuts], [*cuts, epochs]):
-            history += run_epochs(cut, ds, defense, hi - lo)
+            history += run_epochs(cut, hi - lo)
         assert history == whole_history
         for a, b in zip(_state_fields(cut), _state_fields(whole)):
             assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
@@ -274,41 +274,54 @@ class TestResume:
         assert cut.net.output_activation == ("sigmoid" if head == "sigmoid" else "identity")
 
     def test_train_is_one_run_of_all_epochs(self, lin_ds):
-        cfg = TrainConfig(learning_rate=0.01, epochs=7, seed=3)
+        cfg = TrainConfig(learning_rate=0.01, epochs=7)
         defense = DefenseConfig(kind="grad_reg")
-        net, history = train(lin_ds, defense, cfg)
-        state = start_training(lin_ds, defense, cfg)
-        assert run_epochs(state, lin_ds, defense, cfg.epochs) == history
+        net, history = train(lin_ds, defense, cfg, 3)
+        state = start_training(lin_ds, defense, cfg, 3)
+        assert run_epochs(state, cfg.epochs) == history
         assert np.array_equal(state.theta, params_to_vector(net))
         assert state.step == 7 * 3  # 90 train rows in batches of 32
 
     def test_zero_epochs_leave_the_state_as_it_was(self, lin_ds):
         defense = DefenseConfig(kind="ansr", n_samples=4)
         ds = with_neighbors(lin_ds)
-        state = start_training(ds, defense, TrainConfig(epochs=3))
-        run_epochs(state, ds, defense, 1)
+        state = start_training(ds, defense, TrainConfig(epochs=3), 0)
+        run_epochs(state, 1)
         before = [np.copy(f) if isinstance(f, np.ndarray) else f for f in _state_fields(state)]
-        assert run_epochs(state, ds, defense, 0) == []
+        assert run_epochs(state, 0) == []
         for a, b in zip(_state_fields(state), before):
             assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
+    def test_every_weight_is_a_view_of_theta(self, lin_ds):
+        state = start_training(lin_ds, DefenseConfig(kind="none"), TrainConfig(), 0)
+        X = lin_ds.features[:5]
+        before = forward(state.net, X)
+        state.theta[-1] += 1.0  # b2 moves every prediction of the identity head
+        assert np.array_equal(forward(state.net, X), before + 1.0)
+        state.theta[:] = 0.0
+        assert np.array_equal(forward(state.net, X), np.zeros(5))
+        assert state.net.b2.shape == () and state.net.b2.base is state.theta
+
+    def test_the_state_holds_its_dataset_and_defense(self, lin_ds):
+        defense = DefenseConfig(kind="grad_reg")
+        state = start_training(lin_ds, defense, TrainConfig(), 0)
+        assert state.dataset is lin_ds and state.defense is defense
+
+    def test_seed_is_an_argument_not_a_config_field(self):
+        with pytest.raises(TypeError, match="seed"):
+            TrainConfig(seed=1)
+
+    def test_empty_train_split_rejected_before_the_first_step(self, lin_ds):
+        no_train = replace(lin_ds, split=np.where(lin_ds.split == 0, 1, lin_ds.split))
+        with pytest.raises(ConfigError, match="train split is empty"):
+            start_training(no_train, DefenseConfig(kind="none"), TrainConfig(), 0)
+
     @pytest.mark.parametrize("epochs", [2.5, 1.0, True, -1, "2", None])
     def test_bad_epoch_count_rejected(self, lin_ds, epochs):
-        state = start_training(lin_ds, DefenseConfig(kind="none"), TrainConfig())
+        state = start_training(lin_ds, DefenseConfig(kind="none"), TrainConfig(), 0)
         with pytest.raises(ConfigError, match="epochs must be"):
-            run_epochs(state, lin_ds, DefenseConfig(kind="none"), epochs)
+            run_epochs(state, epochs)
         assert state.step == 0
-
-    def test_other_feature_count_rejected(self, lin_ds):
-        state = start_training(lin_ds, DefenseConfig(kind="none"), TrainConfig())
-        with pytest.raises(DimensionError, match="2 features, the net 1"):
-            run_epochs(state, bounded_dataset(), DefenseConfig(kind="none"), 1)
-        assert state.step == 0
-
-    def test_penalty_needs_a_run_started_with_one(self, lin_ds):
-        state = start_training(lin_ds, DefenseConfig(kind="grad_reg"), TrainConfig())
-        with pytest.raises(ConfigError, match="started under a defense that does not"):
-            run_epochs(state, with_neighbors(lin_ds), DefenseConfig(kind="combined"), 1)
 
 
 @pytest.mark.parametrize("make,field", [
@@ -335,8 +348,8 @@ def test_numpy_integer_counts_accepted(lin_ds):
     assert SearchSpace(n_trials=i(2)).n_trials == 2
     assert DefenseConfig(kind="ansr", n_samples=i(4)).n_samples == 4
     assert AttackConfig(kind="pgd", steps=i(3)).steps == 3
-    state = start_training(lin_ds, DefenseConfig(kind="none"), cfg)
-    assert len(run_epochs(state, lin_ds, DefenseConfig(kind="none"), cfg.epochs)) == 2
+    state = start_training(lin_ds, DefenseConfig(kind="none"), cfg, 0)
+    assert len(run_epochs(state, cfg.epochs)) == 2
     assert state.step == 2 * 12  # 90 train rows in batches of 8
 
 
@@ -368,7 +381,7 @@ PSEUDO_HUBER = DefenseConfig(kind="pseudo_huber")
 class TestRandomSearch:
     def test_single_trial_returns_it_and_logs(self, lin_ds):
         space = SearchSpace(n_trials=1, objective="val_mse_clean")
-        cfg = TrainConfig(learning_rate=0.01, epochs=60, seed=0)
+        cfg = TrainConfig(learning_rate=0.01, epochs=60)
         best, records = random_search(lin_ds, PSEUDO_HUBER, space, seed=3, train_cfg=cfg)
         assert len(records) == 1
         assert records[0] is best
@@ -377,7 +390,7 @@ class TestRandomSearch:
 
     def test_log_is_complete_and_deterministic(self, lin_ds):
         space = SearchSpace(n_trials=3, objective="val_mse_clean")
-        cfg = TrainConfig(learning_rate=0.01, epochs=40, seed=0)
+        cfg = TrainConfig(learning_rate=0.01, epochs=40)
         _, r1 = random_search(lin_ds, PSEUDO_HUBER, space, 7, cfg)
         _, r2 = random_search(lin_ds, PSEUDO_HUBER, space, 7, cfg)
         assert [r.value for r in r1] == [r.value for r in r2]
@@ -386,14 +399,14 @@ class TestRandomSearch:
 
     def test_argmin_selected(self, lin_ds):
         space = SearchSpace(n_trials=4, objective="val_mse_clean")
-        cfg = TrainConfig(learning_rate=0.01, epochs=40, seed=0)
+        cfg = TrainConfig(learning_rate=0.01, epochs=40)
         best, records = random_search(lin_ds, PSEUDO_HUBER, space, 11, cfg)
         vals = [r.value for r in records]
         assert best is records[int(np.argmin(vals))]
 
     def test_injected_candidates_run_first(self, lin_ds):
         space = SearchSpace(n_trials=1, objective="val_mse_clean")
-        cfg = TrainConfig(learning_rate=0.01, epochs=40, seed=0)
+        cfg = TrainConfig(learning_rate=0.01, epochs=40)
         cand = DefenseConfig(kind="pseudo_huber", delta=2.5)
         _, records = random_search(lin_ds, PSEUDO_HUBER, space, 5, cfg, candidates=[cand])
         assert len(records) == 2
@@ -431,7 +444,7 @@ class TestRandomSearch:
 
     def test_all_diverged_raises_with_log(self, lin_ds):
         space = SearchSpace(n_trials=2, objective="val_mse_clean")
-        cfg = TrainConfig(learning_rate=1e160, epochs=2, seed=0)
+        cfg = TrainConfig(learning_rate=1e160, epochs=2)
         with pytest.warns(RuntimeWarning), pytest.raises(SearchFailed) as exc_info:
             random_search(lin_ds, PSEUDO_HUBER, space, 1, cfg)
         assert len(exc_info.value.trials) == 2
@@ -444,7 +457,7 @@ class TestRandomSearch:
 
     def test_jobs_do_not_change_results(self, lin_ds):
         space = SearchSpace(n_trials=3, objective="val_mse_clean")
-        cfg = TrainConfig(learning_rate=0.01, epochs=30, seed=0)
+        cfg = TrainConfig(learning_rate=0.01, epochs=30)
         _, serial = random_search(lin_ds, PSEUDO_HUBER, space, 13, cfg, jobs=1)
         _, par = random_search(lin_ds, PSEUDO_HUBER, space, 13, cfg, jobs=2)
         assert [r.value for r in serial] == [r.value for r in par]

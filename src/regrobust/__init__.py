@@ -47,7 +47,6 @@ from .evaluation import (
 )
 from .seeding import derive_seed
 from .training import (
-    AdamState,
     SearchSpace,
     TrainConfig,
     TrainState,

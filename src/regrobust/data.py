@@ -119,6 +119,8 @@ class Dataset:
                                 "of a train row, and a finite distance and label gap >= 0")
         if not self.feature_names:
             coerce("feature_names", tuple(f"x{j}" for j in range(d)))
+        elif len(self.feature_names) != d:
+            raise DimensionError(f"{len(self.feature_names)} feature names for {d} features")
 
     @property
     def n_rows(self) -> int:

@@ -15,7 +15,7 @@ import numpy as np
 from . import data as data_mod
 from .attacks import AttackConfig, apply_attack
 from .defenses import DefenseConfig
-from .errors import DataError, TrainingDiverged
+from .errors import DataError, DimensionError, TrainingDiverged
 from .losses import mse  # noqa: F401  (kept importable from here)
 from .nn import forward
 from .parallel import pmap
@@ -114,6 +114,9 @@ def perturbation_profile(dataset, defense: DefenseConfig, attack: AttackConfig, 
     does not depend on the model, so callers compute it once).
     """
     rows, Xt, Yt = dataset.part(data_mod.TEST)
+    if np.shape(nn_dist) != rows.shape:
+        raise DimensionError(f"nn_dist must have shape {rows.shape}, one distance per test row, "
+                             f"got {np.shape(nn_dist)}")
     out = []
     for i, net in models:
         adv = apply_attack(net, Xt, Yt, attack)

@@ -1,14 +1,15 @@
 """Minibatch Adam training and random-search hyperparameter tuning.
 
-A training run is a TrainState, which holds all the run reads: start_training
-builds it from a prepared dataset, a defense, a TrainConfig and a seed, and
-run_epochs(state, epochs) advances it, so a run can be stopped, inspected and
-resumed. train is the two in one call. split_mse scores a net on one split.
+A training run is a TrainState, which holds all the run reads and its
+progress: start_training builds it from a prepared dataset, a defense, a
+TrainConfig and a seed, and run_epochs(state, epochs) advances it in place,
+so a run can be stopped, inspected and resumed. train is the two in one call.
+split_mse scores a net on one split.
 """
 import ctypes
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,38 +42,26 @@ class TrainConfig:
             check_count("hidden_dim", self.hidden_dim)
 
 
-@dataclass
-class AdamState:
-    m: np.ndarray
-    v: np.ndarray
-
-    @classmethod
-    def zeros(cls, n: int):
-        return cls(m=np.zeros(n), v=np.zeros(n))
-
-
-def adam_step(params, grads, state: AdamState, t: int, cfg: TrainConfig):
-    """One bias-corrected Adam update. t is 1-based. Pure: returns new arrays."""
-    params = np.asarray(params, dtype=np.float64)
-    grads = np.asarray(grads, dtype=np.float64)
-    if params.shape != grads.shape or params.shape != state.m.shape:
-        raise DimensionError(
-            f"shape mismatch: params {params.shape}, grads {grads.shape}, state {state.m.shape}"
-        )
+def adam_step(theta, grad, m, v, t: int, lr: float) -> None:
+    """One bias-corrected Adam update of theta and its moments m and v, in place, by grad;
+    t is 1-based. Each array is updated in the formula's operation order: the same bits."""
+    if not theta.shape == grad.shape == m.shape == v.shape:
+        raise DimensionError(f"shape mismatch: theta {theta.shape}, grad {grad.shape}, "
+                             f"m {m.shape}, v {v.shape}")
     if t < 1:
         raise ConfigError(f"adam step index must be >= 1, got {t}")
-    # In place on fresh arrays only, in the formula's operation order: the same bits.
-    m = ADAM_BETA1 * state.m
-    m += (1.0 - ADAM_BETA1) * grads
-    v = (1.0 - ADAM_BETA2) * grads
-    v *= grads
-    v += ADAM_BETA2 * state.v
-    step = cfg.learning_rate * (m / (1.0 - ADAM_BETA1**t))  # lr * m_hat
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    g2 = (1.0 - ADAM_BETA2) * grad
+    g2 *= grad
+    v *= ADAM_BETA2
+    v += g2
+    step = lr * (m / (1.0 - ADAM_BETA1**t))  # lr * m_hat
     denom = v / (1.0 - ADAM_BETA2**t)  # v_hat
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
     step /= denom
-    return params - step, AdamState(m=m, v=v)
+    theta -= step
 
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameter numbers
@@ -99,15 +88,15 @@ def _reuse_freed_arrays() -> None:
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TrainState:
     """A training run between epochs, as start_training builds it and run_epochs advances it.
 
-    It trains on dataset's train split under defense, by cfg. Every weight
-    of net is a view of theta, which each Adam step overwrites. step counts
-    the Adam steps taken and epoch the epochs completed, both from the start.
-    The generators go on where the last epoch left them; rng_penalty is None
-    unless defense draws stability perturbations.
+    It trains on dataset's train split under defense, by cfg; none of its
+    fields can be reassigned. run_epochs updates in place what they hold:
+    theta, of which every weight of net is a view, Adam's moments m and v,
+    the generators (rng_penalty is None unless defense draws stability
+    perturbations) and history, one mean loss per epoch completed.
     """
 
     dataset: data_mod.Dataset
@@ -115,11 +104,16 @@ class TrainState:
     cfg: TrainConfig
     net: RegressionNet
     theta: np.ndarray
-    adam: AdamState
+    m: np.ndarray
+    v: np.ndarray
     rng_shuffle: np.random.Generator
     rng_penalty: np.random.Generator | None
-    step: int = 0
-    epoch: int = 0
+    history: list[float] = field(default_factory=list)
+
+    @property
+    def epoch(self) -> int:
+        """The number of epochs completed."""
+        return len(self.history)
 
 
 def start_training(dataset, defense: DefenseConfig, cfg: TrainConfig, seed: int) -> TrainState:
@@ -140,7 +134,8 @@ def start_training(dataset, defense: DefenseConfig, cfg: TrainConfig, seed: int)
         cfg=cfg,
         net=vector_to_net(net, theta),
         theta=theta,
-        adam=AdamState.zeros(theta.size),
+        m=np.zeros(theta.size),
+        v=np.zeros(theta.size),
         rng_shuffle=np.random.default_rng(derive_seed(seed, "shuffle")),
         rng_penalty=(np.random.default_rng(derive_seed(seed, "penalty"))
                      if defense.needs_neighbors else None),
@@ -148,7 +143,8 @@ def start_training(dataset, defense: DefenseConfig, cfg: TrainConfig, seed: int)
 
 
 def run_epochs(state: TrainState, epochs: int):
-    """Train state's network for epochs more epochs on its train split; returns their mean losses.
+    """Train state's network for epochs more epochs on its train split; appends their mean
+    losses to state.history and returns them.
 
     Each mean is the full defended objective, averaged over minibatches by
     size. Fresh stability perturbations are drawn for every minibatch step,
@@ -167,15 +163,17 @@ def run_epochs(state: TrainState, epochs: int):
                   else (None, None))
 
     _reuse_freed_arrays()
-    # Held in locals, so a step reads no attributes; written back after the loop.
-    net, cfg, theta, adam, t = state.net, state.cfg, state.theta, state.adam, state.step
+    # Held in locals, so a step reads no attributes.
+    net, theta, m, v, lr = state.net, state.theta, state.m, state.v, state.cfg.learning_rate
     rng_shuffle, rng_penalty = state.rng_shuffle, state.rng_penalty
-    bs = int(cfg.batch_size)
-    history = []
-    for epoch in range(state.epoch, state.epoch + epochs):
+    bs = int(state.cfg.batch_size)
+    starts = range(0, n, bs)
+    first = state.epoch
+    t = first * len(starts)  # the Adam steps of the epochs already run, one per minibatch
+    for epoch in range(first, first + epochs):
         order = rng_shuffle.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, bs):
+        for start in starts:
             idx = order[start : start + bs]
             loss, grad = batch_loss_grad(
                 net,
@@ -189,17 +187,15 @@ def run_epochs(state: TrainState, epochs: int):
             t += 1
             if not math.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch + 1}, step {t}")
-            new_theta, adam = adam_step(theta, grad, adam, t, cfg)
-            if not np.isfinite(new_theta).all():
+            adam_step(theta, grad, m, v, t, lr)
+            if not np.isfinite(theta).all():
                 raise TrainingDiverged(f"non-finite parameters at epoch {epoch + 1}, step {t}")
-            if not math.isfinite(adam.v.max()):  # an inf v would freeze its coordinate
+            if not math.isfinite(v.max()):  # an inf v would freeze its coordinate
                 raise TrainingDiverged(f"non-finite Adam second moment at epoch {epoch + 1}, "
                                        f"step {t}")
-            theta[...] = new_theta
             epoch_loss += loss * len(idx)
-        history.append(epoch_loss / n)
-    state.adam, state.step, state.epoch = adam, t, state.epoch + epochs
-    return history
+        state.history.append(epoch_loss / n)
+    return state.history[first:]
 
 
 def train(dataset, defense: DefenseConfig, cfg: TrainConfig, seed: int):

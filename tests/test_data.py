@@ -596,6 +596,12 @@ class TestPreparedDataset:
             Dataset(features=np.zeros((3, 2)), targets=np.zeros(3), split=None,
                     normalizer=Normalizer(np.array(mean), np.array(std)))
 
+    @pytest.mark.parametrize("names", [("a",), ("a", "b", "c", "d")])
+    def test_feature_names_must_match_the_feature_count(self, names):
+        with pytest.raises(DimensionError, match=rf"^{len(names)} feature names for 3 features$"):
+            Dataset(features=np.zeros((40, 3)), targets=np.zeros(40), split=None,
+                    feature_names=names)
+
     def test_neighbors_must_cover_the_train_split(self):
         ds = self._prepared()
         n_train = len(ds.rows(TRAIN))

@@ -12,7 +12,7 @@ from regrobust import losses
 from regrobust.attacks import DEFAULT_PGD, AttackConfig
 from regrobust.data import TEST, nearest_train_distance
 from regrobust.defenses import DefenseConfig
-from regrobust.errors import DataError, TrainingDiverged
+from regrobust.errors import DataError, DimensionError, TrainingDiverged
 from regrobust.evaluation import (
     AggregateRecord,
     CellRecord,
@@ -149,6 +149,14 @@ class TestPerturbationProfile:
         assert len(records) == len(rows)
         assert all(r.pred_shift == 0.0 for r in records)
         assert all(r.pred_clean == 2.0 and r.pred_adv == 2.0 for r in records)
+
+    def test_nn_dist_of_another_length_rejected(self, lin_ds):
+        net = RegressionNet(w1=np.zeros((1, 1)), b1=np.zeros(1), w2=np.zeros(1), b2=2.0)
+        nn_dist = nn_to_train(lin_ds)
+        for bad in (nn_dist[:3], np.concatenate([nn_dist, nn_dist]), nn_dist[:, None]):
+            with pytest.raises(DimensionError, match="one distance per test row"):
+                perturbation_profile(lin_ds, DefenseConfig(kind="none"), DEFAULT_PGD,
+                                     [(0, net)], bad)
 
     def test_fields_consistent(self, lin_ds):
         cfg = TrainConfig(learning_rate=0.01, epochs=200)

@@ -1,5 +1,6 @@
 """README's "Library use" snippets run as written, with fewer epochs, and the
-resumed run of the second one is the train() call of the first, bit for bit."""
+resumed run of the second one is the train() call of the first, bit for bit;
+its Layout names every module of the package."""
 import re
 
 import numpy as np
@@ -33,3 +34,11 @@ def test_library_snippets_run_and_the_resumed_run_is_train(monkeypatch, capsys):
     assert state.epoch == len(trained["history"]) == 4
     assert resumed["resumed"] == trained["history"]
     assert np.array_equal(state.theta, params_to_vector(trained["net"]))
+
+
+def test_layout_names_every_module():
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    layout = text.split("## Layout", 1)[1].split("```", 2)[1]
+    listed = set(re.findall(r"^  (\w+\.py) ", layout, flags=re.M))
+    modules = {p.name for p in (REPO / "src" / "regrobust").glob("*.py")} - {"__init__.py"}
+    assert modules <= listed, sorted(modules - listed)

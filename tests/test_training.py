@@ -1,4 +1,5 @@
-from dataclasses import replace
+import copy
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from regrobust.nn import forward, params_to_vector
 from regrobust import training
 from regrobust.training import (
     SEARCH_RANGES,
-    AdamState,
     SearchSpace,
     TrainConfig,
     adam_step,
@@ -46,68 +46,75 @@ def bounded_dataset():
                          seed=1)
 
 
+def zeros(n):
+    """A parameter vector, its gradient and Adam's two moments, all zero."""
+    return [np.zeros(n) for _ in range(4)]
+
+
 class TestAdam:
     def test_zero_gradient_from_rest_leaves_params(self):
-        p, s = adam_step(np.array([0.5, -0.25]), np.zeros(2), AdamState.zeros(2), t=1,
-                         cfg=TrainConfig())
+        _, g, m, v = zeros(2)
+        p = np.array([0.5, -0.25])
+        adam_step(p, g, m, v, t=1, lr=1e-3)
         assert np.array_equal(p, [0.5, -0.25])
-        assert np.all(s.m == 0.0) and np.all(s.v == 0.0)
+        assert np.all(m == 0.0) and np.all(v == 0.0)
 
     def test_zero_gradient_decays_moments(self):
-        state = AdamState(m=np.array([1.0, -2.0]), v=np.array([4.0, 9.0]))
-        _, s = adam_step(np.array([0.5, 0.5]), np.zeros(2), state, t=3, cfg=TrainConfig())
-        assert np.array_equal(s.m, 0.9 * state.m)
-        assert np.array_equal(s.v, 0.999 * state.v)
+        m0, v0 = np.array([1.0, -2.0]), np.array([4.0, 9.0])
+        m, v = m0.copy(), v0.copy()
+        adam_step(np.array([0.5, 0.5]), np.zeros(2), m, v, t=3, lr=1e-3)
+        assert np.array_equal(m, 0.9 * m0)
+        assert np.array_equal(v, 0.999 * v0)
 
     def test_first_step_matches_hand_computation(self):
-        cfg = TrainConfig(learning_rate=1e-3)
-        p, s = adam_step(np.zeros(1), np.ones(1), AdamState.zeros(1), t=1, cfg=cfg)
+        p, _, m, v = zeros(1)
+        adam_step(p, np.ones(1), m, v, t=1, lr=1e-3)
         m_hat = 0.1 / (1 - 0.9)
         v_hat = 0.001 / (1 - 0.999)
         expected = -1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
         assert p[0] == pytest.approx(expected, rel=1e-12)
-        assert s.m[0] == pytest.approx(0.1, rel=1e-15)
-        assert s.v[0] == pytest.approx(0.001, rel=1e-15)
+        assert m[0] == pytest.approx(0.1, rel=1e-15)
+        assert v[0] == pytest.approx(0.001, rel=1e-15)
 
     @settings(max_examples=60)
     @given(st.floats(-100.0, 100.0).filter(lambda g: abs(g) > 1e-6))
     def test_first_step_moves_against_gradient(self, g):
-        cfg = TrainConfig()
-        p, _ = adam_step(np.zeros(1), np.array([g]), AdamState.zeros(1), t=1, cfg=cfg)
+        p, _, m, v = zeros(1)
+        adam_step(p, np.array([g]), m, v, t=1, lr=1e-3)
         assert np.sign(p[0]) == -np.sign(g)
 
     def test_update_magnitude_bounded_by_lr_scale(self):
         # With bias correction the first-step size is ~lr regardless of |g|.
-        cfg = TrainConfig(learning_rate=0.01)
         for g in (1e-4, 1.0, 1e4):
-            p, _ = adam_step(np.zeros(1), np.array([g]), AdamState.zeros(1), t=1, cfg=cfg)
-            assert abs(p[0]) <= cfg.learning_rate * 1.0001
+            p, _, m, v = zeros(1)
+            adam_step(p, np.array([g]), m, v, t=1, lr=0.01)
+            assert abs(p[0]) <= 0.01 * 1.0001
 
     @pytest.mark.parametrize("t", [1, 2, 50])
-    def test_pure_and_exact(self, t):
+    def test_in_place_and_exact(self, t):
         rng = np.random.default_rng(t)
         params, grads = rng.normal(size=40), rng.normal(size=40)
         m0, v0 = rng.normal(size=40), rng.uniform(0.0, 2.0, size=40)
-        state = AdamState(m=m0.copy(), v=v0.copy())
-        inputs = [a.copy() for a in (params, grads, m0, v0)]
-        cfg = TrainConfig(learning_rate=3e-3)
-        new, s = adam_step(params, grads, state, t, cfg)
-        for before, after in zip(inputs, (params, grads, state.m, state.v)):
-            assert np.array_equal(before, after)
+        theta, grad, m, v = params.copy(), grads.copy(), m0.copy(), v0.copy()
+        lr = 3e-3
+        assert adam_step(theta, grad, m, v, t, lr) is None
+        assert np.array_equal(grad, grads)
         b1, b2, eps = training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS
-        lr = cfg.learning_rate
-        assert np.array_equal(s.m, b1 * m0 + (1 - b1) * grads)
-        assert np.array_equal(s.v, b2 * v0 + (1 - b2) * grads * grads)
-        m_hat, v_hat = s.m / (1 - b1**t), s.v / (1 - b2**t)
-        assert np.array_equal(new, params - lr * m_hat / (np.sqrt(v_hat) + eps))
+        assert np.array_equal(m, b1 * m0 + (1 - b1) * grads)
+        assert np.array_equal(v, b2 * v0 + (1 - b2) * grads * grads)
+        m_hat, v_hat = m / (1 - b1**t), v / (1 - b2**t)
+        assert np.array_equal(theta, params - lr * m_hat / (np.sqrt(v_hat) + eps))
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            adam_step(np.zeros(2), np.zeros(3), AdamState.zeros(2), t=1, cfg=TrainConfig())
+        for bad in range(4):  # theta, grad, m, v
+            arrays = zeros(2)
+            arrays[bad] = np.zeros(3)
+            with pytest.raises(DimensionError, match="shape mismatch"):
+                adam_step(*arrays, t=1, lr=1e-3)
 
     def test_bad_step_index_rejected(self):
         with pytest.raises(ConfigError):
-            adam_step(np.zeros(1), np.zeros(1), AdamState.zeros(1), t=0, cfg=TrainConfig())
+            adam_step(*zeros(1), t=0, lr=1e-3)
 
 
 class TestTrainConfig:
@@ -210,7 +217,7 @@ class TestTrain:
             state = start_training(ds, none, cfg, 1)
             assert state.net.w1[0, 0] < 0
             assert len(run_epochs(state, 1)) == 1
-            assert state.step == 2 and np.isfinite(state.adam.v).all()
+            assert state.epoch == 1 and np.isfinite(state.v).all()
             with pytest.raises(TrainingDiverged, match=r"parameters at epoch 2, step 3$"):
                 run_epochs(state, cfg.epochs - 1)
 
@@ -247,7 +254,7 @@ def cut_runs(draw):
 
 
 def _state_fields(state):
-    return (state.theta, state.adam.m, state.adam.v, state.step, state.epoch,
+    return (state.theta, state.m, state.v, state.epoch, state.history,
             state.rng_shuffle.bit_generator.state,
             None if state.rng_penalty is None else state.rng_penalty.bit_generator.state)
 
@@ -280,14 +287,14 @@ class TestResume:
         state = start_training(lin_ds, defense, cfg, 3)
         assert run_epochs(state, cfg.epochs) == history
         assert np.array_equal(state.theta, params_to_vector(net))
-        assert state.step == 7 * 3  # 90 train rows in batches of 32
+        assert state.epoch == 7 and state.history == history
 
     def test_zero_epochs_leave_the_state_as_it_was(self, lin_ds):
         defense = DefenseConfig(kind="ansr", n_samples=4)
         ds = with_neighbors(lin_ds)
         state = start_training(ds, defense, TrainConfig(epochs=3), 0)
         run_epochs(state, 1)
-        before = [np.copy(f) if isinstance(f, np.ndarray) else f for f in _state_fields(state)]
+        before = copy.deepcopy(_state_fields(state))
         assert run_epochs(state, 0) == []
         for a, b in zip(_state_fields(state), before):
             assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
@@ -307,6 +314,16 @@ class TestResume:
         state = start_training(lin_ds, defense, TrainConfig(), 0)
         assert state.dataset is lin_ds and state.defense is defense
 
+    def test_run_inputs_cannot_be_reassigned(self, lin_ds):
+        state = start_training(lin_ds, DefenseConfig(kind="none"), TrainConfig(), 0)
+        for name, value in [("defense", DefenseConfig(kind="ansr")),
+                            ("dataset", with_neighbors(lin_ds)),
+                            ("cfg", TrainConfig(learning_rate=1.0))]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(state, name, value)
+        assert state.defense.kind == "none" and state.dataset is lin_ds
+        assert state.cfg == TrainConfig()
+
     def test_seed_is_an_argument_not_a_config_field(self):
         with pytest.raises(TypeError, match="seed"):
             TrainConfig(seed=1)
@@ -321,7 +338,7 @@ class TestResume:
         state = start_training(lin_ds, DefenseConfig(kind="none"), TrainConfig(), 0)
         with pytest.raises(ConfigError, match="epochs must be"):
             run_epochs(state, epochs)
-        assert state.step == 0
+        assert state.epoch == 0 and not state.m.any()
 
 
 @pytest.mark.parametrize("make,field", [
@@ -350,7 +367,7 @@ def test_numpy_integer_counts_accepted(lin_ds):
     assert AttackConfig(kind="pgd", steps=i(3)).steps == 3
     state = start_training(lin_ds, DefenseConfig(kind="none"), cfg, 0)
     assert len(run_epochs(state, cfg.epochs)) == 2
-    assert state.step == 2 * 12  # 90 train rows in batches of 8
+    assert state.epoch == 2
 
 
 class TestSearchSpace:

@@ -51,6 +51,7 @@ from .training import (
     TrainConfig,
     TrainState,
     adam_step,
+    draw_trials,
     random_search,
     run_epochs,
     sample_defense_config,

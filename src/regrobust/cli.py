@@ -35,7 +35,7 @@ from .evaluation import (
     write_summary_json,
 )
 from .seeding import derive_seed
-from .training import _reuse_freed_arrays, random_search
+from .training import _reuse_freed_arrays, draw_trials, random_search
 
 
 def _build_dataset(cfg: ExperimentConfig, stats: dict | None = None) -> data_mod.Dataset:
@@ -88,8 +88,7 @@ def _tuned_stamp(cfg: ExperimentConfig, provenance: dict) -> dict:
         **provenance,
         **{f"train.{k}": v for k, v in section_to_dict(cfg.train).items()},
         **{f"search.{k}": v for k, v in section_to_dict(cfg.search).items()},
-        "search.attack": (section_to_dict(cfg.tuning_attack)
-                          if cfg.search.objective == "val_mse_pgd" else None),
+        "search.attack": cfg.tuning_attack and section_to_dict(cfg.tuning_attack),
         "n_samples": cfg.n_samples,
     }
 
@@ -155,7 +154,7 @@ def _read_tuned(out: Path, kind: str, cfg: ExperimentConfig, provenance: dict):
 
 
 def _combined_candidates(out: Path, cfg: ExperimentConfig, provenance: dict, base: DefenseConfig):
-    """Warm-start configs for the combined search: base with the tuned params
+    """Warm-start trials for the combined search: base with the tuned params
     of every other kind that has params, when all their tuned configs exist.
 
     The viable corner of the 4-d space (small sigma, small lambda) is a
@@ -166,11 +165,11 @@ def _combined_candidates(out: Path, cfg: ExperimentConfig, provenance: dict, bas
     """
     kinds = [kind for kind, (_, params) in KINDS.items() if params and kind != base.kind]
     if not all(_tuned_path(out, kind).exists() for kind in kinds):
-        return ()
+        return []
     parts = [_read_tuned(out, kind, cfg, provenance) for kind in kinds]
     merged = replace(base, **{p: getattr(part, p) for part in parts for p in part.params})
     tempered = replace(merged, sigma=merged.sigma / 2, lam=merged.lam / 2)
-    return (merged, tempered)
+    return [(merged, "injected"), (tempered, "injected")]
 
 
 def _write_trials(path: Path, records) -> None:
@@ -190,20 +189,20 @@ def cmd_tune(cfg: ExperimentConfig, out: Path) -> int:
         print("nothing to tune: no defense entry has tune=true")
     for entry in entries:
         kind = entry.config.kind
-        candidates = (_combined_candidates(out, cfg, provenance, entry.config)
-                      if kind == "combined" else ())
-        trials, tuned = out / f"trials_{kind}.jsonl", _tuned_path(out, kind)
+        seed = derive_seed(cfg.seed, "tune", kind)
+        warm = (_combined_candidates(out, cfg, provenance, entry.config)
+                if kind == "combined" else [])
+        trials = warm + draw_trials(entry.config, cfg.search.n_trials, seed)
+        log, tuned = out / f"trials_{kind}.jsonl", _tuned_path(out, kind)
         try:
-            best, records = random_search(
-                ds, entry.config, cfg.search, seed=derive_seed(cfg.seed, "tune", kind),
-                train_cfg=cfg.train, attack=cfg.tuning_attack,
-                candidates=candidates, jobs=cfg.jobs)
+            best, records = random_search(ds, trials, seed, cfg.train, cfg.tuning_attack,
+                                          jobs=cfg.jobs)
         except SearchFailed as e:
             # Keep this run's log, and no tuned config that no trial of it chose.
-            _write_trials(trials, e.trials)
+            _write_trials(log, e.trials)
             tuned.unlink(missing_ok=True)
             raise
-        _write_trials(trials, records)
+        _write_trials(log, records)
         doc = {"kind": kind, "objective": cfg.search.objective, "best_value": best.value,
                "best_trial": best.trial, "n_trials": len(records),
                "config": defense_to_dict(best.config), "provenance": _tuned_stamp(cfg, provenance)}

@@ -14,7 +14,9 @@ defense's ``n_samples``, and every training run's seed derives from its
 unnoticed, and so does a key given twice in one object, here and in
 ``tuned_*.json``. Every default matches the standard evaluation protocol, so
 a minimal config only needs the dataset block. Validation errors start with
-the offending field path.
+the offending field path. ``ExperimentConfig.tuning_attack``, derived, is the
+attack the search objective uses: the first pgd entry, else DEFAULT_PGD, or
+None under ``val_mse_clean``.
 """
 import json
 from dataclasses import MISSING, dataclass, field, fields
@@ -56,12 +58,12 @@ class ExperimentConfig:
     n_samples: int = 100
     n_seeds: int = 6
     jobs: int = 1
-    tuning_attack: AttackConfig = field(init=False)  # derived; not a JSON key
+    tuning_attack: AttackConfig | None = field(init=False)  # derived; not a JSON key
 
     def __post_init__(self):
-        # The attack tune optimises: the first pgd entry, else DEFAULT_PGD. Fixed
-        # here, so narrowing attacks afterwards (--attack) leaves it unchanged.
-        self.tuning_attack = next((a for a in self.attacks if a.kind == "pgd"), DEFAULT_PGD)
+        # Decided here, once, so narrowing attacks afterwards (--attack) leaves it.
+        self.tuning_attack = (next((a for a in self.attacks if a.kind == "pgd"), DEFAULT_PGD)
+                              if self.search.objective == "val_mse_pgd" else None)
 
 
 _JSON_KEYS = {"lam": "lambda"}  # field name -> JSON key, where they differ

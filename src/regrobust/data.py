@@ -21,7 +21,7 @@ JSON document, which holds everything else and the sha256 of the features'
 bytes. Both are written and read at C speed, and the features keep every
 bit. A prepared Dataset carries its Normalizer and its Neighbors, three
 arrays aligned with the train rows, which the cache stores as the same three
-JSON columns; Dataset checks both, so a cache that loads is a valid one.
+JSON columns; Dataset checks every field, so a cache that loads is a valid one.
 """
 import csv
 import hashlib
@@ -66,8 +66,8 @@ class Dataset:
 
     A prepared dataset also carries the normalizer its features went through
     and its train rows' nearest neighbors. Each is None until normalize_dataset
-    or replace(ds, neighbors=compute_neighbors(ds)) sets it, and is checked here.
-    Frozen, so no field can be reassigned past these checks.
+    or replace(ds, neighbors=compute_neighbors(ds)) sets it. Every field is
+    checked here, and none can be reassigned past the checks: it is frozen.
     """
 
     features: np.ndarray  # (N, D) float64
@@ -92,6 +92,13 @@ class Dataset:
             raise DimensionError(f"targets must have shape ({n},), got {targets.shape}")
         if not np.all(np.isfinite(features)) or not np.all(np.isfinite(targets)):
             raise DataError("dataset contains NaN or infinity after ingestion")
+        if not isinstance(self.name, str):
+            raise DataError(f"name must be a str, got {self.name!r}")
+        if not isinstance(self.target_bounded_01, bool):
+            raise DataError(f"target_bounded_01 must be a bool, got {self.target_bounded_01!r}")
+        if self.target_bounded_01 and not ((targets >= 0.0) & (targets <= 1.0)).all():
+            raise DataError(f"target_bounded_01 is set but targets span "
+                            f"[{targets.min()}, {targets.max()}]")
         if self.split is not None:
             split = coerce("split", np.asarray(self.split))
             if split.shape != (n,):
@@ -121,6 +128,8 @@ class Dataset:
             coerce("feature_names", tuple(f"x{j}" for j in range(d)))
         elif len(self.feature_names) != d:
             raise DimensionError(f"{len(self.feature_names)} feature names for {d} features")
+        elif bad := [f for f in self.feature_names if not isinstance(f, str)]:
+            raise DataError(f"feature_names must be strings, got {bad[0]!r}")
 
     @property
     def n_rows(self) -> int:
@@ -287,19 +296,11 @@ def load_csv(
     targets = values[keep_rows, t_col]
     if features.shape[0] == 0:
         raise DataError(f"{path}: no usable rows after applying missing policy {missing!r}")
-    if target_bounded_01 and (targets.min() < 0.0 or targets.max() > 1.0):
-        raise DataError(
-            f"{path}: target_bounded_01 is set but targets span "
-            f"[{targets.min()}, {targets.max()}]"
-        )
-    return Dataset(
-        features=features,
-        targets=targets,
-        split=None,
-        name=name or str(path),
-        target_bounded_01=target_bounded_01,
-        feature_names=tuple(col_names),
-    )
+    try:
+        return Dataset(features=features, targets=targets, split=None, name=name or str(path),
+                       target_bounded_01=target_bounded_01, feature_names=tuple(col_names))
+    except DataError as e:  # a target outside [0, 1] under target_bounded_01, say
+        raise DataError(f"{path}: {e}") from None
 
 
 def split_dataset(dataset: Dataset, fractions=(0.6, 0.2, 0.2), seed: int = 0) -> Dataset:
@@ -585,7 +586,7 @@ def load_dataset_cache(path, provenance: dict | None = None) -> Dataset:
             targets=np.asarray(doc["targets"], dtype=np.float64),
             split=np.array([SPLIT_NAMES.index(s) for s in doc["split"]], dtype=np.int64),
             name=doc["name"],
-            target_bounded_01=bool(doc["target_bounded_01"]),
+            target_bounded_01=doc["target_bounded_01"],
             feature_names=tuple(doc["feature_names"]),
             normalizer=Normalizer(**doc["normalizer"]),
             neighbors=Neighbors(**doc["neighbors"]),

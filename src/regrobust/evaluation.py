@@ -16,7 +16,6 @@ from . import data as data_mod
 from .attacks import AttackConfig, apply_attack
 from .defenses import DefenseConfig
 from .errors import DataError, DimensionError, TrainingDiverged
-from .losses import mse  # noqa: F401  (kept importable from here)
 from .nn import forward
 from .parallel import pmap
 from .seeding import derive_seed

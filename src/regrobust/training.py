@@ -1,10 +1,10 @@
-"""Minibatch Adam training and random-search hyperparameter tuning.
+"""Minibatch Adam training, and a search that scores the trials it is given.
 
 A training run is a TrainState, which holds all the run reads and its
 progress: start_training builds it from a prepared dataset, a defense, a
 TrainConfig and a seed, and run_epochs(state, epochs) advances it in place,
 so a run can be stopped, inspected and resumed. train is the two in one call.
-split_mse scores a net on one split.
+split_mse scores a net on one split; draw_trials draws a search's trials.
 """
 import ctypes
 import math
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import data as data_mod
-from .attacks import DEFAULT_PGD, AttackConfig, apply_attack
+from .attacks import AttackConfig, apply_attack
 from .defenses import DefenseConfig, batch_loss_grad
 from .errors import ConfigError, DimensionError, SearchFailed, TrainingDiverged, check_count
 from .losses import mse
@@ -223,11 +223,11 @@ SEARCH_RANGES = {"delta": (0.01, 16.0), "sigma": (0.01, 16.0),
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """The trial count and the validation objective the trials are scored by;
-    each trial draws its params from SEARCH_RANGES."""
+    """The number of trials draw_trials draws and the validation objective they are
+    scored by; ExperimentConfig.tuning_attack is the attack that objective uses."""
 
     n_trials: int = 20
-    objective: str = "val_mse_pgd"  # one of OBJECTIVES
+    objective: str = OBJECTIVES[-1]  # one of OBJECTIVES; the PGD one by default
 
     def __post_init__(self):
         check_count("n_trials", self.n_trials)
@@ -241,53 +241,53 @@ def sample_defense_config(base: DefenseConfig, rng) -> DefenseConfig:
     return replace(base, **draws)
 
 
+def draw_trials(base: DefenseConfig, n_trials: int, seed: int) -> list:
+    """n_trials (config, "sampled") pairs: trial i is sample_defense_config of base
+    from its own stream, derived from seed and i. So n_samples comes from base."""
+    return [(sample_defense_config(base, np.random.default_rng(derive_seed(seed, "sample", i))),
+             "sampled") for i in range(n_trials)]
+
+
 @dataclass
 class TrialRecord:
     trial: int
-    source: str  # "injected" or "sampled"
+    source: str  # as given with its config: "injected" or "sampled" in a tune
     config: DefenseConfig
     value: float  # validation objective; NaN if training diverged
     train_seed: int
 
 
-def random_search(dataset, base: DefenseConfig, space: SearchSpace, seed: int,
-                  train_cfg: TrainConfig, attack: AttackConfig = DEFAULT_PGD, candidates=(),
-                  jobs: int = 1):
-    """Uniform random search over the params of base's defense kind.
+def random_search(dataset, trials, seed: int, train_cfg: TrainConfig,
+                  attack: AttackConfig | None, jobs: int = 1):
+    """Train and score exactly the (config, source) pairs of trials, in order.
 
-    A sampled trial is base with those params drawn, so n_samples comes from
-    base. Trains one model per trial by train_cfg, from the trial's seed (its
-    train_seed, derived from seed), scores it on the validation split by
-    space.objective with split_mse, and returns (best, records) where records
-    logs every trial and best is the record of the winning trial. Ties go to
-    the earliest trial. Explicit candidate configs, if given, are evaluated
-    before the sampled ones. Raises SearchFailed (carrying the log) if every
-    trial diverged.
+    Trial k trains one model by train_cfg from derive_seed(seed, "trial", k),
+    its train_seed, and scores split_mse on the validation split under attack
+    (clean if None). Returns (best, records): every trial's record, and the
+    winner's, ties going to the earliest trial. Raises ConfigError if trials
+    is empty, and SearchFailed (carrying the records) if every trial diverged.
     """
-    configs = [(c, "injected") for c in candidates]
-    for i in range(space.n_trials):
-        rng = np.random.default_rng(derive_seed(seed, "sample", i))
-        configs.append((sample_defense_config(base, rng), "sampled"))
-
     records = [
         TrialRecord(trial=k, source=source, config=config, value=float("nan"),
                     train_seed=derive_seed(seed, "trial", k))
-        for k, (config, source) in enumerate(configs)
+        for k, (config, source) in enumerate(trials)
     ]
+    if not records:
+        raise ConfigError("random_search: there is no trial to score")
 
     def score(rec: TrialRecord) -> float:
         try:
             net, _ = train(dataset, rec.config, train_cfg, rec.train_seed)
         except TrainingDiverged:
             return float("nan")
-        return split_mse(net, dataset, data_mod.VAL,
-                         attack if space.objective == "val_mse_pgd" else None)
+        return split_mse(net, dataset, data_mod.VAL, attack)
 
     for rec, value in zip(records, pmap(score, records, jobs=jobs)):
         rec.value = float(value)
 
     finite = [r for r in records if np.isfinite(r.value)]
     if not finite:
-        raise SearchFailed(f"all {len(records)} search trials diverged for kind {base.kind!r}", records)
+        raise SearchFailed(f"all {len(records)} search trials diverged for kind "
+                           f"{records[0].config.kind!r}", records)
     best = min(finite, key=lambda r: (r.value, r.trial))
     return best, records

@@ -13,12 +13,14 @@ import pytest
 
 from regrobust import cli
 from regrobust import data as data_mod
+from regrobust.attacks import DEFAULT_PGD, AttackConfig
 from regrobust.cli import main
 from regrobust.config import (
     _JSON_KEYS,
     defense_to_dict,
     load_experiment_config,
     read_defense_entry,
+    section_to_dict,
 )
 from regrobust.data import compute_neighbors, load_dataset_cache
 from regrobust.defenses import KINDS, DefenseConfig
@@ -307,6 +309,26 @@ def test_shipped_config_loads_strictly(path):
     assert cfg.defenses and cfg.attacks
 
 
+def test_tuning_attack_is_decided_by_the_objective(tmp_path):
+    # The attack the objective uses: the first pgd entry, else DEFAULT_PGD, under
+    # val_mse_pgd, and none under val_mse_clean. The tuned stamp records it as is.
+    pgd = {"kind": "pgd", "epsilon": 0.05, "rho": 0.2, "steps": 3}
+
+    def load(objective, attacks):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dataset": {"path": "x.csv", "target_column": "y"},
+                                    "search": {"objective": objective}, "attacks": attacks}))
+        cfg = load_experiment_config(path)
+        stamped = cli._tuned_stamp(cfg, {})["search.attack"]
+        assert stamped == (None if cfg.tuning_attack is None
+                           else section_to_dict(cfg.tuning_attack))
+        return cfg.tuning_attack
+
+    assert load("val_mse_pgd", [{"kind": "fgsm"}, pgd]) == AttackConfig(**pgd)
+    assert load("val_mse_pgd", [{"kind": "fgsm"}]) == DEFAULT_PGD
+    assert load("val_mse_clean", [pgd]) is None
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_defense_to_dict_round_trips_through_reader(kind):
     cfg = DefenseConfig(kind=kind, delta=2.5, sigma=0.25, lam=3.5, beta=1.25, n_samples=7)
@@ -354,6 +376,25 @@ class TestStaleCache:
         assert err["error"] == "ConfigError"
         assert ("prepared with dataset.encoding='latin-1' but this run has no "
                 "dataset.encoding; run prepare again") in err["message"]
+        assert not (tmp / "out" / "tuned_ansr.json").exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("target_bounded_01", True), ("target_bounded_01", "false"), ("name", 123),
+        ("feature_names", [0, 1]),
+    ], ids=["bounded-true", "bounded-string", "name-int", "feature-names-int"])
+    def test_tune_rejects_cache_with_edited_field(self, workspace, capsys, field, value):
+        # The stamp still matches; the edited field itself is refused.
+        tmp, cfg = workspace
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        cache = tmp / "out" / "dataset_cache.json"
+        doc = json.loads(cache.read_text())
+        doc[field] = value
+        cache.write_text(json.dumps(doc))
+        assert main(["tune", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "DataError"
+        assert f": {field} " in err["message"]
+        assert err["message"].endswith("run prepare again")
         assert not (tmp / "out" / "tuned_ansr.json").exists()
 
     def test_csv_hash_streamed_over_blocks_is_whole_file_sha256(self, tmp_path):

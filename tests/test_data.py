@@ -154,7 +154,8 @@ class TestLoadCsv:
 
     def test_bounded_flag_validated(self, tmp_path):
         p = write(tmp_path, "a,target\n1,0.5\n2,3.0\n")
-        with pytest.raises(DataError, match="target_bounded_01"):
+        with pytest.raises(DataError, match=re.escape(
+                f"{p}: target_bounded_01 is set but targets span [0.5, 3.0]")):
             load_csv(p, target_column="target", target_bounded_01=True)
 
     def test_boston_shape(self):
@@ -601,6 +602,27 @@ class TestPreparedDataset:
         with pytest.raises(DimensionError, match=rf"^{len(names)} feature names for 3 features$"):
             Dataset(features=np.zeros((40, 3)), targets=np.zeros(40), split=None,
                     feature_names=names)
+
+    @pytest.mark.parametrize("given,message", [
+        ({"name": 123}, "name must be a str, got 123"),
+        ({"target_bounded_01": "false"}, "target_bounded_01 must be a bool, got 'false'"),
+        ({"target_bounded_01": 1}, "target_bounded_01 must be a bool, got 1"),
+        ({"target_bounded_01": True, "targets": [0.0, 0.5, 1.5]},
+         "target_bounded_01 is set but targets span [0.0, 1.5]"),
+        ({"target_bounded_01": True, "targets": [-1e-300, 0.5, 1.0]},
+         "target_bounded_01 is set but targets span [-1e-300, 1.0]"),
+        ({"feature_names": ("a", 2)}, "feature_names must be strings, got 2"),
+    ], ids=["name-int", "bounded-string", "bounded-int", "bounded-above", "bounded-below",
+            "feature-name-int"])
+    def test_name_flag_and_feature_names_checked(self, given, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            Dataset(**{"features": np.zeros((3, 2)), "targets": np.zeros(3), "split": None,
+                       **given})
+
+    def test_bounded_targets_may_touch_both_ends(self):
+        ds = Dataset(features=np.zeros((3, 1)), targets=[0.0, 1.0, 0.5], split=None,
+                     target_bounded_01=True)
+        assert ds.target_bounded_01 is True
 
     def test_neighbors_must_cover_the_train_split(self):
         ds = self._prepared()
@@ -1109,6 +1131,23 @@ class TestCache:
         p.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="malformed .*run prepare again"):
             load_dataset_cache(p)
+
+    @pytest.mark.parametrize("field,value", [
+        ("target_bounded_01", True),
+        ("target_bounded_01", "false"),
+        ("name", 123),
+        ("feature_names", [0, 1, 2]),
+    ], ids=["bounded-true", "bounded-string", "name-int", "feature-names-int"])
+    def test_edited_field_rejected(self, tmp_path, field, value):
+        # The edit leaves the stamp as it was, so only Dataset's checks can catch it.
+        p = tmp_path / "cache.json"
+        save_dataset_cache(p, self._prepared(), {"seed": 3})
+        doc = json.loads(p.read_text())
+        doc[field] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=rf"^malformed dataset cache {re.escape(str(p))}: "
+                                            rf"{field} .*; run prepare again$"):
+            load_dataset_cache(p, {"seed": 3})
 
     def test_repeated_key_rejected(self, tmp_path):
         p = tmp_path / "cache.json"

@@ -20,7 +20,6 @@ from regrobust.evaluation import (
     aggregate,
     evaluate_cell,
     format_summary_table,
-    mse,
     perturbation_profile,
     read_cells_csv,
     sci3,
@@ -29,6 +28,7 @@ from regrobust.evaluation import (
     write_points_csv,
     write_summary_json,
 )
+from regrobust.losses import mse
 from regrobust.nn import RegressionNet, forward
 from regrobust.training import TrainConfig, train
 
@@ -52,8 +52,8 @@ class TestSci3:
 
 
 def test_mse_is_one_function():
-    # Scorers and the tuning objective share losses.mse; the old names still resolve.
-    assert mse is losses.mse is regrobust.mse
+    # Scorers and the tuning objective share losses.mse, which the package re-exports.
+    assert losses.mse is regrobust.mse
     assert mse([1.0, 2.0], [0.0, 4.0]) == 2.5
 
 

@@ -1,6 +1,7 @@
-"""README's "Library use" snippets run as written, with fewer epochs, and the
-resumed run of the second one is the train() call of the first, bit for bit;
-its Layout names every module of the package."""
+"""README's "Library use" snippets run as written, with fewer epochs, the
+resumed run of the second one is the train() call of the first, bit for bit,
+and the third scores exactly its trial list; its Layout names every module of
+the package."""
 import re
 
 import numpy as np
@@ -20,7 +21,7 @@ def library_snippets() -> list:
 
 
 def test_library_snippets_run_and_the_resumed_run_is_train(monkeypatch, capsys):
-    first, second = library_snippets()
+    first, second, search = library_snippets()
     for old, new in CUTS.items():
         assert (first + second).count(old) == 1, old
         first, second = first.replace(old, new), second.replace(old, new)
@@ -34,6 +35,12 @@ def test_library_snippets_run_and_the_resumed_run_is_train(monkeypatch, capsys):
     assert state.epoch == len(trained["history"]) == 4
     assert resumed["resumed"] == trained["history"]
     assert np.array_equal(state.theta, params_to_vector(trained["net"]))
+    searched = dict(trained)
+    exec(search, searched)
+    records = searched["records"]
+    assert [(r.config, r.source) for r in records] == searched["trials"]
+    assert [r.source for r in records] == ["injected"] + ["sampled"] * 3
+    assert searched["best"] in records
 
 
 def test_layout_names_every_module():

@@ -1,19 +1,21 @@
 """The tracked out/boston reference and configs/boston_tuned.json stay in step
 with the code: evaluate reproduces the reference byte for byte, each tuned
 kind's winning trial replays to its tracked value bit for bit, the tracked
-tuned files hold the form and stamp the code writes, and the tuned config is
-configs/boston.json plus the tracked tuned values."""
+tuned files hold the form and stamp the code writes, every tracked trial is
+the one draw_trials draws and trains from its position's seed, and the tuned
+config is configs/boston.json plus the tracked tuned values."""
 import filecmp
 import json
 from dataclasses import replace
 
 from conftest import REPO
 from regrobust import cli
-from regrobust.config import _JSON_KEYS, load_experiment_config
+from regrobust.config import _JSON_KEYS, defense_to_dict, load_experiment_config
 from regrobust.data import VAL, load_dataset_cache
 from regrobust.defenses import DefenseConfig
 from regrobust.parallel import pmap
-from regrobust.training import split_mse, train
+from regrobust.seeding import derive_seed
+from regrobust.training import draw_trials, split_mse, train
 
 REFERENCE = REPO / "out" / "boston"
 
@@ -73,10 +75,28 @@ def test_tracked_winning_trials_replay_bit_for_bit():
         trial = _trials(kind)[doc["best_trial"]]
         assert trial["config"] == doc["config"]
         net, _ = train(ds, config, cfg.train, trial["train_seed"])
-        attack = cfg.tuning_attack if cfg.search.objective == "val_mse_pgd" else None
-        return split_mse(net, ds, VAL, attack), doc["best_value"]
+        return split_mse(net, ds, VAL, cfg.tuning_attack), doc["best_value"]
 
     # The two stability-penalty kinds go first: they take most of the time.
     kinds = sorted(_tuned_kinds(cfg), key=lambda k: "lam" not in DefenseConfig(kind=k).params)
     for kind, (value, best) in zip(kinds, pmap(replay, kinds, jobs=2)):
         assert value == best, f"{kind}: replayed {value!r}, tracked best_value {best!r}"
+
+
+def test_tracked_trials_are_draw_trials_and_positional_seeds():
+    # Nothing is trained: the tracked logs hold the warm starts, then exactly
+    # draw_trials' list, and trial k of each was trained from its position's seed.
+    cfg = _boston_config()
+    for entry in (e for e in cfg.defenses if e.tune):
+        kind = entry.config.kind
+        seed = derive_seed(cfg.seed, "tune", kind)
+        records = _trials(kind)
+        sampled = [r["config"] for r in records if r["source"] == "sampled"]
+        drawn = draw_trials(entry.config, cfg.search.n_trials, seed)
+        assert sampled == [defense_to_dict(config) for config, _ in drawn], kind
+        sources = [r["source"] for r in records]
+        n_injected = len(records) - len(sampled)
+        assert sources == ["injected"] * n_injected + ["sampled"] * len(sampled), kind
+        assert [r["trial"] for r in records] == list(range(len(records))), kind
+        assert [r["train_seed"] for r in records] == [derive_seed(seed, "trial", k)
+                                                      for k in range(len(records))], kind

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from regrobust.attacks import AttackConfig
 from regrobust.data import (
     TEST,
+    VAL,
     Dataset,
     compute_neighbors,
     fit_normalizer,
@@ -19,14 +20,17 @@ from regrobust.defenses import DEFENSE_KINDS, DefenseConfig
 from regrobust.errors import ConfigError, DataError, DimensionError, SearchFailed, TrainingDiverged
 from regrobust.nn import forward, params_to_vector
 from regrobust import training
+from regrobust.seeding import derive_seed
 from regrobust.training import (
     SEARCH_RANGES,
     SearchSpace,
     TrainConfig,
     adam_step,
+    draw_trials,
     random_search,
     run_epochs,
     sample_defense_config,
+    split_mse,
     start_training,
     train,
 )
@@ -374,6 +378,10 @@ class TestSearchSpace:
     def test_defaults(self):
         assert SearchSpace().n_trials == 20
 
+    def test_bad_objective_rejected(self):
+        with pytest.raises(ConfigError, match="objective must be one of"):
+            SearchSpace(objective="test_mse")
+
 
 class TestSampleDefenseConfig:
     def test_draws_stay_in_ranges(self):
@@ -395,40 +403,63 @@ class TestSampleDefenseConfig:
 PSEUDO_HUBER = DefenseConfig(kind="pseudo_huber")
 
 
+class TestDrawTrials:
+    def test_trial_i_draws_from_its_own_stream(self):
+        base = DefenseConfig(kind="combined", n_samples=7)
+        trials = draw_trials(base, 4, 21)
+        assert trials == [
+            (sample_defense_config(base, np.random.default_rng(derive_seed(21, "sample", i))),
+             "sampled")
+            for i in range(4)]
+        assert all(config.n_samples == 7 for config, _ in trials)
+
+    def test_a_longer_draw_extends_a_shorter_one(self):
+        assert draw_trials(PSEUDO_HUBER, 5, 3)[:2] == draw_trials(PSEUDO_HUBER, 2, 3)
+
+
 class TestRandomSearch:
     def test_single_trial_returns_it_and_logs(self, lin_ds):
-        space = SearchSpace(n_trials=1, objective="val_mse_clean")
         cfg = TrainConfig(learning_rate=0.01, epochs=60)
-        best, records = random_search(lin_ds, PSEUDO_HUBER, space, seed=3, train_cfg=cfg)
+        best, records = random_search(lin_ds, draw_trials(PSEUDO_HUBER, 1, 3), 3, cfg, None)
         assert len(records) == 1
         assert records[0] is best
         assert np.isfinite(records[0].value)
         assert records[0].source == "sampled"
 
     def test_log_is_complete_and_deterministic(self, lin_ds):
-        space = SearchSpace(n_trials=3, objective="val_mse_clean")
         cfg = TrainConfig(learning_rate=0.01, epochs=40)
-        _, r1 = random_search(lin_ds, PSEUDO_HUBER, space, 7, cfg)
-        _, r2 = random_search(lin_ds, PSEUDO_HUBER, space, 7, cfg)
+        trials = draw_trials(PSEUDO_HUBER, 3, 7)
+        _, r1 = random_search(lin_ds, trials, 7, cfg, None)
+        _, r2 = random_search(lin_ds, trials, 7, cfg, None)
         assert [r.value for r in r1] == [r.value for r in r2]
         assert [r.config for r in r1] == [r.config for r in r2]
         assert [r.trial for r in r1] == [0, 1, 2]
 
     def test_argmin_selected(self, lin_ds):
-        space = SearchSpace(n_trials=4, objective="val_mse_clean")
         cfg = TrainConfig(learning_rate=0.01, epochs=40)
-        best, records = random_search(lin_ds, PSEUDO_HUBER, space, 11, cfg)
+        best, records = random_search(lin_ds, draw_trials(PSEUDO_HUBER, 4, 11), 11, cfg, None)
         vals = [r.value for r in records]
         assert best is records[int(np.argmin(vals))]
 
-    def test_injected_candidates_run_first(self, lin_ds):
-        space = SearchSpace(n_trials=1, objective="val_mse_clean")
-        cfg = TrainConfig(learning_rate=0.01, epochs=40)
-        cand = DefenseConfig(kind="pseudo_huber", delta=2.5)
-        _, records = random_search(lin_ds, PSEUDO_HUBER, space, 5, cfg, candidates=[cand])
-        assert len(records) == 2
-        assert records[0].source == "injected" and records[0].config == cand
-        assert records[1].source == "sampled"
+    def test_scores_exactly_the_given_trials(self, lin_ds):
+        # A hand-built list is scored as given: its configs and sources in order,
+        # trial k trained from derive_seed(seed, "trial", k), and nothing drawn.
+        cfg = TrainConfig(learning_rate=0.01, epochs=20)
+        trials = [(replace(PSEUDO_HUBER, delta=2.5), "injected"),
+                  (replace(PSEUDO_HUBER, delta=0.5), "sampled"),
+                  (replace(PSEUDO_HUBER, delta=2.5), "injected")]
+        _, records = random_search(lin_ds, trials, 5, cfg, None)
+        assert [(r.config, r.source) for r in records] == trials
+        assert [r.trial for r in records] == [0, 1, 2]
+        assert [r.train_seed for r in records] == [derive_seed(5, "trial", k) for k in range(3)]
+        net, _ = train(lin_ds, trials[1][0], cfg, records[1].train_seed)
+        assert records[1].value == split_mse(net, lin_ds, VAL, None)
+        # The same config under another train seed trains another model.
+        assert records[0].value != records[2].value
+
+    def test_empty_trial_list_rejected(self, lin_ds):
+        with pytest.raises(ConfigError, match="there is no trial to score"):
+            random_search(lin_ds, [], 0, TrainConfig(epochs=1), None)
 
     def test_adversarial_objective_prefers_stability(self):
         # A wiggly noisy target makes the unregularized net steep. The two
@@ -444,37 +475,25 @@ class TestRandomSearch:
         strong = DefenseConfig(kind="ansr", lam=2.0, beta=2.0, n_samples=16)
         cfg = TrainConfig(learning_rate=0.01, batch_size=16, epochs=200, hidden_dim=12)
         attack = AttackConfig(kind="pgd", epsilon=0.05, rho=0.2, steps=10)
+        trials = ([(weak, "injected"), (strong, "injected")]
+                  + draw_trials(DefenseConfig(kind="ansr", n_samples=16), 1, 5))
         picks = {}
-        for objective in ("val_mse_pgd", "val_mse_clean"):
-            best, _ = random_search(
-                ds,
-                DefenseConfig(kind="ansr", n_samples=16),
-                SearchSpace(n_trials=1, objective=objective),
-                seed=5,
-                train_cfg=cfg,
-                attack=attack,
-                candidates=(weak, strong),
-            )
+        for objective, tuning_attack in (("val_mse_pgd", attack), ("val_mse_clean", None)):
+            best, _ = random_search(ds, trials, 5, cfg, tuning_attack)
             picks[objective] = best.config.lam
         assert picks["val_mse_pgd"] == strong.lam
         assert picks["val_mse_clean"] == weak.lam
 
     def test_all_diverged_raises_with_log(self, lin_ds):
-        space = SearchSpace(n_trials=2, objective="val_mse_clean")
         cfg = TrainConfig(learning_rate=1e160, epochs=2)
         with pytest.warns(RuntimeWarning), pytest.raises(SearchFailed) as exc_info:
-            random_search(lin_ds, PSEUDO_HUBER, space, 1, cfg)
+            random_search(lin_ds, draw_trials(PSEUDO_HUBER, 2, 1), 1, cfg, None)
         assert len(exc_info.value.trials) == 2
         assert all(np.isnan(r.value) for r in exc_info.value.trials)
 
-    def test_bad_objective_rejected(self, lin_ds):
-        with pytest.raises(ConfigError, match="objective must be one of"):
-            random_search(lin_ds, DefenseConfig(kind="ansr"), SearchSpace(objective="test_mse"), 0,
-                          TrainConfig())
-
     def test_jobs_do_not_change_results(self, lin_ds):
-        space = SearchSpace(n_trials=3, objective="val_mse_clean")
         cfg = TrainConfig(learning_rate=0.01, epochs=30)
-        _, serial = random_search(lin_ds, PSEUDO_HUBER, space, 13, cfg, jobs=1)
-        _, par = random_search(lin_ds, PSEUDO_HUBER, space, 13, cfg, jobs=2)
+        trials = draw_trials(PSEUDO_HUBER, 3, 13)
+        _, serial = random_search(lin_ds, trials, 13, cfg, None, jobs=1)
+        _, par = random_search(lin_ds, trials, 13, cfg, None, jobs=2)
         assert [r.value for r in serial] == [r.value for r in par]

@@ -40,13 +40,7 @@ from .training import _reuse_freed_arrays, draw_trials, random_search
 
 def _build_dataset(cfg: ExperimentConfig, stats: dict | None = None) -> data_mod.Dataset:
     """The prepared dataset: read, split, normalized, with its neighbors."""
-    ds = data_mod.load_csv(
-        cfg.dataset.path,
-        target_column=cfg.dataset.target_column,
-        name=cfg.dataset.name,
-        target_bounded_01=cfg.dataset.target_bounded_01,
-        missing=cfg.dataset.missing,
-    )
+    ds = data_mod.load_csv(**asdict(cfg.dataset))
     ds = data_mod.split_dataset(ds, cfg.fractions, seed=derive_seed(cfg.seed, "split"))
     ds = data_mod.normalize_dataset(ds, data_mod.fit_normalizer(ds))
     return replace(ds, neighbors=data_mod.compute_neighbors(ds, stats=stats))
@@ -283,14 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.seed is not None:
-        cfg.seed = int(args.seed)
-    if args.jobs is not None:
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-        cfg.jobs = int(args.jobs)
+    """cfg with the given flags in place of the fields they set; cfg checks them."""
+    changes = {name: value for name, value in
+               (("out_dir", args.out), ("seed", args.seed), ("jobs", args.jobs))
+               if value is not None}
     for flag in ("defense", "attack"):
         wanted = getattr(args, flag)
         if wanted is None:
@@ -298,8 +288,8 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         kinds = {getattr(e, "config", e).kind: e for e in getattr(cfg, flag + "s")}
         if unknown := set(wanted) - set(kinds):
             raise ConfigError(f"--{flag} {sorted(unknown)} not in config (has {sorted(kinds)})")
-        setattr(cfg, flag + "s", [e for k, e in kinds.items() if k in set(wanted)])
-    return cfg
+        changes[flag + "s"] = tuple(e for k, e in kinds.items() if k in wanted)
+    return replace(cfg, **changes)
 
 
 def main(argv=None) -> int:

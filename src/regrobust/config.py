@@ -13,18 +13,23 @@ defense's ``n_samples``, and every training run's seed derives from its
 ``seed``. Any other key fails, so a typo never falls back to a default
 unnoticed, and so does a key given twice in one object, here and in
 ``tuned_*.json``. Every default matches the standard evaluation protocol, so
-a minimal config only needs the dataset block. Validation errors start with
-the offending field path. ``ExperimentConfig.tuning_attack``, derived, is the
-attack the search objective uses: the first pgd entry, else DEFAULT_PGD, or
-None under ``val_mse_clean``.
+a minimal config only needs the dataset block. Every config dataclass is
+frozen, and its checks run whenever one is built, by the loader or by a
+``dataclasses.replace`` such as the CLI's flags; ``fractions`` and
+``dataset.missing`` go through the rules ``split_dataset`` and ``load_csv``
+apply. So validation errors start with the offending field path, at load.
+``ExperimentConfig.tuning_attack``, derived, is the attack the search
+objective uses: the first pgd entry, else DEFAULT_PGD, or None under
+``val_mse_clean``.
 """
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 
 from .attacks import DEFAULT_PGD, AttackConfig
+from .data import MISSING_POLICIES, check_fractions
 from .defenses import DefenseConfig
-from .errors import ConfigError, unique_keys
+from .errors import ConfigError, check_count, unique_keys
 from .training import SearchSpace, TrainConfig
 
 
@@ -36,6 +41,10 @@ class DatasetSpec:
     target_bounded_01: bool = False
     missing: str = "error"
 
+    def __post_init__(self):
+        if self.missing not in MISSING_POLICIES:
+            raise ConfigError(f"missing must be one of {MISSING_POLICIES}, got {self.missing!r}")
+
 
 @dataclass(frozen=True)
 class DefenseEntry:
@@ -45,25 +54,32 @@ class DefenseEntry:
     tune: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """A whole run. tuning_attack is decided when not given, so a replace that narrows
+    attacks (--attack) keeps it, and one that changes the objective decides it again."""
+
     dataset: DatasetSpec
     out_dir: str = "out"
     fractions: tuple = (0.6, 0.2, 0.2)
     seed: int = 0
     train: TrainConfig = field(default_factory=TrainConfig)
     search: SearchSpace = field(default_factory=SearchSpace)
-    defenses: list = field(default_factory=list)
-    attacks: list = field(default_factory=list)
+    defenses: tuple = ()
+    attacks: tuple = ()
     n_samples: int = 100
     n_seeds: int = 6
     jobs: int = 1
-    tuning_attack: AttackConfig | None = field(init=False)  # derived; not a JSON key
+    tuning_attack: AttackConfig | None = None  # derived; not a JSON key
 
     def __post_init__(self):
-        # Decided here, once, so narrowing attacks afterwards (--attack) leaves it.
-        self.tuning_attack = (next((a for a in self.attacks if a.kind == "pgd"), DEFAULT_PGD)
-                              if self.search.objective == "val_mse_pgd" else None)
+        for name in ("n_samples", "n_seeds", "jobs"):
+            check_count(f"config.{name}:", getattr(self, name))
+        check_fractions(self.fractions, "config.fractions")
+        attack = self.tuning_attack or next((a for a in self.attacks if a.kind == "pgd"),
+                                            DEFAULT_PGD)
+        object.__setattr__(self, "tuning_attack",
+                           attack if self.search.objective == "val_mse_pgd" else None)
 
 
 _JSON_KEYS = {"lam": "lambda"}  # field name -> JSON key, where they differ
@@ -144,7 +160,7 @@ def section_to_dict(cfg) -> dict:
     return {_JSON_KEYS.get(f.name, f.name): getattr(cfg, f.name) for f in fields(cfg)}
 
 
-def _entries(doc, key: str, parse) -> list:
+def _entries(doc, key: str, parse) -> tuple:
     """Parse a non-empty list of config entries whose kinds must be distinct."""
     docs = doc.get(key, [{"kind": "none"}])
     if not isinstance(docs, list) or not docs:
@@ -157,10 +173,10 @@ def _entries(doc, key: str, parse) -> list:
             raise ConfigError(f"{key}[{i}].kind: duplicate {key[:-1]} kind {kind!r}")
         seen.add(kind)
         entries.append(parsed)
-    return entries
+    return tuple(entries)
 
 
-_TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.init)
+_TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "tuning_attack")
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -181,22 +197,19 @@ def load_experiment_config(path) -> ExperimentConfig:
 
     scalars = {f.name: _check(doc.get(f.name, f.default), f.type, f"config.{f.name}")
                for f in fields(ExperimentConfig) if f.type in (int, str)}
-    for key in ("n_samples", "n_seeds", "jobs"):
-        if scalars[key] < 1:
-            raise ConfigError(f"config.{key}: must be >= 1, got {scalars[key]}")
-
     fractions = doc.get("fractions", ExperimentConfig.fractions)
-    if not (isinstance(fractions, (list, tuple)) and len(fractions) == 3):
+    if not isinstance(fractions, (list, tuple)):  # ExperimentConfig checks the count
         raise ConfigError(f"config.fractions: expected 3 numbers, got {fractions!r}")
     fractions = tuple(_check(v, float, f"config.fractions[{i}]") for i, v in enumerate(fractions))
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         dataset=_section(DatasetSpec, doc["dataset"], "dataset"),
         fractions=fractions,
         train=_section(TrainConfig, doc.get("train", {}), "train"),
         search=_section(SearchSpace, doc.get("search", {}), "search"),
-        defenses=_entries(doc, "defenses",
-                          partial(read_defense_entry, n_samples=scalars["n_samples"])),
         attacks=_entries(doc, "attacks", read_attack_entry),
         **scalars,
     )
+    # A defense entry takes the top-level n_samples, so it is read once cfg has checked it.
+    return replace(cfg, defenses=_entries(doc, "defenses",
+                                          partial(read_defense_entry, n_samples=cfg.n_samples)))

@@ -303,13 +303,19 @@ def load_csv(
         raise DataError(f"{path}: {e}") from None
 
 
+def check_fractions(fractions, name: str = "fractions") -> tuple:
+    """fractions as floats; a ConfigError naming name unless 3 finite positives summing to 1."""
+    fr = tuple(float(f) for f in fractions)
+    if len(fr) != 3 or not all(0 < f <= 1 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
+        raise ConfigError(f"{name} must be 3 finite positive numbers summing to 1, "
+                          f"got {fractions}")
+    return fr
+
+
 def split_dataset(dataset: Dataset, fractions=(0.6, 0.2, 0.2), seed: int = 0) -> Dataset:
     """Random train/val/test split; rounding leftovers go to the train split.
     The result drops dataset's neighbors, which belong to the old train rows."""
-    fr = tuple(float(f) for f in fractions)
-    if len(fr) != 3 or not all(0 < f <= 1 for f in fr) or abs(sum(fr) - 1.0) > 1e-9:
-        raise ConfigError(f"fractions must be 3 finite positive numbers summing to 1, "
-                          f"got {fractions}")
+    fr = check_fractions(fractions)
     n = dataset.n_rows
     sizes = [int(math.floor(n * f)) for f in fr]
     sizes[0] += n - sum(sizes)
@@ -566,7 +572,10 @@ def load_dataset_cache(path, provenance: dict | None = None) -> Dataset:
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f, object_pairs_hook=unique_keys)
-        n, d = len(doc["targets"]), len(doc["feature_names"])
+        names = doc["feature_names"]
+        if not isinstance(names, list):  # a string would pass as its letters
+            raise ValueError(f"feature_names must be a list of strings, got {names!r}")
+        n, d = len(doc["targets"]), len(names)
         with open(npy, "rb") as f:
             try:
                 features = np.lib.format.read_array(f, allow_pickle=False)
@@ -587,7 +596,7 @@ def load_dataset_cache(path, provenance: dict | None = None) -> Dataset:
             split=np.array([SPLIT_NAMES.index(s) for s in doc["split"]], dtype=np.int64),
             name=doc["name"],
             target_bounded_01=doc["target_bounded_01"],
-            feature_names=tuple(doc["feature_names"]),
+            feature_names=tuple(names),
             normalizer=Normalizer(**doc["normalizer"]),
             neighbors=Neighbors(**doc["neighbors"]),
         )

@@ -119,8 +119,8 @@ def perturbation_profile(dataset, defense: DefenseConfig, attack: AttackConfig, 
     out = []
     for i, net in models:
         adv = apply_attack(net, Xt, Yt, attack)
-        pred_clean = np.atleast_1d(forward(net, Xt))
-        pred_adv = np.atleast_1d(forward(net, adv))
+        pred_clean = forward(net, Xt)
+        pred_adv = forward(net, adv)
         # One column per PointRecord field from y on, in field order.
         cols = zip(Yt, pred_clean, pred_adv, np.abs(pred_adv - Yt),
                    np.abs(pred_adv - pred_clean), nn_dist)

@@ -244,6 +244,7 @@ def sample_defense_config(base: DefenseConfig, rng) -> DefenseConfig:
 def draw_trials(base: DefenseConfig, n_trials: int, seed: int) -> list:
     """n_trials (config, "sampled") pairs: trial i is sample_defense_config of base
     from its own stream, derived from seed and i. So n_samples comes from base."""
+    check_count("n_trials", n_trials)
     return [(sample_defense_config(base, np.random.default_rng(derive_seed(seed, "sample", i))),
              "sampled") for i in range(n_trials)]
 

@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +17,7 @@ from regrobust.attacks import DEFAULT_PGD, AttackConfig
 from regrobust.cli import main
 from regrobust.config import (
     _JSON_KEYS,
+    ExperimentConfig,
     defense_to_dict,
     load_experiment_config,
     read_defense_entry,
@@ -25,6 +26,7 @@ from regrobust.config import (
 from regrobust.data import compute_neighbors, load_dataset_cache
 from regrobust.defenses import KINDS, DefenseConfig
 from regrobust.evaluation import CellRecord, PointRecord
+from regrobust.training import SearchSpace
 
 from conftest import BOSTON_CSV
 
@@ -283,13 +285,24 @@ class TestPrepare:
             (lambda d: d["train"].update(hidden_dim=0), "train: hidden_dim must be >= 1, got 0"),
             (lambda d: d["train"].update(hidden_dim=-1),
              "train: hidden_dim must be >= 1, got -1"),
+            (lambda d: d.update(fractions=[0.5, 0.5, 0.5]),
+             "config.fractions must be 3 finite positive numbers summing to 1, "
+             "got (0.5, 0.5, 0.5)"),
+            (lambda d: d["dataset"].update(missing="bogus"),
+             "dataset: missing must be one of ('error', 'drop_rows', 'drop_columns'), "
+             "got 'bogus'"),
+            (lambda d: d.update(n_seeds=0), "config.n_seeds: must be >= 1, got 0"),
+            (lambda d: d.update(jobs=0), "config.jobs: must be >= 1, got 0"),
+            (lambda d: d.update(tuning_attack={"kind": "none"}),
+             "config.tuning_attack: unknown field"),
         ],
         ids=["defense-kind", "fractions-str", "fractions-null", "fractions-numeric-str",
              "fractions-bool", "search-str", "search-null",
              "train-epoch", "defense-lam", "attack-sptes", "fgsm-rho", "none-epsilon",
              "norm-p", "train-seed", "n-samples-zero", "tuned-n-samples", "tuned-beta",
              "grad-reg-lambda", "search-n-trials", "search-objective", "search-objective-int",
-             "hidden-dim-zero", "hidden-dim-negative"],
+             "hidden-dim-zero", "hidden-dim-negative", "fractions-sum", "dataset-missing",
+             "n-seeds-zero", "jobs-zero", "tuning-attack"],
     )
     def test_invalid_config_names_field(self, workspace, capsys, edit, field):
         tmp, cfg = workspace
@@ -301,6 +314,42 @@ class TestPrepare:
         assert err["error"] == "ConfigError"
         assert field in err["message"]
         assert err["message"].startswith(field.split(":")[0])
+
+
+    def test_jobs_flag_fails_as_the_config_key_does(self, workspace, capsys):
+        tmp, cfg = workspace
+        assert main(["prepare", "--config", str(cfg), "--jobs", "0"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ConfigError", "message": "config.jobs: must be >= 1, got 0"}
+
+
+class TestFrozenConfig:
+    @pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)])
+    def test_no_field_can_be_assigned(self, workspace, name):
+        cfg = load_experiment_config(workspace[1])
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, getattr(cfg, name))
+
+    def test_overrides_return_a_new_config(self, workspace):
+        tmp, path = workspace
+        cfg = load_experiment_config(path)
+        args = cli.build_parser().parse_args(
+            ["evaluate", "--config", str(path), "--out", str(tmp / "o"), "--seed", "5",
+             "--jobs", "2", "--defense", "grad_reg", "--attack", "fgsm"])
+        new = cli._apply_overrides(cfg, args)
+        assert cfg == load_experiment_config(path)
+        assert (new.out_dir, new.seed, new.jobs) == (str(tmp / "o"), 5, 2)
+        assert [e.config.kind for e in new.defenses] == ["grad_reg"]
+        assert [a.kind for a in new.attacks] == ["fgsm"]
+        assert new.tuning_attack == cfg.tuning_attack == cfg.attacks[2]
+
+    def test_replacing_the_objective_decides_the_tuning_attack_again(self, workspace):
+        cfg = load_experiment_config(workspace[1])
+        clean = replace(cfg, search=SearchSpace(objective="val_mse_clean"))
+        assert clean.tuning_attack is None
+        back = replace(clean, search=cfg.search)
+        assert back.tuning_attack == cfg.tuning_attack == cfg.attacks[2]
+        assert back.tuning_attack != DEFAULT_PGD
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)

@@ -1137,7 +1137,9 @@ class TestCache:
         ("target_bounded_01", "false"),
         ("name", 123),
         ("feature_names", [0, 1, 2]),
-    ], ids=["bounded-true", "bounded-string", "name-int", "feature-names-int"])
+        ("feature_names", "abc"),
+    ], ids=["bounded-true", "bounded-string", "name-int", "feature-names-int",
+            "feature-names-string"])
     def test_edited_field_rejected(self, tmp_path, field, value):
         # The edit leaves the stamp as it was, so only Dataset's checks can catch it.
         p = tmp_path / "cache.json"

@@ -22,8 +22,7 @@ REFERENCE = REPO / "out" / "boston"
 
 def _boston_config():
     cfg = load_experiment_config(REPO / "configs" / "boston.json")
-    cfg.dataset = replace(cfg.dataset, path=str(REPO / cfg.dataset.path))
-    return cfg
+    return replace(cfg, dataset=replace(cfg.dataset, path=str(REPO / cfg.dataset.path)))
 
 
 def _tuned_kinds(cfg):

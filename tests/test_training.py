@@ -416,6 +416,11 @@ class TestDrawTrials:
     def test_a_longer_draw_extends_a_shorter_one(self):
         assert draw_trials(PSEUDO_HUBER, 5, 3)[:2] == draw_trials(PSEUDO_HUBER, 2, 3)
 
+    @pytest.mark.parametrize("n_trials", [2.5, True])
+    def test_count_must_be_an_integer(self, n_trials):
+        with pytest.raises(ConfigError, match=rf"^n_trials must be an integer, got {n_trials}$"):
+            draw_trials(PSEUDO_HUBER, n_trials, 3)
+
 
 class TestRandomSearch:
     def test_single_trial_returns_it_and_logs(self, lin_ds):
